@@ -18,6 +18,15 @@ import "math/bits"
 // with the minimum hash — the global minimum-hash key of the support, which
 // is uniform. Independent repetitions drive the failure probability down.
 //
+// Updates: the sketch is linear — a cell is a sum over the updates that hash
+// to it — and its hashes are pure functions of (seed, repetition, key), so
+// the cells depend on the multiset of updates applied and on nothing else:
+// not their order, not how they were batched. UpdateFeed uses that freedom.
+// It takes a whole feed of updates whose seed-independent parts (fingerprint
+// term, key hash) were computed once for all samplers of a round, and
+// applies it repetition by repetition and level by level instead of update
+// by update. Update and UpdateTerm are the same code over a feed of one.
+//
 // Key and count magnitudes are bounded: |key| < 2^50 and the absolute sum of
 // counts per cell must stay below 2^12 scale such that |keySum| < 2^62.
 // Graph streams satisfy this comfortably (keys are edge IDs < n^2 with
@@ -160,57 +169,127 @@ func FingerprintTerm(z, key uint64, delta int64) uint64 {
 	return fingerprintTerm(z, key, delta)
 }
 
-// UpdateTerm is Update with the fingerprint term precomputed by the caller
-// (term must equal FingerprintTerm(base, key, delta) for this sampler's
-// base).
-func (s *L0Sampler) UpdateTerm(key uint64, delta int64, term uint64) {
-	if delta == 0 {
-		return
+// FeedEntry is one buffered update of an UpdateFeed batch. Key and Delta are
+// the update; Term and KeyHash are derived from them by FillFeed and depend
+// on no sampler seed, so one filled feed serves every sampler that shares
+// the fingerprint base.
+type FeedEntry struct {
+	Key     uint64
+	Delta   int64
+	Term    uint64 // FingerprintTerm(base, Key, Delta)
+	KeyHash uint64 // the key's half of Hash64: splitmix64(Key)
+}
+
+// FillFeed computes Term (under fingerprint base z) and KeyHash of every
+// entry from its Key and Delta.
+func FillFeed(z uint64, feed []FeedEntry) {
+	for i := range feed {
+		e := &feed[i]
+		e.Term = fingerprintTerm(z, e.Key, e.Delta)
+		e.KeyHash = splitmix64(e.Key)
 	}
-	keyDelta := delta * int64(key)
+}
+
+// L0Scratch is UpdateFeed's working memory. It carries nothing between
+// calls; one scratch serves any number of samplers, one goroutine at a time.
+type L0Scratch struct {
+	walk []l0walk
+}
+
+// l0walk is a feed entry's position in one repetition's level walk.
+type l0walk struct {
+	bh   uint64 // bucket-hash bits not yet consumed
+	i    uint32 // index into the feed
+	deep uint32 // deepest level the entry belongs to
+}
+
+// UpdateFeed applies every entry of a FillFeed-filled feed (at most 2^32
+// entries, filled under this sampler's base). The sketch is linear, so the
+// cells end up exactly as if the entries had been applied one at a time in
+// any order, and UpdateFeed(a) then UpdateFeed(b) equals UpdateFeed(a‖b).
+func (s *L0Sampler) UpdateFeed(feed []FeedEntry, sc *L0Scratch) {
+	if cap(sc.walk) < len(feed) {
+		sc.walk = make([]l0walk, len(feed))
+	}
+	s.updateFeed(feed, sc.walk[:len(feed)])
+}
+
+// updateFeed is the sampler's one update loop; walk must be as long as feed.
+// Per repetition it hashes the two seeds once and goes level-major: the
+// first sweep hashes every entry (deepest level, bucket hash), applies level
+// 0 and writes the entries that go deeper to walk; each further level
+// applies walk to its row of buckets and compacts it in place to the entries
+// that go deeper still. Half the entries drop out per level, so a repetition
+// costs ~2 cell updates per entry, and no loop body branches on the data:
+// the walk grows by a computed 0 or 1 and the fingerprint folds modulo
+// 2^61-1 by mask.
+//
+// One hash supplies the bucket choice of perHash levels, bucketBits bits
+// each; at every perHash-th level the survivors are rehashed.
+func (s *L0Sampler) updateFeed(feed []FeedEntry, walk []l0walk) {
+	levels, buckets, mask, shift := s.levels, s.buckets, s.bucketMask, uint(s.bucketBits)&63
+	perHash := levels
+	if s.bucketBits > 0 {
+		perHash = 64 / s.bucketBits
+	}
 	for rep := 0; rep < s.reps; rep++ {
-		deep := s.levelOf(rep, key)
-		// One hash supplies the bucket choice of every level: levels peel
-		// bucketBits bits each, rehashing when the 64 bits run out. (An
-		// item occupies O(1) levels in expectation, so usually one hash.)
-		bh := Hash64(s.seed^0xabcdef^uint64(rep), key)
-		avail := 64
-		for level := 0; level <= deep; level++ {
-			if avail < s.bucketBits {
-				bh = splitmix64(bh + 0x9e3779b97f4a7c15)
-				avail = 64
+		levelSeed := splitmix64(s.seed + uint64(rep)*0x9e3779b9)
+		bucketSeed := splitmix64(s.seed ^ 0xabcdef ^ uint64(rep))
+		rows := s.cells[rep*levels*buckets:][:levels*buckets]
+		row := rows[:buckets]
+		k := 0
+		for i := range feed {
+			e := &feed[i]
+			deep := min(bits.LeadingZeros64(splitmix64(levelSeed^e.KeyHash)), levels-1)
+			bh := splitmix64(bucketSeed ^ e.KeyHash)
+			row[bh&mask].add(e)
+			walk[k] = l0walk{bh: bh >> shift, i: uint32(i), deep: uint32(deep)}
+			k += int(uint32(-deep) >> 31) // deep >= 1
+		}
+		for level := 1; k > 0; level++ {
+			live := walk[:k]
+			if level%perHash == 0 {
+				for j := range live {
+					live[j].bh = splitmix64(live[j].bh + 0x9e3779b97f4a7c15)
+				}
 			}
-			b := int(bh & s.bucketMask)
-			bh >>= uint(s.bucketBits)
-			avail -= s.bucketBits
-			c := s.cell(rep, level, b)
-			c.count += delta
-			c.keySum += keyDelta
-			c.fp += term
-			if c.fp >= mersenne61 {
-				c.fp -= mersenne61
+			row = rows[level*buckets:][:buckets]
+			k = 0
+			for _, w := range live {
+				row[w.bh&mask].add(&feed[w.i])
+				w.bh >>= shift
+				live[k] = w
+				k += int(uint32(level-int(w.deep)) >> 31) // deep > level
 			}
 		}
 	}
 }
 
+// add applies one feed entry to the cell. Term < 2^61-1 and the cell keeps
+// fp < 2^61-1, so fp+Term-(2^61-1) wraps negative exactly when no reduction
+// is due, and its sign mask adds the modulus back.
+func (c *l0cell) add(e *FeedEntry) {
+	c.count += e.Delta
+	c.keySum += e.Delta * int64(e.Key)
+	t := c.fp + e.Term - mersenne61
+	c.fp = t + mersenne61&uint64(int64(t)>>63)
+}
+
+// UpdateTerm is Update with the fingerprint term precomputed by the caller
+// (term must equal FingerprintTerm(base, key, delta) for this sampler's
+// base). It is UpdateFeed over one entry.
+func (s *L0Sampler) UpdateTerm(key uint64, delta int64, term uint64) {
+	if delta == 0 {
+		return
+	}
+	feed := [1]FeedEntry{{Key: key, Delta: delta, Term: term, KeyHash: splitmix64(key)}}
+	var walk [1]l0walk
+	s.updateFeed(feed[:], walk[:])
+}
+
 func (s *L0Sampler) cell(rep, level, bucket int) *l0cell {
 	return &s.cells[(rep*s.levels+level)*s.buckets+bucket]
 }
-
-// levelOf returns the deepest level key belongs to under repetition rep:
-// the number of leading zero bits of its hash, capped at levels-1. A key in
-// level j is also in all levels < j.
-func (s *L0Sampler) levelOf(rep int, key uint64) int {
-	h := Hash64(s.seed+uint64(rep)*0x9e3779b9, key)
-	l := leadingZeros(h)
-	if l >= s.levels {
-		l = s.levels - 1
-	}
-	return l
-}
-
-func leadingZeros(x uint64) int { return bits.LeadingZeros64(x) }
 
 // Update applies a turnstile update: the multiplicity of key changes by
 // delta (typically ±1).

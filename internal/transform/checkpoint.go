@@ -5,7 +5,6 @@ import (
 
 	"streamcount/internal/oracle"
 	"streamcount/internal/par"
-	"streamcount/internal/pool"
 	"streamcount/internal/sketch"
 )
 
@@ -26,15 +25,6 @@ import (
 //
 // Snapshots are immutable: one snapshot can seed many resumptions, and
 // further consumption on the snapshotted runner never leaks into it.
-
-// feedScratchPool recycles the scratch feed buffers SnapshotRound uses to
-// flush buffered sampler feeds into snapshot clones without touching the
-// live round's entries.
-var feedScratchPool = pool.New(
-	func() *[]feedEntry { s := make([]feedEntry, 0, 4096); return &s },
-	func(s *[]feedEntry) { *s = (*s)[:0] },
-	func(s *[]feedEntry) { smearFeed(*s) },
-)
 
 // ---- InsertionRunner ----
 
@@ -168,10 +158,11 @@ func (r *InsertionRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 // ---- TurnstileRunner ----
 
 // turnCheckpoint is TurnstileRunner's RoundCheckpoint. The ℓ0-sketches are
-// linear, so the buffered sampler feeds are flushed into the snapshot's
-// sampler clones at capture time: the checkpoint size is O(query state),
-// independent of how much stream the round has consumed, and feeding the
-// suffix later lands on exactly the cells a single full feed would.
+// linear, so the buffered sampler feeds are flushed into the live samplers at
+// capture time — as they are at every feedBlock — and the snapshot clones
+// them: the checkpoint size is O(query state), independent of how much
+// stream the round has consumed, and feeding the suffix later lands on
+// exactly the cells a single full feed would.
 type turnCheckpoint struct {
 	queries  []oracle.Query
 	p        int
@@ -190,15 +181,6 @@ type turnCheckpoint struct {
 
 func (c *turnCheckpoint) CheckpointVersion() int64 { return c.consumed }
 func (c *turnCheckpoint) CheckpointBytes() int64   { return c.bytes }
-
-// flushInto clones s and applies the term-filled feed to the clone.
-func flushInto(s *sketch.L0Sampler, feed []feedEntry) *sketch.L0Sampler {
-	c := s.Clone()
-	for _, b := range feed {
-		c.UpdateTerm(b.key, b.delta, b.term)
-	}
-	return c
-}
 
 // restoreSampler loads a checkpoint sampler's state into a freelist entry
 // when geometries agree, falling back to a fresh clone: a hot resume loop
@@ -233,33 +215,18 @@ func (r *TurnstileRunner) SnapshotRound() (oracle.RoundCheckpoint, error) {
 		adj:      make(map[uint64]int64),
 	}
 	cp.bytes = int64(len(cp.queries)) * 32
-	scratch := feedScratchPool.Get()
-	feed := *scratch
-	// Edge-matrix samplers: flush the buffered pass feed into the clones
-	// through a pooled scratch copy (terms are filled on the copy so the
-	// live round's buffer is untouched).
-	if len(r.edgeSamplers) > 0 {
-		feed = append(feed[:0], r.edgeFeed...)
-		fillTerms(r.curP, r.curBase, feed)
-		for _, s := range r.edgeSamplers {
-			c := flushInto(s, feed)
-			cp.edge = append(cp.edge, c)
-			cp.bytes += c.CellBytes()
-		}
+	r.flushFeeds()
+	for _, s := range r.edgeSamplers {
+		cp.edge = append(cp.edge, s.Clone())
+		cp.bytes += s.CellBytes()
 	}
 	for _, v := range cp.nbrVerts {
-		sh := r.shards[shardOfVertex(v, r.curP)]
-		feed = append(feed[:0], sh.nbrFeed[v]...)
-		fillTerms(r.curP, r.curBase, feed)
 		for _, s := range r.nbrSamplers[v] {
-			c := flushInto(s, feed)
-			cp.nbr[v] = append(cp.nbr[v], c)
-			cp.bytes += c.CellBytes()
+			cp.nbr[v] = append(cp.nbr[v], s.Clone())
+			cp.bytes += s.CellBytes()
 		}
 		cp.nbrIdx[v] = append([]int(nil), r.nbrSampIdx[v]...)
 	}
-	*scratch = feed
-	feedScratchPool.Put(scratch)
 	// Counters: shards own disjoint keys, so a flat merge loses nothing.
 	for _, sh := range r.shards {
 		for k, v := range sh.deg {
@@ -306,6 +273,7 @@ func (r *TurnstileRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 	r.curP = c.p
 	r.curM = c.m
 	r.curConsumed = c.consumed
+	r.curBuffered = 0
 	r.curBase = c.base
 	r.ensureShards(c.p)
 	r.edgeFeed = r.edgeFeed[:0]
@@ -333,7 +301,7 @@ func (r *TurnstileRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 		r.nbrSampIdx[v] = append([]int(nil), c.nbrIdx[v]...)
 		sh := r.shards[shardOfVertex(v, c.p)]
 		if _, ok := sh.nbrFeed[v]; !ok {
-			sh.nbrFeed[v] = []feedEntry{}
+			sh.nbrFeed[v] = sh.newFeed()
 		}
 	}
 	for k, v := range c.deg {

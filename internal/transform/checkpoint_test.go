@@ -121,6 +121,11 @@ func testSnapshotResumeLinearity(t *testing.T, ups []stream.Update, qs []oracle.
 			t.Fatalf("v=%d: CheckpointBytes=%d", v, cp.CheckpointBytes())
 		}
 
+		// The snapshotted runner finishes its own round first: taking the
+		// snapshot must not have changed its answers, and its progress must
+		// not reach the snapshot.
+		sameAnswers(t, "snapshotted runner finishes", wantAns, feedSuffix(t, snap, ups[v:]))
+
 		resumed := mk(42)
 		if err := resumed.ResumeRound(cp, int64(v)); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package transform
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"streamcount/internal/gen"
 	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
+	"streamcount/internal/sketch"
 	"streamcount/internal/stream"
 )
 
@@ -228,6 +230,78 @@ func TestTurnstileRunnerDeletionsErase(t *testing.T) {
 	}
 	if !ans[4].Yes {
 		t.Error("edge (0,1) should remain")
+	}
+}
+
+// TestTurnstileFeedBlockFlush: a pass of more than ten feed blocks flushes
+// its sampler feeds block by block, so the edge feed never outgrows one
+// block, and answers exactly what the same samplers answer when each takes
+// the whole pass in one unflushed UpdateFeed call.
+func TestTurnstileFeedBlockFlush(t *testing.T) {
+	const n = 700
+	rng := rand.New(rand.NewSource(16))
+	ts := stream.WithDeletions(gen.ErdosRenyiGNM(rng, n, 150_000), 0.1, rng)
+	ups := ts.Updates()
+	if len(ups) < 10*feedBlock {
+		t.Fatalf("stream of %d updates is under ten blocks of %d", len(ups), feedBlock)
+	}
+	qs := []oracle.Query{
+		q(oracle.RandomEdge),
+		q(oracle.RandomNeighbor, 5),
+		q(oracle.CountEdges),
+		q(oracle.RandomEdge),
+		q(oracle.RandomNeighbor, 5),
+		q(oracle.RandomNeighbor, 9),
+	}
+	// The unflushed path, with the seeds BeginRound draws: the fingerprint
+	// base first, then one per sampler in query order.
+	ref := rand.New(rand.NewSource(7))
+	base := sketch.RandomFieldBase(ref.Uint64())
+	want := make([]oracle.Answer, len(qs))
+	for i, qu := range qs {
+		var feed []sketch.FeedEntry
+		for _, u := range ups {
+			d := int64(1)
+			if u.Op == stream.Delete {
+				d = -1
+			}
+			switch e := u.Edge.Canon(); {
+			case qu.Type == oracle.RandomEdge:
+				feed = append(feed, sketch.FeedEntry{Key: edgeKey(e, n), Delta: d})
+			case qu.Type == oracle.RandomNeighbor && e.U == qu.U:
+				feed = append(feed, sketch.FeedEntry{Key: uint64(e.V), Delta: d})
+			case qu.Type == oracle.RandomNeighbor && e.V == qu.U:
+				feed = append(feed, sketch.FeedEntry{Key: uint64(e.U), Delta: d})
+			}
+		}
+		if qu.Type == oracle.CountEdges {
+			want[i] = oracle.Answer{OK: true, Count: 150_000}
+			continue
+		}
+		s := sketch.NewL0SamplerWithBase(ref.Uint64(), base, defaultL0Config(n))
+		sketch.FillFeed(base, feed)
+		s.UpdateFeed(feed, new(sketch.L0Scratch))
+		key, ok := s.Sample()
+		if !ok {
+			t.Fatalf("query %d: reference sampler failed; pick another seed", i)
+		}
+		if qu.Type == oracle.RandomEdge {
+			want[i] = oracle.Answer{OK: true, Edge: keyEdge(key, n)}
+		} else {
+			want[i] = oracle.Answer{OK: true, Count: int64(key)}
+		}
+	}
+	for _, p := range []int{1, 3} {
+		r := NewTurnstileRunner(ts, rand.New(rand.NewSource(7)))
+		r.SetParallelism(p)
+		got, err := r.Round(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswers(t, fmt.Sprintf("parallelism %d", p), want, got)
+		if c := cap(r.edgeFeed); c > feedBlock {
+			t.Errorf("parallelism %d: edge feed grew to %d entries, over one block of %d", p, c, feedBlock)
+		}
 	}
 }
 

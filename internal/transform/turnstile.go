@@ -30,10 +30,15 @@ import (
 // The pass is a three-stage parallel pipeline: (1) counters are sharded by
 // hash(vertex) / hash(packed edge key) mod P and each update batch fans out
 // to a persistent per-round worker group, while sampler feeds are buffered;
-// (2) the feeds' fingerprint terms (the expensive field exponentiations) are
-// computed by a parallel sweep; (3) every sampler consumes its feed
-// sequentially, samplers in parallel. Sampler seeds are drawn sequentially
-// at setup, so answers are bit-identical at any parallelism.
+// (2) what a feed entry costs once for all samplers — its fingerprint term
+// (a field exponentiation) and its key hash — is filled in by a parallel
+// sweep; (3) every sampler takes its whole feed in one UpdateFeed call,
+// sampler-major so that its cells stay cache-resident, samplers in parallel.
+// Stages 2 and 3 run whenever feedBlock updates have been buffered, and at
+// the end of the pass: the sketches are linear, so their cells do not depend
+// on where the feed was cut, and a round buffers at most feedBlock updates
+// however long the stream is. Sampler seeds are drawn sequentially at setup,
+// so answers are bit-identical at any parallelism.
 //
 // A round's samplers are drawn from the runner's freelist and re-armed with
 // Reseed — bit-identical to fresh construction — so steady-state rounds
@@ -54,6 +59,7 @@ type TurnstileRunner struct {
 	curP         int
 	curM         int64 // net edge count (insertions minus deletions)
 	curConsumed  int64 // updates consumed, the round's stream position
+	curBuffered  int   // updates consumed since the feeds were last flushed
 	curBase      uint64
 	edgeSamplers []*sketch.L0Sampler // for RandomEdge queries
 	edgeSampIdx  []int
@@ -69,40 +75,54 @@ type TurnstileRunner struct {
 	batchEdges   []graph.Edge
 	batchKeys    []uint64
 	batchDelta   []int64
-	edgeFeed     []feedEntry
+	edgeFeed     []sketch.FeedEntry
 	tasks        []samplerTask
+	scratch      []sketch.L0Scratch // UpdateFeed working memory, one per worker
 }
 
 // TurnstileRunner implements the session engine's round lifecycle.
 var _ oracle.PassRunner = (*TurnstileRunner)(nil)
 
-// feedEntry is one buffered sampler update; term is filled in by the
-// parallel fingerprint sweep after the pass.
-type feedEntry struct {
-	key   uint64
-	delta int64
-	term  uint64
-}
+// feedBlock is how many updates a round buffers before it flushes the
+// sampler feeds, so no feed holds more entries than this (a feed takes at
+// most one entry per update).
+const feedBlock = 4 * stream.DefaultBatchSize
 
-// samplerTask pairs a sampler with the feed it consumes in EndRound's
-// stage 3.
+// samplerTask pairs a sampler with the feed it consumes in stage 3.
 type samplerTask struct {
 	s    *sketch.L0Sampler
-	feed []feedEntry
+	feed []sketch.FeedEntry
 }
 
 // turnShard is the per-worker slice of a round's counter state and neighbor
 // feeds, pre-populated at setup with the keys the shard owns.
 type turnShard struct {
-	deg     map[int64]int64
-	adj     map[uint64]int64
-	nbrFeed map[int64][]feedEntry
+	deg      map[int64]int64
+	adj      map[uint64]int64
+	nbrFeed  map[int64][]sketch.FeedEntry
+	freeFeed [][]sketch.FeedEntry // emptied feed buffers of earlier rounds
 }
 
+// reset empties the shard for a new round, keeping the last round's feed
+// buffers for newFeed to hand out again.
 func (s *turnShard) reset() {
 	clear(s.deg)
 	clear(s.adj)
+	for _, f := range s.nbrFeed {
+		s.freeFeed = append(s.freeFeed, f[:0])
+	}
 	clear(s.nbrFeed)
+}
+
+// newFeed returns an empty feed buffer, a recycled one when there is one.
+// Which buffer a vertex gets is arbitrary and invisible: all are empty.
+func (s *turnShard) newFeed() []sketch.FeedEntry {
+	if n := len(s.freeFeed); n > 0 {
+		f := s.freeFeed[n-1]
+		s.freeFeed = s.freeFeed[:n-1]
+		return f
+	}
+	return nil
 }
 
 func (s *turnShard) process(edges []graph.Edge, keys []uint64, deltas []int64) {
@@ -118,10 +138,10 @@ func (s *turnShard) process(edges []graph.Edge, keys []uint64, deltas []int64) {
 			s.deg[e.V] += d
 		}
 		if _, ok := s.nbrFeed[e.U]; ok {
-			s.nbrFeed[e.U] = append(s.nbrFeed[e.U], feedEntry{key: uint64(e.V), delta: d})
+			s.nbrFeed[e.U] = append(s.nbrFeed[e.U], sketch.FeedEntry{Key: uint64(e.V), Delta: d})
 		}
 		if _, ok := s.nbrFeed[e.V]; ok {
-			s.nbrFeed[e.V] = append(s.nbrFeed[e.V], feedEntry{key: uint64(e.U), delta: d})
+			s.nbrFeed[e.V] = append(s.nbrFeed[e.V], sketch.FeedEntry{Key: uint64(e.U), Delta: d})
 		}
 		if _, ok := s.adj[keys[i]]; ok {
 			s.adj[keys[i]] += d
@@ -143,6 +163,14 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 		s.Dirty()
 	}
 	smearFeed(r.edgeFeed)
+	for _, sh := range r.shards {
+		for _, f := range sh.nbrFeed {
+			smearFeed(f)
+		}
+		for _, f := range sh.freeFeed {
+			smearFeed(f)
+		}
+	}
 	be := r.batchEdges[:cap(r.batchEdges)]
 	for i := range be {
 		be[i] = graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a}
@@ -151,10 +179,10 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 	pool.DirtyInt64(r.batchDelta)
 }
 
-func smearFeed(feed []feedEntry) {
+func smearFeed(feed []sketch.FeedEntry) {
 	feed = feed[:cap(feed)]
 	for i := range feed {
-		feed[i] = feedEntry{key: 0xdeaddead, delta: -0x5a5a5a, term: 0xdeaddead}
+		feed[i] = sketch.FeedEntry{Key: 0xdeaddead, Delta: -0x5a5a5a, Term: 0xdeaddead, KeyHash: 0xdeaddead}
 	}
 }
 
@@ -194,7 +222,7 @@ func AcquireTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
 	r.rounds, r.queries, r.space = 0, 0, 0
 	r.inRound = false
 	r.curQueries = nil
-	r.curP, r.curM, r.curConsumed, r.curBase = 0, 0, 0, 0
+	r.curP, r.curM, r.curConsumed, r.curBuffered, r.curBase = 0, 0, 0, 0, 0
 	return r
 }
 
@@ -233,9 +261,10 @@ func (r *TurnstileRunner) ensureShards(p int) {
 			r.shards[i] = &turnShard{
 				deg:     make(map[int64]int64),
 				adj:     make(map[uint64]int64),
-				nbrFeed: make(map[int64][]feedEntry),
+				nbrFeed: make(map[int64][]sketch.FeedEntry),
 			}
 		}
+		r.scratch = make([]sketch.L0Scratch, p)
 		return
 	}
 	for _, s := range r.shards {
@@ -257,18 +286,50 @@ func (r *TurnstileRunner) newSampler(seed, base uint64) *sketch.L0Sampler {
 	return sketch.NewL0SamplerWithBase(seed, base, r.l0cfg)
 }
 
-// fillTerms computes the fingerprint terms of a feed in a parallel sweep.
-func fillTerms(p int, base uint64, feed []feedEntry) {
+// flushFeeds is the round's stages 2 and 3 over everything buffered so far:
+// it fills the feeds, applies each to its samplers and empties them. It
+// changes nothing an answer can see — the cells a sampler ends the pass with
+// do not depend on how often or where the feed was flushed.
+func (r *TurnstileRunner) flushFeeds() {
+	p := r.curP
+	base := r.curBase
+	r.curBuffered = 0
+
+	// ---- Stage 2: the per-entry values all samplers share, computed once
+	// per feed entry by a parallel sweep (the field exponentiation dominates
+	// the feed cost). ----
 	const chunk = 2048
-	nchunks := (len(feed) + chunk - 1) / chunk
-	par.For(p, nchunks, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > len(feed) {
-			hi = len(feed)
+	edgeFeed := r.edgeFeed
+	par.For(p, (len(edgeFeed)+chunk-1)/chunk, func(c int) {
+		sketch.FillFeed(base, edgeFeed[c*chunk:min((c+1)*chunk, len(edgeFeed))])
+	})
+	par.For(p, len(r.nbrVerts), func(i int) {
+		v := r.nbrVerts[i]
+		sketch.FillFeed(base, r.shards[shardOfVertex(v, p)].nbrFeed[v])
+	})
+
+	// ---- Stage 3: every sampler consumes its feed; samplers in parallel,
+	// a contiguous run of them per worker, each worker with its own scratch.
+	// Sampler state is private, so assignment cannot affect answers. ----
+	tasks := r.tasks[:0]
+	for _, s := range r.edgeSamplers {
+		tasks = append(tasks, samplerTask{s, edgeFeed})
+	}
+	for _, v := range r.nbrVerts {
+		sh := r.shards[shardOfVertex(v, p)]
+		for _, s := range r.nbrSamplers[v] {
+			tasks = append(tasks, samplerTask{s, sh.nbrFeed[v]})
 		}
-		for i := lo; i < hi; i++ {
-			feed[i].term = sketch.FingerprintTerm(base, feed[i].key, feed[i].delta)
+		sh.nbrFeed[v] = sh.nbrFeed[v][:0]
+	}
+	r.tasks = tasks
+	r.edgeFeed = edgeFeed[:0]
+	if len(tasks) == 0 {
+		return
+	}
+	par.For(p, p, func(w int) {
+		for _, t := range tasks[w*len(tasks)/p : (w+1)*len(tasks)/p] {
+			t.s.UpdateFeed(t.feed, &r.scratch[w])
 		}
 	})
 }
@@ -312,6 +373,7 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 	r.curQueries = queries
 	r.curM = 0
 	r.curConsumed = 0
+	r.curBuffered = 0
 	n := r.st.N()
 	p := par.Workers(r.paral)
 	r.curP = p
@@ -352,7 +414,7 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 				nbrVerts = append(nbrVerts, q.U)
 				sh := r.shards[shardOfVertex(q.U, p)]
 				if _, ok := sh.nbrFeed[q.U]; !ok {
-					sh.nbrFeed[q.U] = []feedEntry{}
+					sh.nbrFeed[q.U] = sh.newFeed()
 				}
 			}
 			nbrSamplers[q.U] = append(nbrSamplers[q.U], s)
@@ -415,11 +477,24 @@ func (r *TurnstileRunner) recycleSamplers() {
 }
 
 // ConsumeBatch implements oracle.PassRunner (the round's stage 1): counters
-// are updated by the round's worker group; sampler feeds are buffered so
-// each sampler can consume the whole pass sequentially in EndRound, keeping
-// its cells cache-resident (processing thousands of samplers per incoming
-// update would thrash the cache).
+// are updated by the round's worker group; sampler feeds are buffered, a
+// block of feedBlock updates at a time, so each sampler can consume a whole
+// block sequentially, keeping its cells cache-resident (processing
+// thousands of samplers per incoming update would thrash the cache).
 func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
+	for len(batch) > 0 {
+		if r.curBuffered == feedBlock {
+			r.flushFeeds()
+		}
+		k := min(len(batch), feedBlock-r.curBuffered)
+		r.buffer(batch[:k])
+		batch = batch[k:]
+	}
+	return nil
+}
+
+// buffer consumes updates that fit into the current feed block.
+func (r *TurnstileRunner) buffer(batch []stream.Update) {
 	n := r.st.N()
 	edges := r.batchEdges[:0]
 	keys := r.batchKeys[:0]
@@ -437,6 +512,7 @@ func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 	}
 	r.batchEdges, r.batchKeys, r.batchDelta = edges, keys, deltas
 	r.curConsumed += int64(len(batch))
+	r.curBuffered += len(batch)
 	if r.grp == nil {
 		r.shards[0].process(edges, keys, deltas)
 	} else {
@@ -444,60 +520,30 @@ func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 		r.grp.Run(func(i int) { shards[i].process(edges, keys, deltas) })
 	}
 	// The coordinator buffers the edge-matrix feed after the fan-out
-	// returns; no worker touches edgeFeed.
+	// returns; no worker touches edgeFeed. The buffer doubles as it grows,
+	// but never past the one block it can be asked to hold.
 	if len(r.edgeSamplers) > 0 {
+		if need := len(r.edgeFeed) + len(keys); need > cap(r.edgeFeed) {
+			grown := make([]sketch.FeedEntry, 0, min(max(need, 2*cap(r.edgeFeed)), feedBlock))
+			r.edgeFeed = append(grown, r.edgeFeed...)
+		}
 		for i, key := range keys {
-			r.edgeFeed = append(r.edgeFeed, feedEntry{key: key, delta: deltas[i]})
+			r.edgeFeed = append(r.edgeFeed, sketch.FeedEntry{Key: key, Delta: deltas[i]})
 		}
 	}
-	return nil
 }
 
-// EndRound implements oracle.PassRunner: the post-pass sampler stages and
-// the sequential in-query-order merge.
+// EndRound implements oracle.PassRunner: the sampler stages over what is
+// still buffered, and the sequential in-query-order merge.
 func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 	queries := r.curQueries
 	n := r.st.N()
 	p := r.curP
 	m := r.curM
-	base := r.curBase
-	edgeFeed := r.edgeFeed
 	edgeSamplers, edgeSampIdx := r.edgeSamplers, r.edgeSampIdx
 	nbrSamplers, nbrSampIdx, nbrVerts := r.nbrSamplers, r.nbrSampIdx, r.nbrVerts
 
-	// ---- Stage 2: fingerprint terms, computed once per feed entry by a
-	// parallel sweep (the field exponentiation dominates the feed cost). ----
-	if len(edgeSamplers) > 0 {
-		fillTerms(p, base, edgeFeed)
-	}
-	par.For(p, len(nbrVerts), func(i int) {
-		v := nbrVerts[i]
-		sh := r.shards[shardOfVertex(v, p)]
-		feed := sh.nbrFeed[v]
-		for j := range feed {
-			feed[j].term = sketch.FingerprintTerm(base, feed[j].key, feed[j].delta)
-		}
-	})
-
-	// ---- Stage 3: every sampler consumes its feed; samplers in parallel.
-	// Sampler state is private, so assignment cannot affect answers. ----
-	tasks := r.tasks[:0]
-	for _, s := range edgeSamplers {
-		tasks = append(tasks, samplerTask{s, edgeFeed})
-	}
-	for _, v := range nbrVerts {
-		sh := r.shards[shardOfVertex(v, p)]
-		for _, s := range nbrSamplers[v] {
-			tasks = append(tasks, samplerTask{s, sh.nbrFeed[v]})
-		}
-	}
-	r.tasks = tasks
-	par.For(p, len(tasks), func(i int) {
-		t := tasks[i]
-		for _, b := range t.feed {
-			t.s.UpdateTerm(b.key, b.delta, b.term)
-		}
-	})
+	r.flushFeeds()
 
 	// ---- Merge (sequential, in query order). ----
 	answers := make([]oracle.Answer, len(queries))

@@ -68,6 +68,34 @@ func TestEstimateDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestTurnstileEstimateGolden pins the turnstile path's draws to the values
+// it produced before the ℓ0-samplers took their feed in batches (ISSUE 16):
+// hash derivation, cell contents and sample choice are part of the result
+// fingerprint's epoch, so a change that moves any of these numbers is a
+// format change, not an optimisation.
+func TestTurnstileEstimateGolden(t *testing.T) {
+	p, err := streamcount.PatternByName("triangle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	g := streamcount.ErdosRenyi(rng, 64, 1300)
+	st := streamcount.TurnstileFromGraph(g, 0.3, rng)
+	want := []float64{12375.999999999998, 10607.999999999998, 7955.999999999999, 11491.999999999998, 18564, 9724}
+	for seed, w := range want {
+		for _, par := range []int{1, 2, 3} {
+			got, err := streamcount.Run(context.Background(), st, streamcount.CountQuery(p,
+				streamcount.WithTrials(150), streamcount.WithSeed(int64(seed)), streamcount.WithParallelism(par)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Value != w {
+				t.Errorf("seed %d parallelism %d: estimate %v, want %v", seed, par, got.Value, w)
+			}
+		}
+	}
+}
+
 // TestEstimateDeterministicAcrossGOMAXPROCS pins the same contract against
 // the runtime knob: Parallelism 0 resolves to GOMAXPROCS, so the estimate
 // at GOMAXPROCS=1 must equal the estimate at GOMAXPROCS=N.
