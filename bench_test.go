@@ -26,6 +26,7 @@ import (
 	"streamcount/internal/fgp"
 	"streamcount/internal/gen"
 	"streamcount/internal/graph"
+	"streamcount/internal/oracle"
 	"streamcount/internal/pattern"
 	"streamcount/internal/server"
 	"streamcount/internal/sketch"
@@ -155,6 +156,38 @@ func benchFGPInsertion(b *testing.B, parallelism int) {
 
 func BenchmarkFGPInsertionPass(b *testing.B)           { benchFGPInsertion(b, 0) }
 func BenchmarkFGPInsertionPassSequential(b *testing.B) { benchFGPInsertion(b, 1) }
+
+// BenchmarkInsertionRoundManyWatches is one sequential insertion round in the
+// shape ERS gives it: ~50 000 Neighbor watches piled on ~50 vertices with
+// their indices in random order, over a 3 000-edge stream. It is the leaf
+// that shows a per-vertex watch ordering worse than O(k log k), or a pass
+// that touches every pending watch on every incident update.
+func BenchmarkInsertionRoundManyWatches(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	g := gen.ErdosRenyiGNM(rng, 50, 1000)
+	ups := stream.FromGraph(g).Updates()
+	ups = append(append(ups[:len(ups):len(ups)], ups...), ups...) // 3 000 updates, every edge three times
+	rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
+	st, err := stream.NewSlice(g.N(), ups)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]oracle.Query, 50_000)
+	for i := range qs {
+		qs[i] = oracle.Query{Type: oracle.Neighbor, U: rng.Int63n(g.N()), I: 1 + rng.Int63n(150)}
+	}
+	r, err := transform.NewInsertionRunner(st, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.SetParallelism(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Round(qs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func benchFGPTurnstile(b *testing.B, parallelism int) {
 	b.Helper()

@@ -368,8 +368,11 @@ func (e *Engine) evaluateIndexed(wctx context.Context, l *lane, j Job, v int64, 
 		// turns the rebuild into an O(Δ) extension.
 		if sp := e.ckpt.loadSpill(ent, view.N(), l.app.Version()); sp != nil {
 			ix = sp
-		} else {
-			ix = transform.NewPrefixIndex(view.N())
+		} else if ix, err = transform.NewPrefixIndex(view.N()); err != nil {
+			// The cold path reports the oversized universe as the job's error.
+			ent.mu.Unlock()
+			e.ckpt.drop(l.name, ent)
+			return nil, nil, false
 		}
 	} else {
 		e.ckpt.hits.Add(1)

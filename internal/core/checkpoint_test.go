@@ -162,7 +162,10 @@ func indexBytesFor(t *testing.T, n int64, ups []stream.Update) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := transform.NewPrefixIndex(n)
+	ix, err := transform.NewPrefixIndex(n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sl.ForEachBatch(ix.Extend); err != nil {
 		t.Fatal(err)
 	}

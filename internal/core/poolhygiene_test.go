@@ -14,8 +14,9 @@ import (
 
 // poolHygieneFingerprint runs a workload that touches every pool in the
 // pass engine — the FGP trial arena, the insertion and turnstile runner
-// pools (reservoir banks, ℓ0 freelists, watch arenas, batch buffers) and
-// the feed scratch pool — and folds every numeric output into one bit
+// pools (reservoir banks, ℓ0 freelists, shard key tables and watch runs,
+// batch buffers), the feed scratch pool and, through an ERS clique count,
+// transform.Run's round buffers — and folds every numeric output into one bit
 // vector. Each scenario runs twice back to back: the second run is served
 // from scratch the first run released, so under DebugDirty it consumes
 // buffers that were sentinel-smeared between rounds.
@@ -75,7 +76,16 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 		if err != nil {
 			t.Fatalf("run %d sample: %v", run, err)
 		}
-		pre := fmt.Sprintf("run%d/sample/", run)
+		cl, err := EstimateCliques(ins, CliqueConfig{R: 3, Lambda: 8, Epsilon: 0.5, LowerBound: 20, Seed: 17, Parallelism: 2})
+		if err != nil {
+			t.Fatalf("run %d cliques: %v", run, err)
+		}
+		pre := fmt.Sprintf("run%d/cliques/", run)
+		add(pre+"value", math.Float64bits(cl.Value))
+		add(pre+"passes", uint64(cl.Passes))
+		add(pre+"queries", uint64(cl.Queries))
+		add(pre+"space", uint64(cl.SpaceWords))
+		pre = fmt.Sprintf("run%d/sample/", run)
 		if !ok {
 			add(pre+"found", 0)
 		} else {

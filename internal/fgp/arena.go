@@ -68,8 +68,12 @@ func (a *trialArena) ensureRNGs(n int) {
 	}
 	a.srcs = make([]sketch.SplitMix64, n)
 	a.rngs = make([]*rand.Rand, n)
+	// One slab, not one allocation per trial: a pool miss rebuilds the whole
+	// array, and at n allocations it was most of an engine wave's count.
+	slab := make([]rand.Rand, n)
 	for i := range a.rngs {
-		a.rngs[i] = rand.New(&a.srcs[i])
+		slab[i] = *rand.New(&a.srcs[i])
+		a.rngs[i] = &slab[i]
 	}
 }
 

@@ -95,19 +95,18 @@ func (pl *Pool[T]) Put(v *T) {
 	pl.p.Put(v)
 }
 
-// DirtyInt64 overwrites a slice with an int64 sentinel (full capacity, so
+// Dirty overwrites a slice with the given sentinel value (full capacity, so
 // stale tail elements past the logical length are smeared too).
-func DirtyInt64(s []int64) {
+func Dirty[T any](s []T, sentinel T) {
 	s = s[:cap(s)]
 	for i := range s {
-		s[i] = -0x5a5a5a5a5a5a5a5a
+		s[i] = sentinel
 	}
 }
 
+// DirtyInt64 overwrites a slice with an int64 sentinel (full capacity, so
+// stale tail elements past the logical length are smeared too).
+func DirtyInt64(s []int64) { Dirty(s, -0x5a5a5a5a5a5a5a5a) }
+
 // DirtyUint64 overwrites a slice with a uint64 sentinel (full capacity).
-func DirtyUint64(s []uint64) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = 0xdeaddeaddeaddead
-	}
-}
+func DirtyUint64(s []uint64) { Dirty(s, 0xdeaddeaddeaddead) }

@@ -12,6 +12,10 @@ import (
 // algorithms can process streams that do not fit in memory. The format is
 // the one cmd/streamcount reads: a header line "n" followed by update lines
 // "+ u v" or "- u v"; blank lines and '#' comments are ignored.
+//
+// A File is immutable once opened, so any number of goroutines may replay it
+// at once. A replay that finds a different header or update count than
+// OpenFile validated fails: the file changed under a multi-pass algorithm.
 type File struct {
 	path    string
 	n       int64
@@ -22,8 +26,8 @@ type File struct {
 // OpenFile validates the file with one full scan and returns the stream.
 func OpenFile(path string) (*File, error) {
 	f := &File{path: path, inserts: true}
-	err := f.scan(func(batch []Update) error {
-		f.length += int64(len(batch))
+	var err error
+	f.n, f.length, err = scanFile(path, 0, func(batch []Update) error {
 		for _, u := range batch {
 			if u.Op == Delete {
 				f.inserts = false
@@ -61,12 +65,21 @@ func (f *File) ForEach(fn func(Update) error) error {
 // ForEachBatch implements Stream: each call re-reads the file (one pass),
 // parsing updates into a reusable buffer flushed every DefaultBatchSize
 // updates. The batch slice is invalidated by the next callback.
-func (f *File) ForEachBatch(fn func([]Update) error) error { return f.scan(fn) }
+func (f *File) ForEachBatch(fn func([]Update) error) error {
+	_, length, err := scanFile(f.path, f.n, fn)
+	if err == nil && length != f.length {
+		err = fmt.Errorf("stream: %s: replay read %d updates, OpenFile read %d: the file changed", f.path, length, f.length)
+	}
+	return err
+}
 
-func (f *File) scan(fn func([]Update) error) error {
-	fh, err := os.Open(f.path)
+// scanFile parses the file at path once, handing its updates to fn in
+// batches, and returns the header's vertex count and the number of updates.
+// A non-zero wantN is the vertex count the header must still carry.
+func scanFile(path string, wantN int64, fn func([]Update) error) (n, length int64, err error) {
+	fh, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	defer fh.Close()
 	sc := bufio.NewScanner(fh)
@@ -92,11 +105,14 @@ func (f *File) scan(fn func([]Update) error) error {
 			if sp := indexSpace(field); sp >= 0 {
 				field = field[:sp]
 			}
-			n, ok := parseInt(field)
+			var ok bool
+			n, ok = parseInt(field)
 			if !ok || n <= 0 {
-				return fmt.Errorf("stream: %s line %d: bad header %q", f.path, line, txt)
+				return 0, 0, fmt.Errorf("stream: %s line %d: bad header %q", path, line, txt)
 			}
-			f.n = n
+			if wantN != 0 && n != wantN {
+				return 0, 0, fmt.Errorf("stream: %s line %d: header says %d vertices, OpenFile read %d: the file changed", path, line, n, wantN)
+			}
 			gotHeader = true
 			continue
 		}
@@ -106,41 +122,43 @@ func (f *File) scan(fn func([]Update) error) error {
 		case '-':
 			o = Delete
 		default:
-			return fmt.Errorf("stream: %s line %d: bad op %q", f.path, line, txt[:1])
+			return 0, 0, fmt.Errorf("stream: %s line %d: bad op %q", path, line, txt[:1])
 		}
 		rest := trimBytes(txt[1:])
 		sp := indexSpace(rest)
 		if sp < 0 {
-			return fmt.Errorf("stream: %s line %d: bad update %q", f.path, line, txt)
+			return 0, 0, fmt.Errorf("stream: %s line %d: bad update %q", path, line, txt)
 		}
 		u, ok1 := parseInt(rest[:sp])
 		v, ok2 := parseInt(trimBytes(rest[sp+1:]))
 		if !ok1 || !ok2 {
-			return fmt.Errorf("stream: %s line %d: bad update %q", f.path, line, txt)
+			return 0, 0, fmt.Errorf("stream: %s line %d: bad update %q", path, line, txt)
 		}
-		if u == v || u < 0 || v < 0 || u >= f.n || v >= f.n {
-			return fmt.Errorf("stream: %s line %d: bad edge (%d,%d)", f.path, line, u, v)
+		if u == v || u < 0 || v < 0 || u >= n || v >= n {
+			return 0, 0, fmt.Errorf("stream: %s line %d: bad edge (%d,%d)", path, line, u, v)
 		}
 		batch = append(batch, Update{Edge: graph.Edge{U: u, V: v}, Op: o})
 		if len(batch) == DefaultBatchSize {
+			length += int64(len(batch))
 			if err := fn(batch); err != nil {
-				return err
+				return 0, 0, err
 			}
 			batch = batch[:0]
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if !gotHeader {
-		return fmt.Errorf("stream: %s: empty input", f.path)
+		return 0, 0, fmt.Errorf("stream: %s: empty input", path)
 	}
 	if len(batch) > 0 {
+		length += int64(len(batch))
 		if err := fn(batch); err != nil {
-			return err
+			return 0, 0, err
 		}
 	}
-	return nil
+	return n, length, nil
 }
 
 func isSpace(c byte) bool {

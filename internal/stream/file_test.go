@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"streamcount/internal/gen"
@@ -167,5 +168,79 @@ func TestCollectFileBacked(t *testing.T) {
 		t.Fatal("Collect over a mid-replay failure should error")
 	} else if !strings.Contains(err.Error(), "bad edge (9,2)") {
 		t.Errorf("error %q does not name the bad record", err)
+	}
+}
+
+// TestFileConcurrentReplays replays one File from several goroutines at once
+// while reading its metadata; under -race this fails if a replay writes to
+// the File.
+func TestFileConcurrentReplays(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := gen.ErdosRenyiGNM(rng, 60, 900)
+	path := filepath.Join(t.TempDir(), "stream.txt")
+	if err := WriteFile(path, FromGraph(g)); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				seen := int64(0)
+				err := fs.ForEachBatch(func(batch []Update) error {
+					for _, u := range batch {
+						if u.Edge.U >= fs.N() || u.Edge.V >= fs.N() {
+							t.Errorf("update %v outside n=%d", u, fs.N())
+						}
+					}
+					seen += int64(len(batch))
+					return nil
+				})
+				if err != nil || seen != fs.Len() {
+					t.Errorf("replay: %d updates, err %v; want %d", seen, err, fs.Len())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFileReplayDetectsChangedFile pins that a replay streams what OpenFile
+// validated or fails: never a different header or a different update count.
+func TestFileReplayDetectsChangedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.txt")
+	write := func(content string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("5\n+ 0 1\n+ 1 2\n")
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func([]Update) error { return nil }
+	for name, content := range map[string]string{
+		"header":  "6\n+ 0 1\n+ 1 2\n",
+		"longer":  "5\n+ 0 1\n+ 1 2\n+ 2 3\n",
+		"shorter": "5\n+ 0 1\n",
+	} {
+		write(content)
+		if err := fs.ForEachBatch(nop); err == nil || !strings.Contains(err.Error(), "the file changed") {
+			t.Errorf("%s changed: replay error %v, want a \"the file changed\" error", name, err)
+		}
+		if fs.N() != 5 || fs.Len() != 2 {
+			t.Errorf("%s changed: metadata moved to n=%d len=%d", name, fs.N(), fs.Len())
+		}
+	}
+	write("5\n+ 0 1\n+ 1 2\n")
+	if err := fs.ForEachBatch(nop); err != nil {
+		t.Errorf("restored file: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"streamcount/internal/oracle"
 	"streamcount/internal/par"
@@ -29,49 +30,32 @@ import (
 // ---- InsertionRunner ----
 
 // insCheckpoint is InsertionRunner's RoundCheckpoint: the round's reservoir
-// slots (as independent heap reservoirs, in slot order), watch arena and
-// sharded counter state at stream position m.
+// slots (as independent heap reservoirs, in slot order), query references and
+// per-shard state at stream position m.
 type insCheckpoint struct {
 	queries  []oracle.Query
 	p        int
 	m        int64
 	res      []*sketch.Reservoir
 	resQuery []int
-	watches  []neighborWatch
-	shards   []*insShard
+	refs     []queryRef
+	shards   []insShardCheckpoint
 	bytes    int64
+}
+
+// insShardCheckpoint is one shard's state with each key table reduced to its
+// keys in dense-index order: re-inserting them rebuilds the table with the
+// same indices, so the flat arrays beside it restore by plain copy and the
+// checkpoint stays O(queried keys) however large the runner's tables grew.
+type insShardCheckpoint struct {
+	verts, pairs []uint64
+	vs           []vertexState
+	watches      []neighborWatch
+	seen         []bool
 }
 
 func (c *insCheckpoint) CheckpointVersion() int64 { return c.m }
 func (c *insCheckpoint) CheckpointBytes() int64   { return c.bytes }
-
-// copyInsShard deep-copies src's counter and watch-index state into dst
-// (whose maps must exist; they are cleared first), returning an estimate of
-// the copied bytes. Reservoir slots and watch values live at the runner
-// level and are copied there; the shard copy carries no bank or arena
-// references — a resume target rebinds them to its own runner.
-func copyInsShard(dst, src *insShard) int64 {
-	bytes := int64(0)
-	dst.bank = nil
-	dst.resLo, dst.resHi = 0, 0
-	dst.watches = nil
-	clear(dst.deg)
-	for k, v := range src.deg {
-		dst.deg[k] = v
-		bytes += 48
-	}
-	clear(dst.adj)
-	for k, v := range src.adj {
-		dst.adj[k] = v
-		bytes += 48
-	}
-	clear(dst.nbr)
-	for u, ws := range src.nbr {
-		dst.nbr[u] = append([]int32(nil), ws...)
-		bytes += 48 + int64(len(ws))*4
-	}
-	return bytes
-}
 
 // SnapshotRound implements oracle.PassRunner.
 func (r *InsertionRunner) SnapshotRound() (oracle.RoundCheckpoint, error) {
@@ -79,36 +63,36 @@ func (r *InsertionRunner) SnapshotRound() (oracle.RoundCheckpoint, error) {
 		return nil, fmt.Errorf("transform: SnapshotRound outside a round")
 	}
 	cp := &insCheckpoint{
-		queries:  append([]oracle.Query(nil), r.curQueries...),
+		queries:  slices.Clone(r.curQueries),
 		p:        r.curP,
 		m:        r.curM,
 		res:      make([]*sketch.Reservoir, r.bank.Len()),
-		resQuery: append([]int(nil), r.resQuery...),
-		watches:  append([]neighborWatch(nil), r.watches...),
-		shards:   make([]*insShard, len(r.shards)),
+		resQuery: slices.Clone(r.resQuery),
+		refs:     slices.Clone(r.refs),
+		shards:   make([]insShardCheckpoint, len(r.shards)),
 	}
-	cp.bytes = int64(len(cp.queries))*32 + int64(len(cp.watches))*32
+	cp.bytes = int64(len(cp.queries))*(32+8) + int64(len(cp.res))*(64+8)
 	for i := range cp.res {
 		cp.res[i] = r.bank.Snapshot(i)
-		cp.bytes += 64
 	}
 	for i, sh := range r.shards {
-		ns := &insShard{
-			deg: make(map[int64]int64, len(sh.deg)),
-			nbr: make(map[int64][]int32, len(sh.nbr)),
-			adj: make(map[uint64]bool, len(sh.adj)),
+		cp.shards[i] = insShardCheckpoint{
+			verts:   sh.verts.keys(),
+			pairs:   sh.pairs.keys(),
+			vs:      slices.Clone(sh.vs),
+			watches: slices.Clone(sh.watches),
+			seen:    slices.Clone(sh.seen),
 		}
-		cp.bytes += copyInsShard(ns, sh)
-		cp.shards[i] = ns
+		cp.bytes += int64(len(sh.vs))*(8+16) + int64(len(sh.watches))*24 + int64(len(sh.seen))*(8+1)
 	}
 	return cp, nil
 }
 
 // ResumeRound implements oracle.PassRunner: it restores cp as this runner's
 // in-flight round, positioned to consume the stream suffix from fromVersion
-// on. The runner's scratch — bank slots, watch arena, shard maps — is
-// reused as the restore target, so a hot resume loop allocates only the
-// per-vertex watch-index copies.
+// on. The runner's scratch — bank slots, shard tables and state arrays — is
+// reused as the restore target, so a hot resume loop allocates nothing once
+// the scratch has grown to the round's size.
 func (r *InsertionRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int64) error {
 	c, ok := cp.(*insCheckpoint)
 	if !ok {
@@ -146,9 +130,18 @@ func (r *InsertionRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 		}
 	}
 	r.resQuery = append(r.resQuery[:0], c.resQuery...)
-	r.watches = append(r.watches[:0], c.watches...)
+	r.refs = append(r.refs[:0], c.refs...)
 	for i, src := range c.shards {
-		copyInsShard(r.shards[i], src)
+		sh := r.shards[i]
+		for _, u := range src.verts {
+			sh.verts.insert(u)
+		}
+		for _, key := range src.pairs {
+			sh.pairs.insert(key)
+		}
+		sh.vs = append(sh.vs, src.vs...)
+		sh.watches = append(sh.watches, src.watches...)
+		sh.seen = append(sh.seen, src.seen...)
 	}
 	r.bindShards(len(c.res), c.p)
 	r.startGroup(c.p)
@@ -252,6 +245,9 @@ func (r *TurnstileRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 	}
 	if fromVersion != c.consumed {
 		return fmt.Errorf("transform: ResumeRound: fromVersion %d != checkpoint position %d", fromVersion, c.consumed)
+	}
+	if err := checkUniverse(r.st.N()); err != nil {
+		return err
 	}
 	r.AbortRound()
 	r.rounds++

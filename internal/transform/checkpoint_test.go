@@ -251,7 +251,7 @@ func TestSnapshotRoundErrors(t *testing.T) {
 func TestIndexedRunnerMatchesInsertionRunner(t *testing.T) {
 	ups := checkpointWorkload(t, 25, 50)
 	const n = 25
-	ix := NewPrefixIndex(n)
+	ix, _ := NewPrefixIndex(n)
 
 	for v := 0; v <= len(ups); v++ {
 		// Grow the index incrementally, as the watch scheduler would.
@@ -298,7 +298,7 @@ func TestIndexedRunnerMatchesInsertionRunner(t *testing.T) {
 }
 
 func TestIndexedRunnerErrorPaths(t *testing.T) {
-	ix := NewPrefixIndex(10)
+	ix, _ := NewPrefixIndex(10)
 	if err := ix.Extend([]stream.Update{{Edge: graph.Edge{U: 1, V: 2}, Op: stream.Delete}}); err == nil {
 		t.Error("deletion accepted by insertion-only index")
 	}
@@ -336,7 +336,7 @@ func TestFGPEstimateIndexedVsStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewPrefixIndex(80)
+	ix, _ := NewPrefixIndex(80)
 	if err := ix.Extend(ups); err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,17 @@ type nbrEntry struct {
 	other int64
 }
 
-// NewPrefixIndex returns an empty index over a vertex universe of size n.
-func NewPrefixIndex(n int64) *PrefixIndex {
+// NewPrefixIndex returns an empty index over a vertex universe of size n,
+// which must not exceed what a packed edge key can address (maxVertices).
+func NewPrefixIndex(n int64) (*PrefixIndex, error) {
+	if err := checkUniverse(n); err != nil {
+		return nil, err
+	}
 	return &PrefixIndex{
 		n:     n,
 		nbr:   make(map[int64][]nbrEntry),
 		first: make(map[uint64]int64),
-	}
+	}, nil
 }
 
 // Extent returns the number of updates indexed so far.

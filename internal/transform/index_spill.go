@@ -71,7 +71,10 @@ func DecodeSpill(data []byte) (*PrefixIndex, error) {
 	if uint64(len(body)-spillHeaderSize) != extent*8 {
 		return nil, fmt.Errorf("%w: extent %d does not match %d key bytes", ErrSpillCorrupt, extent, len(body)-spillHeaderSize)
 	}
-	ix := NewPrefixIndex(n)
+	ix, err := NewPrefixIndex(n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSpillCorrupt, err)
+	}
 	for off := spillHeaderSize; off < len(body); off += 8 {
 		ix.extendKey(binary.LittleEndian.Uint64(body[off : off+8]))
 	}

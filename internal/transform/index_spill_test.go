@@ -15,7 +15,7 @@ import (
 func spillIndex(t *testing.T) *PrefixIndex {
 	t.Helper()
 	rng := rand.New(rand.NewSource(9))
-	ix := NewPrefixIndex(64)
+	ix, _ := NewPrefixIndex(64)
 	var batch []stream.Update
 	seen := map[graph.Edge]bool{}
 	for len(batch) < 500 {
@@ -51,7 +51,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	}
 
 	// An empty index round-trips too (a stream spilled before any append).
-	empty := NewPrefixIndex(7)
+	empty, _ := NewPrefixIndex(7)
 	dec2, err := DecodeSpill(empty.EncodeSpill())
 	if err != nil {
 		t.Fatal(err)

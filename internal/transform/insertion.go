@@ -1,9 +1,12 @@
 package transform
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
@@ -18,7 +21,8 @@ import (
 //
 //	f1 (uniform edge)  — reservoir sampling, O(1) words per query;
 //	f2 (degree)        — a counter per queried vertex;
-//	f3 (i-th neighbor) — a countdown on edges incident to the vertex;
+//	f3 (i-th neighbor) — the same counter: the i-th neighbor is the far
+//	                     endpoint of the update that brings it to i;
 //	f4 (adjacency)     — a boolean per queried pair;
 //
 // so a k-round algorithm with q queries runs in k passes and O(q) words of
@@ -26,17 +30,17 @@ import (
 //
 // The pass itself is parallel: per-query state is sharded across P workers
 // (P = SetParallelism, default GOMAXPROCS) — vertex-keyed state by
-// hash(vertex) mod P, adjacency watches by hash(packed edge key) mod P,
+// hash(vertex) mod P, adjacency flags by hash(packed edge key) mod P,
 // reservoirs in contiguous slot blocks — and each update batch from the
 // stream fans out to a persistent worker group, whose workers touch only
 // their own shard's state. Every reservoir is a slot of one flat
 // ReservoirBank with a private splitmix64 RNG seeded sequentially at setup,
 // so answers are bit-identical at any P.
 //
-// All round scratch — the bank, the watch arena, the shard maps, the batch
-// buffers — is owned by the runner and reused across rounds; runners
-// themselves recycle across engine generations through
-// AcquireInsertionRunner / Release.
+// All round scratch — the bank, the shards' key tables and flat state
+// arrays, the per-query references, the batch buffers — is owned by the
+// runner and reused across rounds; runners themselves recycle across engine
+// generations through AcquireInsertionRunner / Release.
 type InsertionRunner struct {
 	st      stream.Stream
 	rng     *rand.Rand
@@ -54,8 +58,8 @@ type InsertionRunner struct {
 	// Scratch reused across rounds (and, via the runner pool, across
 	// engine generations).
 	bank       sketch.ReservoirBank
-	resQuery   []int           // bank slot -> query index, in query order
-	watches    []neighborWatch // flat watch arena; shards hold indices into it
+	resQuery   []int      // bank slot -> query index, in query order
+	refs       []queryRef // query index -> where its vertex or pair state lives
 	shards     []*insShard
 	grp        *par.Group // round-scoped worker group when curP > 1
 	batchEdges []graph.Edge
@@ -65,38 +69,85 @@ type InsertionRunner struct {
 // InsertionRunner implements the session engine's round lifecycle.
 var _ oracle.PassRunner = (*InsertionRunner)(nil)
 
-// neighborWatch is the countdown state of one f3 (i-th neighbor) query.
-// Watches live by value in the runner's flat arena; shards reference them
-// by index, so registering a round's watches allocates no per-watch nodes.
-type neighborWatch struct {
-	idx       int
-	remaining int64
-	result    int64
-	found     bool
+// maxVertices bounds the vertex universe of every runner and index in this
+// package: a packed edge key is u·n + v in a uint64, which is injective only
+// while n ≤ 2³².
+const maxVertices = 1 << 32
+
+func checkUniverse(n int64) error {
+	if n > maxVertices {
+		return fmt.Errorf("transform: %d vertices exceed the %d a packed edge key can tell apart", n, int64(maxVertices))
+	}
+	return nil
 }
 
-// insShard is the per-worker slice of a round's query state. Maps are
-// pre-populated at setup with exactly the keys the shard owns, so shard
-// membership during the pass is just map membership. Reservoir slots are
+// queryRef locates the state of one Degree, Neighbor or Adjacent query: the
+// shard that owns its key and the key's dense index there. BeginRound
+// records it, so EndRound reads answers without hashing anything again.
+type queryRef struct {
+	shard, idx int32
+}
+
+// vertexState is everything a shard keeps per queried vertex: the number of
+// incident updates seen so far — the f2 answer — and the not yet fired part
+// watches[next:end] of the vertex's f3 run.
+type vertexState struct {
+	count     int64
+	next, end int32
+}
+
+// neighborWatch is one f3 (i-th neighbor) query: it fires, recording the far
+// endpoint, on the update that raises its vertex's count to i.
+type neighborWatch struct {
+	i      int64
+	result int64
+	query  int32 // index of the query in the round
+	found  bool
+}
+
+// insShard is the per-worker slice of a round's query state: two key tables
+// filled at setup with exactly the keys the shard owns — so shard membership
+// during the pass is table membership — and flat arrays indexed by their
+// dense indices. A vertex's watches are one run of the watches array,
+// ascending in i, so an incident update costs one increment plus the watches
+// that fire on it, however many are still pending. Reservoir slots are
 // assigned as one contiguous bank block per shard — which shard sweeps a
 // slot never affects its answer, and the block keeps each worker's sweep on
 // adjacent bank entries.
 type insShard struct {
 	bank         *sketch.ReservoirBank
-	resLo, resHi int             // this shard's slot block, [resLo, resHi)
-	watches      []neighborWatch // aliases the runner's watch arena
-	deg          map[int64]int64
-	nbr          map[int64][]int32 // vertex -> watch indices
-	adj          map[uint64]bool
+	resLo, resHi int      // this shard's slot block, [resLo, resHi)
+	verts        keyTable // queried vertex -> index into vs
+	vs           []vertexState
+	watches      []neighborWatch // one run per vertex, runs in vs order
+	pairs        keyTable        // queried packed edge key -> index into seen
+	seen         []bool
 }
 
 func (s *insShard) reset() {
 	s.bank = nil
 	s.resLo, s.resHi = 0, 0
-	s.watches = nil
-	clear(s.deg)
-	clear(s.nbr)
-	clear(s.adj)
+	s.verts.reset()
+	s.vs = s.vs[:0]
+	s.watches = s.watches[:0]
+	s.pairs.reset()
+	s.seen = s.seen[:0]
+}
+
+// vertex returns the dense index of queried vertex u, registering it with a
+// zero count on first sight; pair does the same for a queried packed edge key.
+func (s *insShard) vertex(u int64) int32  { return register(&s.verts, uint64(u), &s.vs) }
+func (s *insShard) pair(key uint64) int32 { return register(&s.pairs, key, &s.seen) }
+
+// register returns key's dense index in t, extending the state array that
+// runs beside t by one zero element when the key is new.
+func register[T any](t *keyTable, key uint64, state *[]T) int32 {
+	k := t.insert(key)
+	if int(k) == len(*state) {
+		var zero T
+		*state = append(*state, zero)
+	}
+	return k
 }
 
 // process consumes one update batch: edges[i] is the canonical edge of the
@@ -105,45 +156,45 @@ func (s *insShard) process(edges []graph.Edge, keys []uint64) {
 	for slot := s.resLo; slot < s.resHi; slot++ {
 		s.bank.OfferKeys(slot, keys)
 	}
-	if len(s.deg) == 0 && len(s.nbr) == 0 && len(s.adj) == 0 {
-		return
-	}
-	for i, e := range edges {
-		if _, ok := s.deg[e.U]; ok {
-			s.deg[e.U]++
-		}
-		if _, ok := s.deg[e.V]; ok {
-			s.deg[e.V]++
-		}
-		if ws := s.nbr[e.U]; len(ws) > 0 {
-			advanceWatches(s.watches, ws, e.V)
-		}
-		if ws := s.nbr[e.V]; len(ws) > 0 {
-			advanceWatches(s.watches, ws, e.U)
-		}
-		if seen, ok := s.adj[keys[i]]; ok && !seen {
-			s.adj[keys[i]] = true
+	if len(s.vs) > 0 {
+		for _, e := range edges {
+			// Both endpoints are touched even for a self-loop, which thus
+			// counts twice towards its vertex's degree and neighbor order.
+			if v := s.verts.find(uint64(e.U)); v >= 0 {
+				s.incident(v, e.V)
+			}
+			if v := s.verts.find(uint64(e.V)); v >= 0 {
+				s.incident(v, e.U)
+			}
 		}
 	}
-}
-
-func advanceWatches(arena []neighborWatch, ws []int32, other int64) {
-	for _, wi := range ws {
-		w := &arena[wi]
-		if !w.found {
-			w.remaining--
-			if w.remaining == 0 {
-				w.result, w.found = other, true
+	if len(s.seen) > 0 {
+		for _, key := range keys {
+			if k := s.pairs.find(key); k >= 0 {
+				s.seen[k] = true
 			}
 		}
 	}
 }
 
+// incident counts one update incident to vertex v and fires the watches
+// waiting for exactly that count. Runs ascend in i and every i is at least
+// 1, so the pending watches of v all lie above its count.
+func (s *insShard) incident(v int32, other int64) {
+	st := &s.vs[v]
+	st.count++
+	for st.next < st.end && s.watches[st.next].i == st.count {
+		w := &s.watches[st.next]
+		w.result, w.found = other, true
+		st.next++
+	}
+}
+
 // insRunnerPool recycles released runners — and with them the bank arrays,
-// watch arena, shard maps and batch buffers — across engine generations.
-// BeginRound fully re-initializes every piece of scratch a round reads, so
-// a recycled runner is observably identical to a fresh one (the pool
-// hygiene suite dirties this scratch between rounds and requires
+// shard tables and state arrays, query references and batch buffers — across
+// engine generations. BeginRound fully re-initializes every piece of scratch
+// a round reads, so a recycled runner is observably identical to a fresh one
+// (the pool hygiene suite dirties this scratch between rounds and requires
 // bit-identical estimates; DESIGN.md §12).
 var insRunnerPool = pool.New(
 	func() *InsertionRunner { return &InsertionRunner{} },
@@ -153,27 +204,32 @@ var insRunnerPool = pool.New(
 
 func dirtyInsRunner(r *InsertionRunner) {
 	r.bank.Dirty()
-	ws := r.watches[:cap(r.watches)]
-	for i := range ws {
-		ws[i] = neighborWatch{idx: -0x5a5a5a, remaining: -0x5a5a5a, result: -0x5a5a5a}
+	pool.Dirty(r.resQuery, -0x5a5a5a)
+	pool.Dirty(r.refs, queryRef{shard: 0x5a5a5a, idx: 0x5a5a5a})
+	for _, sh := range r.shards {
+		sh.verts.dirty()
+		sh.pairs.dirty()
+		pool.Dirty(sh.vs, vertexState{count: -0x5a5a5a, next: 0x5a5a5a, end: -0x5a5a5a})
+		pool.Dirty(sh.watches, neighborWatch{i: 1, result: -0x5a5a5a, query: 0x5a5a5a, found: true})
+		pool.Dirty(sh.seen, true)
 	}
-	rq := r.resQuery[:cap(r.resQuery)]
-	for i := range rq {
-		rq[i] = -0x5a5a5a
-	}
-	be := r.batchEdges[:cap(r.batchEdges)]
-	for i := range be {
-		be[i] = graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a}
-	}
+	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
 }
 
 // NewInsertionRunner wraps the stream. The stream must be insertion-only.
 func NewInsertionRunner(st stream.Stream, rng *rand.Rand) (*InsertionRunner, error) {
-	if !st.InsertOnly() {
-		return nil, fmt.Errorf("transform: InsertionRunner requires an insertion-only stream")
+	if err := checkInsertionStream(st); err != nil {
+		return nil, err
 	}
 	return &InsertionRunner{st: st, rng: rng}, nil
+}
+
+func checkInsertionStream(st stream.Stream) error {
+	if !st.InsertOnly() {
+		return fmt.Errorf("transform: InsertionRunner requires an insertion-only stream")
+	}
+	return checkUniverse(st.N())
 }
 
 // AcquireInsertionRunner is NewInsertionRunner over a process-wide runner
@@ -182,8 +238,8 @@ func NewInsertionRunner(st stream.Stream, rng *rand.Rand) (*InsertionRunner, err
 // admission stops paying per-generation setup. Callers release with
 // Release; an unreleased runner is simply collected.
 func AcquireInsertionRunner(st stream.Stream, rng *rand.Rand) (*InsertionRunner, error) {
-	if !st.InsertOnly() {
-		return nil, fmt.Errorf("transform: InsertionRunner requires an insertion-only stream")
+	if err := checkInsertionStream(st); err != nil {
+		return nil, err
 	}
 	r := insRunnerPool.Get()
 	r.st, r.rng = st, rng
@@ -225,18 +281,21 @@ func (r *InsertionRunner) NumVertices() int64 { return r.st.N() }
 
 // shardOfVertex and shardOfKey give the deterministic state assignment; they
 // only decide which worker owns a piece of state, never the answer itself.
-func shardOfVertex(v int64, p int) int { return int(sketch.Hash64(0x5ee7, uint64(v)) % uint64(p)) }
-func shardOfKey(key uint64, p int) int { return int(sketch.Hash64(0xed6e, key) % uint64(p)) }
+func shardOfVertex(v int64, p int) int { return shardOf(0x5ee7, uint64(v), p) }
+func shardOfKey(key uint64, p int) int { return shardOf(0xed6e, key, p) }
+
+func shardOf(seed, key uint64, p int) int {
+	if p == 1 {
+		return 0 // one worker owns everything: nothing to hash
+	}
+	return int(sketch.Hash64(seed, key) % uint64(p))
+}
 
 func (r *InsertionRunner) ensureShards(p int) {
 	if len(r.shards) != p {
 		r.shards = make([]*insShard, p)
 		for i := range r.shards {
-			r.shards[i] = &insShard{
-				deg: make(map[int64]int64),
-				nbr: make(map[int64][]int32),
-				adj: make(map[uint64]bool),
-			}
+			r.shards[i] = &insShard{}
 		}
 		return
 	}
@@ -278,6 +337,9 @@ func (r *InsertionRunner) RoundContext(ctx context.Context, queries []oracle.Que
 // and shards the per-query state (sequentially, so reservoir seeds are drawn
 // in query order regardless of the worker count).
 func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
+	if len(queries) > math.MaxInt32 {
+		return fmt.Errorf("transform: %d queries in one round exceed the int32 query index", len(queries))
+	}
 	r.rounds++
 	r.queries += int64(len(queries))
 	r.inRound = true
@@ -298,8 +360,9 @@ func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
 	}
 	r.bank.Reset(nres)
 	r.resQuery = r.resQuery[:0]
-	r.watches = r.watches[:0]
+	r.refs = slices.Grow(r.refs[:0], len(queries))[:len(queries)] // written for Degree, Neighbor, Adjacent
 
+	watched := false
 	for i, q := range queries {
 		switch q.Type {
 		case oracle.CountEdges:
@@ -315,46 +378,79 @@ func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
 			r.resQuery = append(r.resQuery, i)
 			r.space += 2
 		case oracle.Degree:
-			sh := r.shards[shardOfVertex(q.U, p)]
-			if _, ok := sh.deg[q.U]; !ok {
-				sh.deg[q.U] = 0
-			}
+			j := shardOfVertex(q.U, p)
+			r.refs[i] = queryRef{int32(j), r.shards[j].vertex(q.U)}
 			r.space++
 		case oracle.Neighbor:
 			if q.I < 1 {
 				return fmt.Errorf("transform: Neighbor index %d < 1", q.I)
 			}
-			sh := r.shards[shardOfVertex(q.U, p)]
-			sh.nbr[q.U] = append(sh.nbr[q.U], int32(len(r.watches)))
-			r.watches = append(r.watches, neighborWatch{idx: i, remaining: q.I})
+			j := shardOfVertex(q.U, p)
+			sh := r.shards[j]
+			v := sh.vertex(q.U)
+			sh.vs[v].end++ // the run's length, until layoutWatches places it
+			r.refs[i] = queryRef{int32(j), v}
+			watched = true
 			r.space += 2
 		case oracle.RandomNeighbor:
 			return fmt.Errorf("transform: RandomNeighbor is a relaxed-model query; the insertion-only runner emulates the augmented model (use Neighbor)")
 		case oracle.Adjacent:
 			key := edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n)
-			sh := r.shards[shardOfKey(key, p)]
-			if _, ok := sh.adj[key]; !ok {
-				sh.adj[key] = false
-			}
+			j := shardOfKey(key, p)
+			r.refs[i] = queryRef{int32(j), r.shards[j].pair(key)}
 			r.space++
 		default:
 			return fmt.Errorf("transform: unknown query type %d", q.Type)
 		}
+	}
+	if watched {
+		r.layoutWatches(queries)
 	}
 	r.bindShards(nres, p)
 	r.startGroup(p)
 	return nil
 }
 
-// bindShards hands each shard its view of the round's shared state: the
-// bank, its contiguous slot block, and the (now fully grown, hence stable)
-// watch arena.
+// layoutWatches turns the per-vertex watch counts BeginRound left in
+// vs[v].end into each shard's watch runs: a prefix sum places the runs, a
+// second sweep over the queries fills them, and each run is sorted ascending
+// in i. Watches with equal i fire on the same update with the same answer,
+// so an unstable O(k log k) sort is enough — and needed: ERS registers
+// thousands of unordered watches on one vertex.
+func (r *InsertionRunner) layoutWatches(queries []oracle.Query) {
+	for _, sh := range r.shards {
+		total := int32(0)
+		for v := range sh.vs {
+			st := &sh.vs[v]
+			st.next, st.end, total = total, total, total+st.end
+		}
+		sh.watches = slices.Grow(sh.watches[:0], int(total))[:total]
+	}
+	for i, q := range queries {
+		if q.Type != oracle.Neighbor {
+			continue
+		}
+		sh := r.shards[r.refs[i].shard]
+		st := &sh.vs[r.refs[i].idx]
+		sh.watches[st.end] = neighborWatch{i: q.I, query: int32(i)}
+		st.end++
+	}
+	for _, sh := range r.shards {
+		for _, st := range sh.vs {
+			if st.end-st.next > 1 {
+				slices.SortFunc(sh.watches[st.next:st.end], func(a, b neighborWatch) int { return cmp.Compare(a.i, b.i) })
+			}
+		}
+	}
+}
+
+// bindShards hands each shard its view of the round's reservoir bank: a
+// contiguous slot block.
 func (r *InsertionRunner) bindShards(nres, p int) {
 	for j, sh := range r.shards {
 		sh.bank = &r.bank
 		sh.resLo = j * nres / p
 		sh.resHi = (j + 1) * nres / p
-		sh.watches = r.watches
 	}
 }
 
@@ -413,7 +509,6 @@ func (r *InsertionRunner) ConsumeBatch(batch []stream.Update) error {
 func (r *InsertionRunner) EndRound() ([]oracle.Answer, error) {
 	queries := r.curQueries
 	n := r.st.N()
-	p := r.curP
 	m := r.curM
 	answers := make([]oracle.Answer, len(queries))
 	for i, q := range queries {
@@ -421,12 +516,11 @@ func (r *InsertionRunner) EndRound() ([]oracle.Answer, error) {
 		case oracle.CountEdges:
 			answers[i] = oracle.Answer{OK: true, Count: m}
 		case oracle.Degree:
-			sh := r.shards[shardOfVertex(q.U, p)]
-			answers[i] = oracle.Answer{OK: true, Count: sh.deg[q.U]}
+			ref := r.refs[i]
+			answers[i] = oracle.Answer{OK: true, Count: r.shards[ref.shard].vs[ref.idx].count}
 		case oracle.Adjacent:
-			key := edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n)
-			sh := r.shards[shardOfKey(key, p)]
-			answers[i] = oracle.Answer{OK: true, Yes: sh.adj[key]}
+			ref := r.refs[i]
+			answers[i] = oracle.Answer{OK: true, Yes: r.shards[ref.shard].seen[ref.idx]}
 		}
 	}
 	for slot, qi := range r.resQuery {
@@ -436,9 +530,11 @@ func (r *InsertionRunner) EndRound() ([]oracle.Answer, error) {
 			answers[qi] = oracle.Answer{OK: false}
 		}
 	}
-	for i := range r.watches {
-		w := &r.watches[i]
-		answers[w.idx] = oracle.Answer{OK: w.found, Count: w.result}
+	for _, sh := range r.shards {
+		for k := range sh.watches {
+			w := &sh.watches[k]
+			answers[w.query] = oracle.Answer{OK: w.found, Count: w.result}
+		}
 	}
 	if r.grp != nil {
 		r.grp.Close()
@@ -449,7 +545,9 @@ func (r *InsertionRunner) EndRound() ([]oracle.Answer, error) {
 	return answers, nil
 }
 
-// edgeKey encodes a canonical edge as a single integer key in [0, n^2).
+// edgeKey encodes a canonical edge as a single integer key in [0, n^2); the
+// constructors bound n by maxVertices so that distinct edges get distinct
+// keys.
 func edgeKey(e graph.Edge, n int64) uint64 {
 	c := e.Canon()
 	return uint64(c.U)*uint64(n) + uint64(c.V)

@@ -1,0 +1,420 @@
+package transform
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"streamcount/internal/graph"
+	"streamcount/internal/oracle"
+	"streamcount/internal/pool"
+	"streamcount/internal/sketch"
+	"streamcount/internal/stream"
+)
+
+// referenceInsertionRunner is the insertion round as it was before the flat
+// query tables (ISSUE 17), kept as the equivalence reference: Go maps keyed
+// by vertex and by packed edge key, one countdown per f3 watch decremented on
+// every incident update, and one heap reservoir per f1 query. It is the
+// sequential round — answers never depended on the worker count.
+type referenceInsertionRunner struct {
+	n                      int64
+	rng                    *rand.Rand
+	rounds, queries, space int64
+
+	qs  []oracle.Query
+	m   int64
+	res []*sketch.Reservoir
+	deg map[int64]int64
+	nbr map[int64][]*referenceWatch
+	adj map[uint64]bool
+}
+
+type referenceWatch struct {
+	remaining, result int64
+	found             bool
+}
+
+func (r *referenceInsertionRunner) begin(qs []oracle.Query) error {
+	r.rounds++
+	r.queries += int64(len(qs))
+	r.qs, r.m, r.res = qs, 0, nil
+	r.deg = map[int64]int64{}
+	r.nbr = map[int64][]*referenceWatch{}
+	r.adj = map[uint64]bool{}
+	for _, q := range qs {
+		switch q.Type {
+		case oracle.CountEdges:
+			r.space++
+		case oracle.RandomEdge:
+			r.res = append(r.res, sketch.NewReservoirSeeded(r.rng.Uint64()))
+			r.space += 2
+		case oracle.Degree:
+			r.deg[q.U] += 0
+			r.space++
+		case oracle.Neighbor:
+			if q.I < 1 {
+				return fmt.Errorf("transform: Neighbor index %d < 1", q.I)
+			}
+			r.nbr[q.U] = append(r.nbr[q.U], &referenceWatch{remaining: q.I})
+			r.space += 2
+		case oracle.Adjacent:
+			r.adj[edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), r.n)] = false
+			r.space++
+		default:
+			return fmt.Errorf("transform: unknown query type %d", q.Type)
+		}
+	}
+	return nil
+}
+
+func (r *referenceInsertionRunner) consume(batch []stream.Update) {
+	advance := func(ws []*referenceWatch, other int64) {
+		for _, w := range ws {
+			if !w.found {
+				w.remaining--
+				if w.remaining == 0 {
+					w.result, w.found = other, true
+				}
+			}
+		}
+	}
+	for _, u := range batch {
+		e := u.Edge.Canon()
+		key := edgeKey(e, r.n)
+		r.m++
+		for _, rs := range r.res {
+			rs.Offer(key)
+		}
+		if _, ok := r.deg[e.U]; ok {
+			r.deg[e.U]++
+		}
+		if _, ok := r.deg[e.V]; ok {
+			r.deg[e.V]++
+		}
+		advance(r.nbr[e.U], e.V)
+		advance(r.nbr[e.V], e.U)
+		if _, ok := r.adj[key]; ok {
+			r.adj[key] = true
+		}
+	}
+}
+
+func (r *referenceInsertionRunner) end() []oracle.Answer {
+	answers := make([]oracle.Answer, len(r.qs))
+	nextRes := 0
+	nextWatch := map[int64]int{}
+	for i, q := range r.qs {
+		switch q.Type {
+		case oracle.CountEdges:
+			answers[i] = oracle.Answer{OK: true, Count: r.m}
+		case oracle.RandomEdge:
+			if key, ok := r.res[nextRes].Sample(); ok {
+				answers[i] = oracle.Answer{OK: true, Edge: keyEdge(key, r.n)}
+			}
+			nextRes++
+		case oracle.Degree:
+			answers[i] = oracle.Answer{OK: true, Count: r.deg[q.U]}
+		case oracle.Neighbor:
+			w := r.nbr[q.U][nextWatch[q.U]]
+			nextWatch[q.U]++
+			answers[i] = oracle.Answer{OK: w.found, Count: w.result}
+		case oracle.Adjacent:
+			answers[i] = oracle.Answer{OK: true, Yes: r.adj[edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), r.n)]}
+		}
+	}
+	return answers
+}
+
+// equivalenceStream is a multigraph stream over n vertices in which vertex 0
+// is a hub (the ERS shape: one vertex carrying thousands of watches needs a
+// long incidence list) and a few edges repeat.
+func equivalenceStream(t *testing.T, rng *rand.Rand, n int64, m int) (*stream.Slice, []stream.Update) {
+	t.Helper()
+	ups := make([]stream.Update, 0, m)
+	for len(ups) < m {
+		u, v := rng.Int63n(n), rng.Int63n(n)
+		if rng.Intn(3) == 0 {
+			u = 0
+		}
+		if u == v {
+			continue
+		}
+		ups = append(ups, stream.Update{Edge: graph.Edge{U: u, V: v}, Op: stream.Insert})
+		if rng.Intn(10) == 0 { // a multi-edge, in either orientation
+			ups = append(ups, stream.Update{Edge: graph.Edge{U: v, V: u}, Op: stream.Insert})
+		}
+	}
+	st, err := stream.NewSlice(n, ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, ups
+}
+
+// equivalenceQueries draws a round that mixes every query type and every
+// shape the flat layout has to get right: the same (U, I) watched several
+// times, several watches of one vertex firing on one update, indices beyond
+// the final degree, vertices both Degree- and Neighbor-queried, repeated
+// Adjacent pairs in both orientations, and — when hub > 0 — that many
+// unsorted watches on vertex 0. wide adds enough distinct vertices and pairs
+// to take both key tables through several doublings.
+func equivalenceQueries(rng *rand.Rand, n int64, hub int, wide bool) []oracle.Query {
+	var qs []oracle.Query
+	add := func(typ oracle.Type, u, v, i int64) { qs = append(qs, oracle.Query{Type: typ, U: u, V: v, I: i}) }
+	count := 40 + rng.Intn(60)
+	if wide {
+		count = 4000
+	}
+	for k := 0; k < count; k++ {
+		u, v := rng.Int63n(n), rng.Int63n(n)
+		switch rng.Intn(7) {
+		case 0:
+			add(oracle.CountEdges, 0, 0, 0)
+		case 1:
+			add(oracle.RandomEdge, 0, 0, 0)
+		case 2:
+			add(oracle.Degree, u, 0, 0)
+			add(oracle.Neighbor, u, 0, 1+rng.Int63n(4))
+		case 3:
+			i := 1 + rng.Int63n(6)
+			for rep := rng.Intn(3); rep >= 0; rep-- {
+				add(oracle.Neighbor, u, 0, i)
+			}
+		case 4:
+			add(oracle.Neighbor, u, 0, 1+rng.Int63n(2000)) // mostly beyond the final degree
+		case 5:
+			add(oracle.Adjacent, u, v, 0)
+			add(oracle.Adjacent, v, u, 0)
+		case 6:
+			add(oracle.Adjacent, u, v, 0)
+		}
+	}
+	for k := 0; k < hub; k++ {
+		add(oracle.Neighbor, 0, 0, 1+rng.Int63n(int64(hub)/4))
+	}
+	rng.Shuffle(len(qs), func(a, b int) { qs[a], qs[b] = qs[b], qs[a] })
+	return qs
+}
+
+// feedCuts feeds ups to fn in batches cut at random positions.
+func feedCuts(rng *rand.Rand, ups []stream.Update, fn func([]stream.Update)) {
+	for len(ups) > 0 {
+		k := 1 + rng.Intn(min(len(ups), 600))
+		fn(ups[:k])
+		ups = ups[k:]
+	}
+}
+
+// TestInsertionRunnerMatchesReference property-tests the flat-table round
+// against the map-and-countdown reference: three rounds per runner, answers
+// and Rounds/Queries/SpaceWords bit-equal, at P = 1, 2, 3, straight through
+// and across a snapshot/resume at a random batch cut, on fresh runners and on
+// a pooled runner recycled under pool.DebugDirty.
+func TestInsertionRunnerMatchesReference(t *testing.T) {
+	defer pool.SetDebug(pool.SetDebug(pool.DebugDirty))
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Int63n(300)
+		hub, wide := 0, false
+		switch seed % 4 {
+		case 1:
+			hub = 5000 + rng.Intn(2000)
+		case 2:
+			n, wide = 3000, true
+		}
+		st, ups := equivalenceStream(t, rng, n, 1500+rng.Intn(2000))
+		rounds := [][]oracle.Query{
+			equivalenceQueries(rng, n, hub, wide),
+			equivalenceQueries(rng, n, 0, false), // a small round after a large one: stale scratch must not show
+			equivalenceQueries(rng, n, hub/2, wide),
+		}
+
+		ref := &referenceInsertionRunner{n: n, rng: rand.New(rand.NewSource(seed))}
+		var want [][]oracle.Answer
+		for _, qs := range rounds {
+			if err := ref.begin(qs); err != nil {
+				t.Fatal(err)
+			}
+			ref.consume(ups)
+			want = append(want, ref.end())
+		}
+		wantCounters := passCounters{ref.rounds, ref.queries, ref.space}
+
+		for _, p := range []int{1, 2, 3} {
+			for _, pooled := range []bool{false, true} {
+				label := fmt.Sprintf("seed %d P=%d pooled=%v", seed, p, pooled)
+				mk := NewInsertionRunner
+				if pooled {
+					mk = AcquireInsertionRunner
+				}
+				newRunner := func() *InsertionRunner {
+					r, err := mk(st, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.SetParallelism(p)
+					return r
+				}
+				cuts := rand.New(rand.NewSource(seed + 100))
+
+				straight := newRunner()
+				for k, qs := range rounds {
+					if err := straight.BeginRound(qs); err != nil {
+						t.Fatal(err)
+					}
+					feedCuts(cuts, ups, func(b []stream.Update) {
+						if err := straight.ConsumeBatch(b); err != nil {
+							t.Fatal(err)
+						}
+					})
+					got, err := straight.EndRound()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAnswers(t, fmt.Sprintf("%s round %d", label, k), want[k], got)
+				}
+				if got := countersOf(straight); got != wantCounters {
+					t.Errorf("%s: counters %+v, want %+v", label, got, wantCounters)
+				}
+				if pooled {
+					straight.Release()
+				}
+
+				// Every round again, cut in two by a snapshot on one runner
+				// and a resume on another.
+				front, back := newRunner(), newRunner()
+				for k, qs := range rounds {
+					v := cuts.Intn(len(ups) + 1)
+					if err := front.BeginRound(qs); err != nil {
+						t.Fatal(err)
+					}
+					if err := front.ConsumeBatch(ups[:v]); err != nil {
+						t.Fatal(err)
+					}
+					cp, err := front.SnapshotRound()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := front.ConsumeBatch(ups[v:]); err != nil { // must not reach the snapshot
+						t.Fatal(err)
+					}
+					if _, err := front.EndRound(); err != nil {
+						t.Fatal(err)
+					}
+					if err := back.ResumeRound(cp, int64(v)); err != nil {
+						t.Fatal(err)
+					}
+					feedCuts(cuts, ups[v:], func(b []stream.Update) {
+						if err := back.ConsumeBatch(b); err != nil {
+							t.Fatal(err)
+						}
+					})
+					got, err := back.EndRound()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAnswers(t, fmt.Sprintf("%s round %d resumed at %d", label, k, v), want[k], got)
+				}
+				if got := countersOf(back); got != wantCounters {
+					t.Errorf("%s: resumed counters %+v, want %+v", label, got, wantCounters)
+				}
+				if pooled {
+					front.Release()
+					back.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestKeyTable drives one table through several doublings and a reuse.
+func TestKeyTable(t *testing.T) {
+	var tab keyTable
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 3; round++ {
+		tab.reset()
+		want := map[uint64]int32{}
+		var order []uint64
+		for len(want) < 3000>>round {
+			key := rng.Uint64() >> uint(rng.Intn(64)) // all magnitudes, 0 included
+			if _, ok := want[key]; !ok {
+				want[key] = int32(len(want))
+				order = append(order, key)
+			}
+			if got := tab.insert(key); got != want[key] {
+				t.Fatalf("round %d: insert(%#x) = %d, want %d", round, key, got, want[key])
+			}
+		}
+		if round == 0 && len(tab.slots) < 2*len(want) {
+			t.Fatalf("%d slots hold %d keys: load above 1/2", len(tab.slots), len(want))
+		}
+		for key, idx := range want {
+			if got := tab.find(key); got != idx {
+				t.Fatalf("round %d: find(%#x) = %d, want %d", round, key, got, idx)
+			}
+		}
+		for probe := 0; probe < 1000; probe++ {
+			key := rng.Uint64()
+			if _, ok := want[key]; !ok && tab.find(key) != -1 {
+				t.Fatalf("round %d: find(%#x) hit an absent key", round, key)
+			}
+		}
+		got := tab.keys()
+		if len(got) != len(order) {
+			t.Fatalf("round %d: %d keys, want %d", round, len(got), len(order))
+		}
+		for i := range order {
+			if got[i] != order[i] {
+				t.Fatalf("round %d: keys()[%d] = %#x, want %#x", round, i, got[i], order[i])
+			}
+		}
+		if round == 1 {
+			tab.dirty()
+		}
+	}
+}
+
+// hugeUniverse is an empty stream over more vertices than a packed edge key
+// can tell apart.
+type hugeUniverse struct{ *stream.Slice }
+
+func (hugeUniverse) N() int64 { return maxVertices + 1 }
+
+func TestOversizedUniverseRejected(t *testing.T) {
+	const want = "packed edge key"
+	rng := rand.New(rand.NewSource(1))
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s over 2^32+1 vertices: err = %v, want one naming the %s limit", what, err, want)
+		}
+	}
+	st, err := stream.NewSlice(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := hugeUniverse{st}
+	_, err = NewInsertionRunner(big, rng)
+	check("NewInsertionRunner", err)
+	_, err = AcquireInsertionRunner(big, rng)
+	check("AcquireInsertionRunner", err)
+	_, err = NewPrefixIndex(big.N())
+	check("NewPrefixIndex", err)
+	_, err = NewTurnstileRunner(big, rng).Round([]oracle.Query{{Type: oracle.CountEdges}})
+	check("NewTurnstileRunner's first round", err)
+	tr := AcquireTurnstileRunner(big, rng)
+	_, err = tr.Round([]oracle.Query{{Type: oracle.CountEdges}})
+	check("AcquireTurnstileRunner's first round", err)
+	tr.Release()
+
+	// The limit itself is fine: keys up to (2^32-1)·2^32 + 2^32-1 fit.
+	if _, err := NewPrefixIndex(maxVertices); err != nil {
+		t.Errorf("NewPrefixIndex(2^32): %v", err)
+	}
+	e := graph.Edge{U: maxVertices - 2, V: maxVertices - 1}
+	if got := keyEdge(edgeKey(e, maxVertices), maxVertices); got != e {
+		t.Errorf("edge key round trip at n = 2^32: %v, want %v", got, e)
+	}
+}

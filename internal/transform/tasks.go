@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"streamcount/internal/oracle"
+	"streamcount/internal/pool"
 )
 
 // Task is a round-adaptive computation (Definition 8). Step is called with
@@ -31,6 +32,30 @@ type Task interface {
 	Step(prev []oracle.Answer) (queries []oracle.Query, done bool)
 }
 
+// runScratch is one Run call's round buffers: the batch handed to the
+// runner and, per contributing task, where its queries sit in it. Runners
+// keep a batch only until the round ends (checkpoints copy it), so the
+// buffers are refilled round after round and recycled across Run calls —
+// ERS calls Run once per phase with rounds of 10⁵ queries.
+type runScratch struct {
+	batch []oracle.Query
+	spans []runSpan
+}
+
+// runSpan says that task slot task asked batch[start:end].
+type runSpan struct {
+	task, start, end int
+}
+
+var runScratchPool = pool.New(
+	func() *runScratch { return &runScratch{} },
+	func(sc *runScratch) { sc.batch, sc.spans = sc.batch[:0], sc.spans[:0] },
+	func(sc *runScratch) {
+		pool.Dirty(sc.batch, oracle.Query{Type: -0x5a, U: -0x5a5a5a, V: -0x5a5a5a, I: -0x5a5a5a})
+		pool.Dirty(sc.spans, runSpan{-0x5a5a5a, -0x5a5a5a, -0x5a5a5a})
+	},
+)
+
 // Run executes the tasks against the runner, batching each round's queries
 // from all unfinished tasks into a single Round call. It returns the number
 // of rounds consumed.
@@ -40,19 +65,16 @@ func Run(r oracle.Runner, tasks ...Task) (rounds int64, err error) {
 		prev []oracle.Answer
 		done bool
 	}
-	slots := make([]*slot, len(tasks))
+	slots := make([]slot, len(tasks))
 	for i, t := range tasks {
-		slots[i] = &slot{task: t}
+		slots[i].task = t
 	}
+	sc := runScratchPool.Get()
 	remaining := len(slots)
 	for remaining > 0 {
-		var batch []oracle.Query
-		type span struct {
-			s          *slot
-			start, end int
-		}
-		var spans []span
-		for _, s := range slots {
+		batch, spans := sc.batch[:0], sc.spans[:0]
+		for i := range slots {
+			s := &slots[i]
 			if s.done {
 				continue
 			}
@@ -71,8 +93,9 @@ func Run(r oracle.Runner, tasks ...Task) (rounds int64, err error) {
 			}
 			start := len(batch)
 			batch = append(batch, qs...)
-			spans = append(spans, span{s, start, len(batch)})
+			spans = append(spans, runSpan{i, start, len(batch)})
 		}
+		sc.batch, sc.spans = batch, spans
 		if len(batch) == 0 {
 			continue
 		}
@@ -82,9 +105,12 @@ func Run(r oracle.Runner, tasks ...Task) (rounds int64, err error) {
 		}
 		rounds++
 		for _, sp := range spans {
-			sp.s.prev = answers[sp.start:sp.end]
+			slots[sp.task].prev = answers[sp.start:sp.end]
 		}
 	}
+	// Released on success only, like the runners (DESIGN.md §12): after a
+	// failed round the runner may still hold the batch.
+	runScratchPool.Put(sc)
 	return rounds, nil
 }
 

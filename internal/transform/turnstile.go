@@ -171,19 +171,13 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 			smearFeed(f)
 		}
 	}
-	be := r.batchEdges[:cap(r.batchEdges)]
-	for i := range be {
-		be[i] = graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a}
-	}
+	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
 	pool.DirtyInt64(r.batchDelta)
 }
 
 func smearFeed(feed []sketch.FeedEntry) {
-	feed = feed[:cap(feed)]
-	for i := range feed {
-		feed[i] = sketch.FeedEntry{Key: 0xdeaddead, Delta: -0x5a5a5a, Term: 0xdeaddead, KeyHash: 0xdeaddead}
-	}
+	pool.Dirty(feed, sketch.FeedEntry{Key: 0xdeaddead, Delta: -0x5a5a5a, Term: 0xdeaddead, KeyHash: 0xdeaddead})
 }
 
 // defaultL0Config sizes the samplers to the universe: supports are at most
@@ -194,6 +188,8 @@ func defaultL0Config(n int64) sketch.L0Config {
 }
 
 // NewTurnstileRunner wraps the stream (insertions and deletions allowed).
+// The turnstile constructors return no error, so a stream over more than
+// maxVertices vertices is rejected by the first BeginRound instead.
 func NewTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
 	return NewTurnstileRunnerConfig(st, rng, defaultL0Config(st.N()))
 }
@@ -367,6 +363,9 @@ func (r *TurnstileRunner) RoundContext(ctx context.Context, queries []oracle.Que
 // shards the counters and registers the ℓ0-samplers (sequentially, so
 // sampler seeds are drawn in query order regardless of the worker count).
 func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
+	if err := checkUniverse(r.st.N()); err != nil {
+		return err
+	}
 	r.rounds++
 	r.queries += int64(len(queries))
 	r.inRound = true

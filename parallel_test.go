@@ -96,6 +96,51 @@ func TestTurnstileEstimateGolden(t *testing.T) {
 	}
 }
 
+// TestInsertionEstimateGolden is the insertion-only counterpart: the values,
+// query counts and space were produced by the map-and-countdown round that
+// preceded the flat query tables (ISSUE 17), so reservoir draws, the i-th
+// neighbour an f3 watch reports and the per-query space charge are pinned end
+// to end, for the FGP triangle count and for one ERS clique chain.
+func TestInsertionEstimateGolden(t *testing.T) {
+	p, err := streamcount.PatternByName("triangle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := streamcount.ErdosRenyi(rand.New(rand.NewSource(1)), 300, 6000)
+	st := streamcount.StreamFromGraph(g)
+	wantValue := []float64{7920.000000000001, 15840.000000000002, 5940.000000000001, 15180.000000000002, 11220.000000000002, 10560.000000000002}
+	wantQueries := []int64{29602, 29555, 29544, 29522, 29549, 29631}
+	for seed, w := range wantValue {
+		for _, par := range []int{1, 2, 3} {
+			got, err := streamcount.Run(context.Background(), st, streamcount.CountQuery(p,
+				streamcount.WithTrials(2000), streamcount.WithSeed(int64(seed)), streamcount.WithParallelism(par)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Value != w || got.Queries != wantQueries[seed] || got.SpaceWords != wantQueries[seed]+6000 || got.Passes != 3 {
+				t.Errorf("seed %d parallelism %d: (value %v, queries %d, space %d, passes %d), want (%v, %d, %d, 3)",
+					seed, par, got.Value, got.Queries, got.SpaceWords, got.Passes, w, wantQueries[seed], wantQueries[seed]+6000)
+			}
+		}
+	}
+
+	bg := streamcount.BarabasiAlbert(rand.New(rand.NewSource(5)), 200, 3)
+	lambda, _ := streamcount.Degeneracy(bg)
+	for _, par := range []int{1, 2, 3} {
+		got, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(bg), streamcount.CliqueQuery(3,
+			streamcount.WithLambda(lambda), streamcount.WithEpsilon(0.4), streamcount.WithLowerBound(40),
+			streamcount.WithSeed(6), streamcount.WithParallelism(par)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantValue, wantPasses, wantQueries, wantSpace = 155.25414744917524, 7, 403744, 556398
+		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
+			t.Errorf("K3 parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
+				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
+		}
+	}
+}
+
 // TestEstimateDeterministicAcrossGOMAXPROCS pins the same contract against
 // the runtime knob: Parallelism 0 resolves to GOMAXPROCS, so the estimate
 // at GOMAXPROCS=1 must equal the estimate at GOMAXPROCS=N.
