@@ -21,6 +21,7 @@ import (
 
 	"streamcount"
 	"streamcount/client"
+	"streamcount/internal/ers"
 	"streamcount/internal/exact"
 	"streamcount/internal/experiments"
 	"streamcount/internal/fgp"
@@ -186,6 +187,34 @@ func BenchmarkInsertionRoundManyWatches(b *testing.B) {
 		if _, err := r.Round(qs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkERSCliqueCount is one ERS triangle count in the clique-ers
+// benchmark workload's shape — BA(800, 3) plus 80 planted triangles, ε 0.4,
+// L the exact count — over a pooled InsertionRunner with one pass worker.
+// Its allocs/op gate the algorithm↔runner round trip: in steady state the
+// chains, the task executor and the runner all work out of recycled or
+// slab-allocated scratch.
+func BenchmarkERSCliqueCount(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	g := gen.PlantCliques(rng, gen.BarabasiAlbert(rng, 800, 3), 3, 80)
+	lambda, _ := graph.Degeneracy(g)
+	p := ers.Params{R: 3, Lambda: lambda, Eps: 0.4, L: float64(exact.Cliques(g, 3))}
+	st := stream.Shuffled(stream.FromGraph(g), rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qrng := rand.New(rand.NewSource(int64(i)))
+		r, err := transform.AcquireInsertionRunner(st, qrng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.SetParallelism(1)
+		if _, err := ers.Count(r, p, qrng); err != nil {
+			b.Fatal(err)
+		}
+		r.Release()
 	}
 }
 

@@ -2,109 +2,113 @@ package ers
 
 import (
 	"math/rand"
+	"slices"
 
 	"streamcount/internal/oracle"
 )
 
-// tupleState is an ordered t-clique ⃗T in some R_t together with the degree
-// bookkeeping d[R_t]: dg(⃗T) is the degree of ⃗T's minimum-degree vertex.
-type tupleState struct {
-	verts  []int64
-	degs   []int64
-	minPos int // index of the minimum-degree vertex
+// chainEnv is what the level chains of one phase share: the parameters, the
+// RNG every chain draws from in task order, the ω̃ decay, the arena their
+// level arrays and pending samples are cut from, and the scratch a single
+// Step uses and leaves.
+type chainEnv struct {
+	p     Params
+	rng   *rand.Rand
+	gamma float64 // the (1-γ) decay of the ω̃ recurrence
+	arena arena
+
+	prefix       []int64 // neighborQueries: prefix sums of dg(⃗T) over R_t
+	nextV, nextD []int64 // finishLevel: R_{t+1} before it is cut to size
 }
 
-func newTuple(verts []int64, degs []int64) tupleState {
-	t := tupleState{verts: verts, degs: degs}
-	for i := range degs {
-		if degs[i] < degs[t.minPos] {
-			t.minPos = i
+// arena hands out int64 scratch from large chunks: the tens of thousands of
+// activeness chains of one count need a few words each, which as separate
+// slices were most of the count's allocations. Memory is never handed out
+// twice; a chunk is collected when the last chain cut from it is.
+type arena struct{ free []int64 }
+
+// arenaChunk is the chunk size in words; larger requests get their own slice.
+const arenaChunk = 1 << 13
+
+// take returns n zeroed words that no one else holds.
+func (a *arena) take(n int) []int64 {
+	if n > len(a.free) {
+		if n >= arenaChunk {
+			return make([]int64, n)
 		}
+		a.free = make([]int64, arenaChunk)
 	}
-	return t
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
-// dg returns dg(⃗T) = min_v∈⃗T deg(v).
-func (t tupleState) dg() int64 { return t.degs[t.minPos] }
-
-// extend returns the (t+1)-tuple (⃗T, w).
-func (t tupleState) extend(w, wdeg int64) tupleState {
-	verts := make([]int64, len(t.verts)+1)
-	copy(verts, t.verts)
-	verts[len(t.verts)] = w
-	degs := make([]int64, len(t.degs)+1)
-	copy(degs, t.degs)
-	degs[len(t.degs)] = wdeg
-	return newTuple(verts, degs)
-}
-
-func (t tupleState) contains(v int64) bool {
-	for _, u := range t.verts {
-		if u == v {
-			return true
-		}
-	}
-	return false
+func (a *arena) clone(src []int64) []int64 {
+	dst := a.take(len(src))
+	copy(dst, src)
+	return dst
 }
 
 // levelChain iteratively builds R_{t+1} from R_t via the two-pass StreamSet
 // procedure (Algorithm 4): one round of random-neighbor queries, one round
 // of clique checks. It is shared by the main invocation chains (Algorithm 3)
 // and the activeness chains (Algorithm 18), which differ only in their
-// initial set, ω̃ seed, and abort rule.
+// initial set, ω̃ seed, and decay.
+//
+// R_t is flat: every tuple of a level is an ordered t-clique, so tuple i is
+// verts[i*t:(i+1)*t] with its vertices' degrees (the bookkeeping d[R_t]) at
+// the same positions of degs, and dg(⃗T) is the smallest of them. The chain
+// never writes into verts or degs — finishLevel installs new arrays — so
+// the repetitions of one activeness check share their seed tuple. A chain is
+// a plain value: a job lays all of its chains out in one slice and hands
+// transform.Run pointers into it.
 type levelChain struct {
-	params Params
-	rng    *rand.Rand
-	m      int64
+	env *chainEnv
 
-	tuples []tupleState // current R_t
-	t      int          // current level: tuples are ordered t-cliques
-	omega  float64      // ω̃_t
-	gamma  float64      // the (1-γ) decay of the ω̃ recurrence
+	t           int     // current level: tuples are ordered t-cliques
+	verts, degs []int64 // current R_t, stride t
+	omega       float64 // ω̃_t
 
 	// Products for the estimator: Π dg(R_t) and Π s_{t+1} over processed
 	// levels.
-	dgProd float64
-	sProd  float64
+	dgProd, sProd float64
 
 	aborted bool
+	// state is what the next Step starts with: 0 a level's neighbor round,
+	// 1 the neighbor answers, 2 the check answers.
+	state int8
 	// maxState tracks the largest Σ|R_t| the chain ever held, for space
 	// accounting.
 	maxState int64
 
-	// per-round scratch
-	pendingTuple []int   // index into tuples for each sample
-	pendingW     []int64 // neighbor answers
-	pendingOK    []bool
-	nextTuples   []tupleState
+	// pend carries a level's samples from round to round as (tuple index,
+	// w) pairs: neighborQueries fills the indices of all s_{t+1} samples,
+	// checkQueries keeps the pairs whose neighbor answer w survived.
+	pend []int64
 }
 
-// newLevelChain starts a chain at level t with the given R_t and ω̃_t seed.
-func newLevelChain(p Params, rng *rand.Rand, m int64, t int, init []tupleState, omega, gamma float64) *levelChain {
-	return &levelChain{
-		params: p, rng: rng, m: m,
-		tuples: init, t: t, omega: omega, gamma: gamma,
-		dgProd: 1, sProd: 1,
+// start arms the chain at level t with the given R_t and ω̃_t seed.
+func (c *levelChain) start(env *chainEnv, t int, verts, degs []int64, omega float64) {
+	*c = levelChain{env: env, t: t, verts: verts, degs: degs, omega: omega, dgProd: 1, sProd: 1}
+}
+
+// size returns |R_t|.
+func (c *levelChain) size() int {
+	if c.t == 0 {
+		return 0
 	}
+	return len(c.verts) / c.t
 }
 
 // done reports whether the chain has reached R_r (or aborted / died out).
 func (c *levelChain) done() bool {
-	return c.aborted || c.t >= c.params.R || len(c.tuples) == 0
-}
-
-// dgRt returns dg(R_t) = Σ_⃗T dg(⃗T).
-func (c *levelChain) dgRt() int64 {
-	var sum int64
-	for _, t := range c.tuples {
-		sum += t.dg()
-	}
-	return sum
+	return c.aborted || c.t >= c.env.p.R || len(c.verts) == 0
 }
 
 // nextSampleCount computes s_{t+1} = ⌈dg(R_t)·τ_{t+1}/ω̃_t · SampleC⌉.
 func (c *levelChain) nextSampleCount(dgRt int64) int64 {
-	s := float64(dgRt) * c.params.tau(c.t+1) / c.omega * c.params.SampleC
+	p := &c.env.p
+	s := float64(dgRt) * p.tau(c.t+1) / c.omega * p.SampleC
 	n := int64(s)
 	if float64(n) < s {
 		n++
@@ -115,40 +119,54 @@ func (c *levelChain) nextSampleCount(dgRt int64) int64 {
 	return n
 }
 
-// neighborQueries starts the next level: it samples s_{t+1} tuples
-// proportionally to dg(⃗T) and returns one Neighbor query per sample (a
-// uniformly random neighbor of the tuple's minimum-degree vertex). It
-// returns nil when the chain is done or the level aborts.
-func (c *levelChain) neighborQueries() []oracle.Query {
-	if c.done() {
-		return nil
+// minPos returns the index of the first minimum-degree vertex of a tuple.
+func minPos(degs []int64) int {
+	m := 0
+	for i, d := range degs {
+		if d < degs[m] {
+			m = i
+		}
 	}
-	dgRt := c.dgRt()
+	return m
+}
+
+// neighborQueries starts the next level: it samples s_{t+1} tuples
+// proportionally to dg(⃗T) and appends one Neighbor query per sample (a
+// uniformly random neighbor of the tuple's minimum-degree vertex). It
+// appends nothing when the chain is done or the level aborts.
+func (c *levelChain) neighborQueries(dst []oracle.Query) []oracle.Query {
+	if c.done() {
+		return dst
+	}
+	env, t, n := c.env, c.t, c.size()
+	// Prefix sums of dg(⃗T), to sample tuples proportionally to it; the last
+	// one is dg(R_t) = Σ_⃗T dg(⃗T).
+	prefix := slices.Grow(env.prefix[:0], n+1)[:n+1]
+	env.prefix = prefix
+	prefix[0] = 0
+	for i := 0; i < n; i++ {
+		prefix[i+1] = prefix[i] + slices.Min(c.degs[i*t:(i+1)*t])
+	}
+	dgRt := prefix[n]
 	if dgRt == 0 {
-		c.tuples = nil
-		return nil
+		c.verts, c.degs = nil, nil
+		return dst
 	}
 	s := c.nextSampleCount(dgRt)
-	if s > c.params.MaxLevelSamples {
+	if s > env.p.MaxLevelSamples {
 		c.aborted = true
-		return nil
+		return dst
 	}
 	// ω̃_{t+1} = (1-γ)·ω̃_t·s_{t+1}/dg(R_t); estimator products likewise.
 	c.dgProd *= float64(dgRt)
 	c.sProd *= float64(s)
-	c.omega = (1 - c.gamma) * c.omega * float64(s) / float64(dgRt)
+	c.omega = (1 - env.gamma) * c.omega * float64(s) / float64(dgRt)
 
-	// Sample tuples proportionally to dg(⃗T) via prefix sums.
-	prefix := make([]int64, len(c.tuples)+1)
-	for i, t := range c.tuples {
-		prefix[i+1] = prefix[i] + t.dg()
-	}
-	queries := make([]oracle.Query, s)
-	c.pendingTuple = make([]int, s)
-	for ell := int64(0); ell < s; ell++ {
-		x := c.rng.Int63n(dgRt)
+	c.pend = env.arena.take(2 * int(s))
+	for ell := 0; ell < int(s); ell++ {
+		x := env.rng.Int63n(dgRt)
 		// Binary search for the owning tuple.
-		lo, hi := 0, len(c.tuples)
+		lo, hi := 0, n
 		for lo+1 < hi {
 			mid := (lo + hi) / 2
 			if prefix[mid] <= x {
@@ -157,49 +175,51 @@ func (c *levelChain) neighborQueries() []oracle.Query {
 				hi = mid
 			}
 		}
-		tu := c.tuples[lo]
-		c.pendingTuple[ell] = lo
-		u := tu.verts[tu.minPos]
+		c.pend[2*ell] = int64(lo)
+		degs := c.degs[lo*t : (lo+1)*t]
+		mp := minPos(degs)
 		// Uniform j ∈ [deg(u)]: exactly uniform random neighbor under the
 		// insertion-only emulation (and the direct oracle).
-		queries[ell] = oracle.Query{Type: oracle.Neighbor, U: u, I: c.rng.Int63n(tu.dg()) + 1}
+		dst = append(dst, oracle.Query{Type: oracle.Neighbor, U: c.verts[lo*t+mp], I: env.rng.Int63n(degs[mp]) + 1})
 	}
-	return queries
+	return dst
 }
 
-// checkQueries consumes the neighbor answers and returns the clique-check
-// round: Adjacent(w, x) for every x ∈ ⃗T plus Degree(w).
-func (c *levelChain) checkQueries(nbrs []oracle.Answer) []oracle.Query {
-	var queries []oracle.Query
-	c.pendingW = make([]int64, len(nbrs))
-	c.pendingOK = make([]bool, len(nbrs))
+// checkQueries consumes the neighbor answers and appends the clique-check
+// round: Adjacent(w, x) for every x ∈ ⃗T plus Degree(w), for every sample
+// whose answer w is a vertex outside its tuple.
+func (c *levelChain) checkQueries(nbrs []oracle.Answer, dst []oracle.Query) []oracle.Query {
+	t, kept := c.t, 0
 	for ell, a := range nbrs {
-		tu := c.tuples[c.pendingTuple[ell]]
-		if !a.OK || tu.contains(a.Count) {
+		i := c.pend[2*ell]
+		tu := c.verts[int(i)*t : (int(i)+1)*t]
+		if !a.OK || slices.Contains(tu, a.Count) {
 			continue
 		}
 		w := a.Count
-		c.pendingW[ell] = w
-		c.pendingOK[ell] = true
-		for _, x := range tu.verts {
-			queries = append(queries, oracle.Query{Type: oracle.Adjacent, U: w, V: x})
+		// kept <= ell, and sample ell's index has been read: the pairs are
+		// compacted in place.
+		c.pend[2*kept], c.pend[2*kept+1] = i, w
+		kept++
+		for _, x := range tu {
+			dst = append(dst, oracle.Query{Type: oracle.Adjacent, U: w, V: x})
 		}
-		queries = append(queries, oracle.Query{Type: oracle.Degree, U: w})
+		dst = append(dst, oracle.Query{Type: oracle.Degree, U: w})
 	}
-	return queries
+	c.pend = c.pend[:2*kept]
+	return dst
 }
 
-// finishLevel consumes the check answers and installs R_{t+1}.
+// finishLevel consumes the check answers and installs R_{t+1}: (⃗T, w) for
+// every kept sample whose w is adjacent to all of ⃗T.
 func (c *levelChain) finishLevel(checks []oracle.Answer) {
-	c.nextTuples = c.nextTuples[:0]
+	env, t := c.env, c.t
+	nextV, nextD := env.nextV[:0], env.nextD[:0]
 	pos := 0
-	for ell := range c.pendingW {
-		if !c.pendingOK[ell] {
-			continue
-		}
-		tu := c.tuples[c.pendingTuple[ell]]
+	for k := 0; k < len(c.pend); k += 2 {
+		i, w := int(c.pend[k]), c.pend[k+1]
 		allAdj := true
-		for range tu.verts {
+		for range t {
 			if !checks[pos].Yes {
 				allAdj = false
 			}
@@ -208,54 +228,35 @@ func (c *levelChain) finishLevel(checks []oracle.Answer) {
 		wdeg := checks[pos].Count
 		pos++
 		if allAdj {
-			c.nextTuples = append(c.nextTuples, tu.extend(c.pendingW[ell], wdeg))
+			nextV = append(append(nextV, c.verts[i*t:(i+1)*t]...), w)
+			nextD = append(append(nextD, c.degs[i*t:(i+1)*t]...), wdeg)
 		}
 	}
-	c.tuples = append([]tupleState(nil), c.nextTuples...)
+	env.nextV, env.nextD = nextV, nextD
+	c.verts, c.degs = env.arena.clone(nextV), env.arena.clone(nextD)
+	c.pend = nil
 	c.t++
-	var state int64
-	for _, t := range c.tuples {
-		state += int64(2 * len(t.verts))
-	}
-	if state > c.maxState {
+	if state := int64(2 * len(c.verts)); state > c.maxState {
 		c.maxState = state
 	}
-	c.pendingTuple, c.pendingW, c.pendingOK = nil, nil, nil
 }
 
-// chainTask runs a levelChain to completion as a transform.Task, alternating
+// Step implements transform.Task: the chain runs to completion alternating
 // neighbor rounds (Algorithm 4 pass 1) and check rounds (pass 2).
-type chainTask struct {
-	chain *levelChain
-	state int // 0: at a level boundary; 1: awaiting neighbor answers; 2: awaiting check answers
-}
-
-func (ct *chainTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
-	for {
-		switch ct.state {
-		case 0:
-			qs := ct.chain.neighborQueries()
-			if qs == nil {
-				return nil, true
-			}
-			ct.state = 1
-			return qs, false
-		case 1:
-			qs := ct.chain.checkQueries(prev)
-			if len(qs) == 0 {
-				// No surviving samples this level; finish it immediately.
-				ct.chain.finishLevel(nil)
-				ct.state = 0
-				prev = nil
-				continue
-			}
-			ct.state = 2
-			return qs, false
-		default: // 2
-			ct.chain.finishLevel(prev)
-			ct.state = 0
-			prev = nil
-			continue
+func (c *levelChain) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
+	n := len(dst)
+	if c.state == 1 {
+		if dst = c.checkQueries(prev, dst); len(dst) > n {
+			c.state = 2
+			return dst, false
 		}
+		// No surviving samples this level; finish it immediately.
+		prev = nil
 	}
+	if c.state != 0 {
+		c.finishLevel(prev)
+	}
+	dst = c.neighborQueries(dst)
+	c.state = 1
+	return dst, len(dst) == n
 }

@@ -1,8 +1,10 @@
 package ers
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"streamcount/internal/oracle"
@@ -35,36 +37,35 @@ type Result struct {
 
 // invocationTask is one outer invocation of StreamApproxClique
 // (Algorithm 3): sample R_2, learn its degrees, then run the level chain up
-// to R_r.
+// to R_r. R_2 is built straight into the chain's flat level arrays: the
+// second round writes each sampled edge's oriented endpoints into verts and,
+// into the same positions of degs, which of its Degree queries will answer
+// for them; the third round swaps those indices for the answers.
 type invocationTask struct {
-	p     Params
-	rng   *rand.Rand
+	chain levelChain
 	m     int64
-	gamma float64
 
-	state   int
-	s2      int64
-	omega1  float64
-	pairs   [][2]int64 // oriented sampled edges
-	verts   []int64    // unique vertices of pairs
-	chain   *chainTask
-	aborted bool
+	state  int
+	s2     int64
+	omega1 float64
 }
 
-func newInvocation(p Params, rng *rand.Rand, m int64) *invocationTask {
-	return &invocationTask{
-		p: p, rng: rng, m: m,
-		gamma:  p.Eps / (2 * float64(p.R)),
-		omega1: (1 - p.Eps/2) * p.L,
+// rr returns the invocation's R_r. A chain that aborted, died out or never
+// started holds some R_t with t < r (or nothing), which is not it.
+func (iv *invocationTask) rr() (verts, degs []int64) {
+	if c := &iv.chain; !c.aborted && c.t == c.env.p.R {
+		return c.verts, c.degs
 	}
+	return nil, nil
 }
 
-func (iv *invocationTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
+func (iv *invocationTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
+	env := iv.chain.env
 	switch iv.state {
 	case 0:
 		// s_2 = ⌈dg(R_1)·τ_2/ω̃_1 · SampleC⌉ with R_1 = E (dg(R_1) = 2m
 		// counting both orientations).
-		s2f := float64(2*iv.m) * iv.p.tau(2) / iv.omega1 * iv.p.SampleC
+		s2f := float64(2*iv.m) * env.p.tau(2) / iv.omega1 * env.p.SampleC
 		iv.s2 = int64(s2f)
 		if float64(iv.s2) < s2f {
 			iv.s2++
@@ -72,99 +73,56 @@ func (iv *invocationTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
 		if iv.s2 < 1 {
 			iv.s2 = 1
 		}
-		if iv.s2 > iv.p.MaxLevelSamples {
-			iv.aborted = true
-			return nil, true
+		if iv.s2 > env.p.MaxLevelSamples {
+			iv.chain.aborted = true
+			return dst, true
 		}
-		qs := make([]oracle.Query, iv.s2)
-		for i := range qs {
-			qs[i] = oracle.Query{Type: oracle.RandomEdge}
+		for i := int64(0); i < iv.s2; i++ {
+			dst = append(dst, oracle.Query{Type: oracle.RandomEdge})
 		}
 		iv.state = 1
-		return qs, false
+		return dst, false
 	case 1:
-		seen := make(map[int64]bool)
+		verts := env.arena.take(2 * len(prev))[:0]
+		degs := env.arena.take(2 * len(prev))[:0]
+		asked := make(map[int64]int64) // vertex -> index of its Degree query
 		for _, a := range prev {
 			if !a.OK {
 				continue
 			}
 			u, v := a.Edge.U, a.Edge.V
-			if iv.rng.Intn(2) == 0 {
+			if env.rng.Intn(2) == 0 {
 				u, v = v, u
 			}
-			iv.pairs = append(iv.pairs, [2]int64{u, v})
-			for _, x := range []int64{u, v} {
-				if !seen[x] {
-					seen[x] = true
-					iv.verts = append(iv.verts, x)
+			for _, x := range [2]int64{u, v} {
+				k, ok := asked[x]
+				if !ok {
+					k = int64(len(asked))
+					asked[x] = k
+					dst = append(dst, oracle.Query{Type: oracle.Degree, U: x})
 				}
+				verts, degs = append(verts, x), append(degs, k)
 			}
 		}
-		if len(iv.pairs) == 0 {
-			return nil, true
+		if len(verts) == 0 {
+			return dst, true
 		}
-		qs := make([]oracle.Query, len(iv.verts))
-		for i, v := range iv.verts {
-			qs[i] = oracle.Query{Type: oracle.Degree, U: v}
-		}
+		iv.chain.verts, iv.chain.degs = verts, degs
 		iv.state = 2
-		return qs, false
+		return dst, false
 	case 2:
-		deg := make(map[int64]int64, len(iv.verts))
-		for i, v := range iv.verts {
-			deg[v] = prev[i].Count
-		}
-		tuples := make([]tupleState, len(iv.pairs))
-		for i, pr := range iv.pairs {
-			tuples[i] = newTuple([]int64{pr[0], pr[1]}, []int64{deg[pr[0]], deg[pr[1]]})
+		degs := iv.chain.degs
+		for i, k := range degs {
+			degs[i] = prev[k].Count
 		}
 		// ω̃_2 = (1-γ)·ω̃_1·s_2/dg(R_1).
-		omega2 := (1 - iv.gamma) * iv.omega1 * float64(iv.s2) / float64(2*iv.m)
-		lc := newLevelChain(iv.p, iv.rng, iv.m, 2, tuples, omega2, iv.gamma)
-		iv.chain = &chainTask{chain: lc}
+		omega2 := (1 - env.gamma) * iv.omega1 * float64(iv.s2) / float64(2*iv.m)
+		iv.chain.start(env, 2, iv.chain.verts, degs, omega2)
 		iv.state = 3
-		return iv.chain.Step(nil)
+		return iv.chain.Step(nil, dst)
 	default:
-		qs, done := iv.chain.Step(prev)
-		if done {
-			iv.aborted = iv.chain.chain.aborted
-			return nil, true
-		}
-		return qs, false
+		return iv.chain.Step(prev, dst)
 	}
-}
-
-// actTask is one repetition ℓ of an activeness check StrAct(i, ⃗I, …)
-// (Algorithm 18): a level chain seeded with R_i = {⃗I}.
-type actTask struct {
-	chain *chainTask
-	level int
-	tauI  float64
-	p     Params
-}
-
-func newActTask(p Params, rng *rand.Rand, m int64, prefix tupleState) *actTask {
-	r := float64(p.R)
-	gammaAct := p.Eps / (8 * r * factorial(p.R))
-	level := len(prefix.verts)
-	omega := (1 - p.Eps/2) * p.tau(level)
-	lc := newLevelChain(p, rng, m, level, []tupleState{prefix}, omega, gammaAct)
-	return &actTask{chain: &chainTask{chain: lc}, level: level, tauI: p.tau(level), p: p}
-}
-
-func (at *actTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
-	return at.chain.Step(prev)
-}
-
-// vote returns χ_ℓ: 1 when ĉ_r(⃗I) = (Π dg)/(Π s)·|R_r| is at most τ_i/4
-// and the chain did not hit the cutoff.
-func (at *actTask) vote() bool {
-	lc := at.chain.chain
-	if lc.aborted {
-		return false
-	}
-	cHat := lc.dgProd / lc.sProd * float64(len(lc.tuples))
-	return cHat <= at.tauI/4
 }
 
 // Count runs the full streaming ERS algorithm (Theorem 2): q parallel
@@ -206,11 +164,13 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 	}
 
 	// Phase 1: q parallel invocations build their R_r chains.
-	invs := make([]*invocationTask, p.Q)
+	rf := float64(p.R)
+	invEnv := &chainEnv{p: p, rng: rng, gamma: p.Eps / (2 * rf)}
+	invs := make([]invocationTask, p.Q)
 	tasks := make([]transform.Task, p.Q)
 	for j := range invs {
-		invs[j] = newInvocation(p, rng, m)
-		tasks[j] = invs[j]
+		invs[j] = invocationTask{chain: levelChain{env: invEnv}, m: m, omega1: (1 - p.Eps/2) * p.L}
+		tasks[j] = &invs[j]
 	}
 	if _, err := transform.Run(r, tasks...); err != nil {
 		return nil, err
@@ -219,41 +179,45 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 	// Phase 2: build the assignment jobs for every invocation and run all
 	// their activeness chains in parallel rounds (StrIsAssigned/StrAct run
 	// under a single "parallel for" in the paper).
+	actEnv := &chainEnv{p: p, rng: rng, gamma: p.Eps / (8 * rf * factorial(p.R))}
 	jobs := make([]*assignJob, p.Q)
-	var actTasks []transform.Task
-	for j, iv := range invs {
-		var rr []tupleState
-		if !iv.aborted && iv.chain != nil {
-			rr = iv.chain.chain.tuples
-			if iv.chain.chain.maxState > res.MaxChainState {
-				res.MaxChainState = iv.chain.chain.maxState
+	nact := 0
+	for j := range invs {
+		iv := &invs[j]
+		if !iv.chain.aborted && iv.chain.maxState > res.MaxChainState {
+			res.MaxChainState = iv.chain.maxState
+		}
+		verts, degs := iv.rr()
+		jobs[j] = newAssignJob(actEnv, verts, degs, activeOverride)
+		nact += len(jobs[j].chains)
+	}
+	if nact > 0 {
+		tasks = make([]transform.Task, 0, nact)
+		for _, job := range jobs {
+			for i := range job.chains {
+				tasks = append(tasks, &job.chains[i])
 			}
 		}
-		jobs[j] = newAssignJob(p, rng, m, rr, activeOverride)
-		actTasks = append(actTasks, jobs[j].tasks()...)
-	}
-	if len(actTasks) > 0 {
-		if _, err := transform.Run(r, actTasks...); err != nil {
+		if _, err := transform.Run(r, tasks...); err != nil {
 			return nil, err
 		}
 	}
 
 	// Phase 3 (offline): per-invocation estimates and the median combine.
-	for j, iv := range invs {
+	for j := range invs {
+		iv := &invs[j]
 		res.S2Sizes = append(res.S2Sizes, iv.s2)
-		if iv.aborted {
+		if iv.chain.aborted {
 			res.Aborted++
 			res.PerInvocation = append(res.PerInvocation, 0)
 			res.RrSizes = append(res.RrSizes, 0)
 			continue
 		}
-		assignedCount := jobs[j].assignedCount()
-		rrLen := len(jobs[j].rr)
+		rrLen := len(jobs[j].rr) / p.R
 		res.RrSizes = append(res.RrSizes, rrLen)
 		est := 0.0
-		if rrLen > 0 && iv.chain != nil {
-			lc := iv.chain.chain
-			est = float64(2*m) / float64(iv.s2) * lc.dgProd / lc.sProd * float64(assignedCount)
+		if rrLen > 0 {
+			est = float64(2*m) / float64(iv.s2) * iv.chain.dgProd / iv.chain.sProd * float64(jobs[j].assignedCount())
 		}
 		res.PerInvocation = append(res.PerInvocation, est)
 	}
@@ -263,86 +227,117 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 	return res, nil
 }
 
-// assignJob holds one invocation's assignment work: the activeness groups
-// for every prefix of every ordering of every distinct clique in its R_r
-// (StrIsAssigned, Algorithm 17). Cliques and prefix groups are visited in
+// assignJob holds one invocation's assignment work: the activeness check of
+// every prefix of every ordering of every distinct clique in its R_r
+// (StrIsAssigned, Algorithm 17). Cliques and prefixes are numbered in
 // first-seen order (never map order): the activeness chains share the
 // invocation's RNG, so a nondeterministic visit order would reshuffle the
 // draw sequence and break the engine's fixed-seed reproducibility.
+//
+// Cliques and prefixes are keyed by their packed vertices. A prefix's QAct
+// repetitions of StrAct (Algorithm 18) — level chains seeded with
+// R_i = {⃗I} — sit side by side in chains, prefix-major, which is also the
+// order they run and draw in; the job's whole task state is that one slice.
 type assignJob struct {
-	p           Params
-	rr          []tupleState
-	cliques     map[string][]int64 // clique key -> sorted vertices
-	cliqueOrder []string           // deterministic iteration order
-	groups      map[string][]*actTask
-	groupOrder  []string // deterministic iteration order
-	override    func([]int64) bool
-	active      map[string]bool
+	env    *chainEnv
+	rr     []int64 // R_r, stride r
+	clique []int32 // tuple of R_r -> its clique's number
+	sorted []int64 // clique number -> its vertices ascending, stride r
+
+	prefixes map[string]int32 // packed ⃗I -> prefix number
+	active   []bool           // prefix number -> activeness: the override's answer, or assignedCount's vote
+	level    []int            // prefix number -> |⃗I| (empty when overridden)
+	chains   []levelChain     // prefix number -> its repetitions, QAct each
 }
 
-func newAssignJob(p Params, rng *rand.Rand, m int64, rr []tupleState, override func([]int64) bool) *assignJob {
-	j := &assignJob{
-		p: p, rr: rr,
-		cliques:  make(map[string][]int64),
-		groups:   make(map[string][]*actTask),
-		override: override,
-		active:   make(map[string]bool),
+// appendKey packs vertices onto a map key.
+func appendKey(key []byte, vs []int64) []byte {
+	for _, v := range vs {
+		key = binary.LittleEndian.AppendUint64(key, uint64(v))
 	}
-	deg := make(map[int64]int64)
-	for _, t := range rr {
-		for i, v := range t.verts {
-			deg[v] = t.degs[i]
-		}
-	}
-	for _, t := range rr {
-		k := cliqueKey(t.verts)
-		if _, ok := j.cliques[k]; ok {
-			continue
-		}
-		s := append([]int64(nil), t.verts...)
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-		j.cliques[k] = s
-		j.cliqueOrder = append(j.cliqueOrder, k)
-	}
-	for _, ck := range j.cliqueOrder {
-		forEachPermutation(j.cliques[ck], func(perm []int64) {
-			for i := 2; i < p.R; i++ {
-				pk := prefixKey(perm[:i])
-				if override != nil {
-					if _, ok := j.active[pk]; !ok {
-						j.active[pk] = override(perm[:i])
-					}
-					continue
-				}
-				if _, ok := j.groups[pk]; ok {
-					continue
-				}
-				gdegs := make([]int64, i)
-				for x := 0; x < i; x++ {
-					gdegs[x] = deg[perm[x]]
-				}
-				prefix := newTuple(append([]int64(nil), perm[:i]...), gdegs)
-				reps := make([]*actTask, p.QAct)
-				for rep := 0; rep < p.QAct; rep++ {
-					reps[rep] = newActTask(p, rng, m, prefix)
-				}
-				j.groups[pk] = reps
-				j.groupOrder = append(j.groupOrder, pk)
+	return key
+}
+
+func newAssignJob(env *chainEnv, rr, rrDegs []int64, override func([]int64) bool) *assignJob {
+	r := env.p.R
+	j := &assignJob{env: env, rr: rr, prefixes: make(map[string]int32)}
+
+	// Number the distinct cliques of R_r. A clique keeps its first tuple's
+	// degrees, sorted along with the vertices; every tuple reports the same
+	// degree for a vertex.
+	var (
+		sortedDegs []int64
+		key        []byte
+		cliques    = make(map[string]int32)
+		vs, ds     = make([]int64, r), make([]int64, r)
+	)
+	for i := 0; i < len(rr); i += r {
+		copy(vs, rr[i:i+r])
+		copy(ds, rrDegs[i:i+r])
+		for a := 1; a < r; a++ { // insertion sort: r is tiny
+			for b := a; b > 0 && vs[b] < vs[b-1]; b-- {
+				vs[b], vs[b-1] = vs[b-1], vs[b]
+				ds[b], ds[b-1] = ds[b-1], ds[b]
 			}
-		})
+		}
+		key = appendKey(key[:0], vs)
+		c, ok := cliques[string(key)]
+		if !ok {
+			c = int32(len(cliques))
+			cliques[string(key)] = c
+			j.sorted = append(j.sorted, vs...)
+			sortedDegs = append(sortedDegs, ds...)
+		}
+		j.clique = append(j.clique, c)
+	}
+
+	// Number the distinct prefixes, and collect the seed tuple of each one's
+	// activeness check: its vertices, then their degrees.
+	var seeds []int64
+	ord := make([]int, r)
+	for c := 0; c < len(j.sorted); c += r {
+		for more := firstPermutation(ord); more; more = nextPermutation(ord) {
+			for i := 2; i < r; i++ {
+				for x, o := range ord[:i] {
+					vs[x], ds[x] = j.sorted[c+o], sortedDegs[c+o]
+				}
+				key = appendKey(key[:0], vs[:i])
+				if _, ok := j.prefixes[string(key)]; ok {
+					continue
+				}
+				j.prefixes[string(key)] = int32(len(j.prefixes))
+				if override != nil {
+					j.active = append(j.active, override(vs[:i]))
+					continue
+				}
+				j.level = append(j.level, i)
+				seeds = append(append(seeds, vs[:i]...), ds[:i]...)
+			}
+		}
+	}
+	if override != nil {
+		return j
+	}
+	j.active = make([]bool, len(j.level))
+	j.chains = make([]levelChain, len(j.level)*env.p.QAct)
+	reps := j.chains
+	for _, i := range j.level {
+		verts, degs := seeds[:i:i], seeds[i:2*i:2*i]
+		seeds = seeds[2*i:]
+		omega := (1 - env.p.Eps/2) * env.p.tau(i)
+		for rep := range reps[:env.p.QAct] {
+			reps[rep].start(env, i, verts, degs, omega)
+		}
+		reps = reps[env.p.QAct:]
 	}
 	return j
 }
 
-// tasks returns the activeness chains to run (empty when overridden).
-func (j *assignJob) tasks() []transform.Task {
-	var ts []transform.Task
-	for _, pk := range j.groupOrder {
-		for _, at := range j.groups[pk] {
-			ts = append(ts, at)
-		}
-	}
-	return ts
+// vote returns χ_ℓ of one repetition of an activeness check: 1 when
+// ĉ_r(⃗I) = (Π dg)/(Π s)·|R_r| is at most limit = τ_i/4 and the chain did not
+// hit the cutoff.
+func (c *levelChain) vote(limit float64) bool {
+	return !c.aborted && c.dgProd/c.sProd*float64(c.size()) <= limit
 }
 
 // assignedCount finalizes activeness votes and counts the assigned tuples
@@ -350,90 +345,76 @@ func (j *assignJob) tasks() []transform.Task {
 // of its clique whose every prefix (lengths 2..r-1) is active (Algorithm
 // 15's semantics; see DESIGN.md on the Algorithm 17 discrepancy).
 func (j *assignJob) assignedCount() int64 {
-	for pk, reps := range j.groups {
+	r, qact := j.env.p.R, j.env.p.QAct
+	for p, i := range j.level {
+		limit := j.env.p.tau(i) / 4
 		votes := 0
-		for _, at := range reps {
-			if at.vote() {
+		for rep := range j.chains[p*qact : (p+1)*qact] {
+			if j.chains[p*qact+rep].vote(limit) {
 				votes++
 			}
 		}
-		j.active[pk] = votes*2 >= len(reps)
+		j.active[p] = votes*2 >= qact
 	}
-	assignedOrder := make(map[string][]int64)
-	for k, sorted := range j.cliques {
-		var winner []int64
-		forEachPermutationUntil(sorted, func(perm []int64) bool {
-			for i := 2; i < j.p.R; i++ {
-				if !j.active[prefixKey(perm[:i])] {
-					return false
+	// assigned holds each clique's assigned ordering, if it has one;
+	// permutations of the ascending vertices arrive in lexicographic order.
+	assigned := make([]int64, len(j.sorted))
+	has := make([]bool, len(j.sorted)/r)
+	var key []byte
+	ord := make([]int, r)
+	for c := 0; c < len(j.sorted); c += r {
+		perm := assigned[c : c+r]
+	search:
+		for more := firstPermutation(ord); more; more = nextPermutation(ord) {
+			for x, o := range ord {
+				perm[x] = j.sorted[c+o]
+			}
+			for i := 2; i < r; i++ {
+				key = appendKey(key[:0], perm[:i])
+				if !j.active[j.prefixes[string(key)]] {
+					continue search
 				}
 			}
-			winner = append([]int64(nil), perm...)
-			return true // permutations arrive in lex order
-		})
-		assignedOrder[k] = winner
+			has[c/r] = true
+			break
+		}
 	}
 	var count int64
-	for _, t := range j.rr {
-		if w := assignedOrder[cliqueKey(t.verts)]; w != nil && equalInt64(w, t.verts) {
+	for t, c := range j.clique {
+		if has[c] && slices.Equal(assigned[int(c)*r:(int(c)+1)*r], j.rr[t*r:(t+1)*r]) {
 			count++
 		}
 	}
 	return count
 }
 
-func cliqueKey(vs []int64) string {
-	s := append([]int64(nil), vs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return fmt.Sprint(s)
-}
-
-func prefixKey(pfx []int64) string { return fmt.Sprint(pfx) }
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+// firstPermutation sets ord to the identity, the lexicographically first
+// permutation of 0..len(ord)-1, and reports true: with nextPermutation it
+// makes a for loop over all of them.
+func firstPermutation(ord []int) bool {
+	for i := range ord {
+		ord[i] = i
 	}
 	return true
 }
 
-// forEachPermutation visits all permutations of sorted in lexicographic
-// order.
-func forEachPermutation(sorted []int64, fn func(perm []int64)) {
-	forEachPermutationUntil(sorted, func(p []int64) bool { fn(p); return false })
-}
-
-// forEachPermutationUntil visits permutations of the (ascending) input in
-// lexicographic order until fn returns true. fn must not retain perm.
-func forEachPermutationUntil(sorted []int64, fn func(perm []int64) bool) {
-	n := len(sorted)
-	perm := make([]int64, n)
-	used := make([]bool, n)
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == n {
-			return fn(perm)
-		}
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			used[i] = true
-			perm[k] = sorted[i]
-			stop := rec(k + 1)
-			used[i] = false
-			if stop {
-				return true
-			}
-		}
+// nextPermutation advances ord to its lexicographic successor in place and
+// reports whether there was one.
+func nextPermutation(ord []int) bool {
+	i := len(ord) - 2
+	for i >= 0 && ord[i] > ord[i+1] {
+		i--
+	}
+	if i < 0 {
 		return false
 	}
-	rec(0)
+	k := len(ord) - 1
+	for ord[k] < ord[i] {
+		k--
+	}
+	ord[i], ord[k] = ord[k], ord[i]
+	slices.Reverse(ord[i+1:])
+	return true
 }
 
 func median(xs []float64) float64 {

@@ -3,6 +3,7 @@ package ers
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamcount/internal/exact"
@@ -221,21 +222,24 @@ func TestCountAbortOnSampleCutoff(t *testing.T) {
 	}
 }
 
+// assignEnv is the environment of an assignment job under an activeness
+// override, which starts no chains.
+func assignEnv(t *testing.T, p Params) *chainEnv {
+	return &chainEnv{p: mustDefaults(t, p), rng: rand.New(rand.NewSource(1))}
+}
+
 func TestAssignmentRuleOnePerClique(t *testing.T) {
 	// With all prefixes active, exactly the sorted (lex-min) ordering of
 	// each clique is assigned.
-	p := mustDefaults(t, Params{R: 3, Lambda: 2, Eps: 0.4, L: 5})
-	rr := []tupleState{
-		newTuple([]int64{3, 1, 2}, []int64{5, 5, 5}),
-		newTuple([]int64{1, 2, 3}, []int64{5, 5, 5}),
-		newTuple([]int64{2, 1, 3}, []int64{5, 5, 5}),
-	}
-	job := newAssignJob(p, rand.New(rand.NewSource(1)), 100, rr, func([]int64) bool { return true })
+	env := assignEnv(t, Params{R: 3, Lambda: 2, Eps: 0.4, L: 5})
+	rr := []int64{3, 1, 2, 1, 2, 3, 2, 1, 3}
+	degs := []int64{5, 5, 5, 5, 5, 5, 5, 5, 5}
+	job := newAssignJob(env, rr, degs, func([]int64) bool { return true })
 	if got := job.assignedCount(); got != 1 {
 		t.Errorf("assigned %d of 3 orderings of the same clique, want 1", got)
 	}
 	// And with no prefix active, none are assigned.
-	job = newAssignJob(p, rand.New(rand.NewSource(1)), 100, rr, func([]int64) bool { return false })
+	job = newAssignJob(env, rr, degs, func([]int64) bool { return false })
 	if got := job.assignedCount(); got != 0 {
 		t.Errorf("assigned %d with all-inactive prefixes, want 0", got)
 	}
@@ -244,31 +248,30 @@ func TestAssignmentRuleOnePerClique(t *testing.T) {
 func TestAssignmentLexMinActive(t *testing.T) {
 	// Only orderings starting with prefix (2,x) are active: the assigned
 	// ordering must be the lex-min among those, i.e. (2,1,3).
-	p := mustDefaults(t, Params{R: 3, Lambda: 2, Eps: 0.4, L: 5})
-	rr := []tupleState{
-		newTuple([]int64{1, 2, 3}, []int64{5, 5, 5}),
-		newTuple([]int64{2, 1, 3}, []int64{5, 5, 5}),
-	}
+	env := assignEnv(t, Params{R: 3, Lambda: 2, Eps: 0.4, L: 5})
+	rr := []int64{1, 2, 3, 2, 1, 3}
+	degs := []int64{5, 5, 5, 5, 5, 5}
 	act := func(prefix []int64) bool { return prefix[0] == 2 }
-	job := newAssignJob(p, rand.New(rand.NewSource(1)), 100, rr, act)
+	job := newAssignJob(env, rr, degs, act)
 	if got := job.assignedCount(); got != 1 {
 		t.Errorf("assignedCount=%d, want 1 (only (2,1,3) assigned)", got)
 	}
 }
 
 func TestPermutationsLexOrder(t *testing.T) {
-	var got [][]int64
-	forEachPermutation([]int64{1, 2, 3}, func(p []int64) {
-		got = append(got, append([]int64(nil), p...))
-	})
-	want := [][]int64{
-		{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1},
+	var got [][]int
+	ord := make([]int, 3)
+	for more := firstPermutation(ord); more; more = nextPermutation(ord) {
+		got = append(got, slices.Clone(ord))
+	}
+	want := [][]int{
+		{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d permutations, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !equalInt64(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Errorf("perm %d = %v, want %v", i, got[i], want[i])
 		}
 	}
@@ -304,5 +307,47 @@ func TestDegeneracyScalingSpace(t *testing.T) {
 	want := math.Pow(8.0/2.0, 2) // λ^{r-2}
 	if math.Abs(ratio-want) > 1e-9 {
 		t.Errorf("τ_2 ratio %g, want λ-ratio^{r-2} = %g", ratio, want)
+	}
+}
+
+func TestCountAbortOnFirstChainStep(t *testing.T) {
+	// The cap sits between s_2 and s_3: R_2 is sampled, and the level chain
+	// aborts on its very first step. Such an invocation used to pass for a
+	// finished one, its R_2 for R_r: sampled edges counted as triangles at
+	// r = 3, and a slice-bounds panic in the assignment job beyond.
+	for _, r := range []int{3, 4} {
+		g := baWithCliques(3, 300, 3, int64(r), 30)
+		count := func(p Params) *Result {
+			res, err := Count(oracle.NewDirect(g, oracle.Augmented, rand.New(rand.NewSource(1))), p, rand.New(rand.NewSource(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		// s_3 ≈ s_2·(mean dg of a sampled edge)·τ_3/τ_2, so thresholds this
+		// flat make it exceed s_2.
+		p := Params{R: r, Lambda: 1, Eps: 0.4, L: 45, TauC: 1, SampleC: 1}
+		p.MaxLevelSamples = count(p).S2Sizes[0]
+		res := count(p)
+		if res.Aborted != len(res.PerInvocation) || res.Estimate != 0 {
+			t.Errorf("r=%d: %d of %d invocations aborted, estimate %v; want all, 0", r, res.Aborted, len(res.PerInvocation), res.Estimate)
+		}
+		for j, est := range res.PerInvocation {
+			if est != 0 || res.RrSizes[j] != 0 {
+				t.Errorf("r=%d: aborted invocation %d reports estimate %v from |R_r| = %d", r, j, est, res.RrSizes[j])
+			}
+		}
+	}
+}
+
+func TestChainDiesOutOnZeroDegrees(t *testing.T) {
+	// dg(R_t) = 0 cannot come from a consistent oracle — a sampled vertex
+	// has an edge — but the chain must end there, with an empty R_t, rather
+	// than draw from an empty range.
+	env := &chainEnv{p: mustDefaults(t, Params{R: 3, Lambda: 2, Eps: 0.4, L: 5}), rng: rand.New(rand.NewSource(1))}
+	var c levelChain
+	c.start(env, 2, []int64{1, 2, 3, 4}, []int64{0, 7, 5, 0}, 1)
+	if qs, done := c.Step(nil, nil); !done || len(qs) != 0 || c.size() != 0 || c.aborted {
+		t.Errorf("chain over dg(R_2) = 0: %d queries, done %v, |R_t| = %d, aborted %v", len(qs), done, c.size(), c.aborted)
 	}
 }

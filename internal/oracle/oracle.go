@@ -104,7 +104,11 @@ func (m Model) String() string {
 // round; for streaming runners it is one pass over the input stream.
 type Runner interface {
 	// Round answers all queries in the batch. The answer slice is parallel
-	// to the query slice.
+	// to the query slice. It may be the runner's own buffer, filled again
+	// by every round: answers are valid until the next Round, BeginRound or
+	// ResumeRound on the runner, or its release to a pool, and a caller
+	// that needs one for longer copies it. The runner keeps queries no
+	// longer than the round.
 	Round(queries []Query) ([]Answer, error)
 	// Model reports which f3 flavour the runner supports.
 	Model() Model
@@ -141,7 +145,9 @@ type PassRunner interface {
 	// ConsumeBatch consumes one batch of the round's single pass.
 	ConsumeBatch(batch []stream.Update) error
 	// EndRound completes the round and returns the answers, parallel to the
-	// queries registered by BeginRound.
+	// queries registered by BeginRound and valid for as long as Round's: a
+	// scheduler hands them to the round's caller before it begins that
+	// runner's next round.
 	EndRound() ([]Answer, error)
 	// SnapshotRound captures the complete per-query state of the in-flight
 	// round, positioned between two ConsumeBatch calls. The snapshot is

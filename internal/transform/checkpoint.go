@@ -102,6 +102,7 @@ func (r *InsertionRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 		return fmt.Errorf("transform: ResumeRound: fromVersion %d != checkpoint position %d", fromVersion, c.m)
 	}
 	r.AbortRound()
+	expireAnswers(r.answers)
 	r.rounds++
 	r.queries += int64(len(c.queries))
 	// Mirror BeginRound's space accounting and RNG draws (one reservoir
@@ -250,6 +251,7 @@ func (r *TurnstileRunner) ResumeRound(cp oracle.RoundCheckpoint, fromVersion int
 		return err
 	}
 	r.AbortRound()
+	expireAnswers(r.answers)
 	r.rounds++
 	r.queries += int64(len(c.queries))
 	// Mirror BeginRound's RNG draws (fingerprint base, then one seed per

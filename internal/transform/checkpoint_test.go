@@ -2,6 +2,7 @@ package transform
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +50,8 @@ func feedAll(t *testing.T, r oracle.PassRunner, qs []oracle.Query, ups []stream.
 	return feedSuffix(t, r, ups)
 }
 
-// feedSuffix feeds ups into an already-begun round and ends it.
+// feedSuffix feeds ups into an already-begun round and ends it. It returns a
+// copy of the answers, which the tests compare across the runner's rounds.
 func feedSuffix(t *testing.T, r oracle.PassRunner, ups []stream.Update) []oracle.Answer {
 	t.Helper()
 	for len(ups) > 0 {
@@ -66,7 +68,7 @@ func feedSuffix(t *testing.T, r oracle.PassRunner, ups []stream.Update) []oracle
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ans
+	return slices.Clone(ans)
 }
 
 func sameAnswers(t *testing.T, label string, want, got []oracle.Answer) {

@@ -113,6 +113,7 @@ type IndexedRunner struct {
 	queries int64
 	space   int64
 	scratch *sketch.Reservoir // reused across RandomEdge answers, re-armed by Reset
+	answers []oracle.Answer   // Round's result, the caller's until the next round
 }
 
 // IndexedRunner answers rounds directly; it has no pass lifecycle.
@@ -151,7 +152,9 @@ func (r *IndexedRunner) Round(queries []oracle.Query) ([]oracle.Answer, error) {
 	r.rounds++
 	r.queries += int64(len(queries))
 	v := r.v
-	answers := make([]oracle.Answer, len(queries))
+	expireAnswers(r.answers)
+	answers := answerBuffer(r.answers, len(queries))
+	r.answers = answers
 	for i, q := range queries {
 		switch q.Type {
 		case oracle.CountEdges:

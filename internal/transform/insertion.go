@@ -64,6 +64,7 @@ type InsertionRunner struct {
 	grp        *par.Group // round-scoped worker group when curP > 1
 	batchEdges []graph.Edge
 	batchKeys  []uint64
+	answers    []oracle.Answer // EndRound's result, the caller's until the next round
 }
 
 // InsertionRunner implements the session engine's round lifecycle.
@@ -215,6 +216,30 @@ func dirtyInsRunner(r *InsertionRunner) {
 	}
 	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
+	smearAnswers(r.answers)
+}
+
+// answerBuffer returns buf resized to hold one round's n answers, to be
+// assigned in full. It is the runner's own buffer, handed out again round
+// after round: the answers of a round are valid until the runner's next
+// Round, BeginRound, ResumeRound or Release (oracle.Runner).
+func answerBuffer(buf []oracle.Answer, n int) []oracle.Answer {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// expireAnswers is called where a round starts and the previous round's
+// answers stop being valid. Under pool.DebugDirty it smears them with
+// plausible-looking sentinels, so that a caller which reads answers late
+// fails the pool-hygiene suite instead of passing for as long as the buffer
+// happens not to be overwritten.
+func expireAnswers(buf []oracle.Answer) {
+	if pool.DebugMode() == pool.DebugDirty {
+		smearAnswers(buf)
+	}
+}
+
+func smearAnswers(buf []oracle.Answer) {
+	pool.Dirty(buf, oracle.Answer{OK: true, Count: -0x5a5a5a, Edge: graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a}, Yes: true})
 }
 
 // NewInsertionRunner wraps the stream. The stream must be insertion-only.
@@ -340,6 +365,7 @@ func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
 	if len(queries) > math.MaxInt32 {
 		return fmt.Errorf("transform: %d queries in one round exceed the int32 query index", len(queries))
 	}
+	expireAnswers(r.answers)
 	r.rounds++
 	r.queries += int64(len(queries))
 	r.inRound = true
@@ -505,12 +531,15 @@ func (r *InsertionRunner) ConsumeBatch(batch []stream.Update) error {
 }
 
 // EndRound implements oracle.PassRunner: the merge is sequential, in query
-// order, so answer assembly never depends on the worker count.
+// order, so answer assembly never depends on the worker count. Every query
+// assigns its answer — BeginRound refused the types that would not — so the
+// buffer is not cleared first.
 func (r *InsertionRunner) EndRound() ([]oracle.Answer, error) {
 	queries := r.curQueries
 	n := r.st.N()
 	m := r.curM
-	answers := make([]oracle.Answer, len(queries))
+	answers := answerBuffer(r.answers, len(queries))
+	r.answers = answers
 	for i, q := range queries {
 		switch q.Type {
 		case oracle.CountEdges:

@@ -25,24 +25,28 @@ import (
 )
 
 // Task is a round-adaptive computation (Definition 8). Step is called with
-// the answers to the task's previous query batch (nil on the first call) and
-// returns the next batch. When done is true the task has finished and
-// queries must be empty.
+// the answers to the task's previous query batch (nil on the first call),
+// appends its next batch to dst and returns the extended slice. When done is
+// true the task has finished and must have appended nothing. prev is the
+// runner's own buffer (oracle.Runner.Round): a task copies what it needs
+// beyond this call. dst is the executor's batch; its earlier elements are
+// other tasks' queries.
 type Task interface {
-	Step(prev []oracle.Answer) (queries []oracle.Query, done bool)
+	Step(prev []oracle.Answer, dst []oracle.Query) (queries []oracle.Query, done bool)
 }
 
 // runScratch is one Run call's round buffers: the batch handed to the
-// runner and, per contributing task, where its queries sit in it. Runners
+// runner and, per unfinished task, where its queries sit in it. Runners
 // keep a batch only until the round ends (checkpoints copy it), so the
 // buffers are refilled round after round and recycled across Run calls —
-// ERS calls Run once per phase with rounds of 10⁵ queries.
+// ERS calls Run once per phase with rounds of 10⁵ queries from 10⁴ tasks.
 type runScratch struct {
 	batch []oracle.Query
 	spans []runSpan
 }
 
-// runSpan says that task slot task asked batch[start:end].
+// runSpan says that unfinished task number task asked batch[start:end], and
+// so is answered by answers[start:end].
 type runSpan struct {
 	task, start, end int
 }
@@ -57,56 +61,46 @@ var runScratchPool = pool.New(
 )
 
 // Run executes the tasks against the runner, batching each round's queries
-// from all unfinished tasks into a single Round call. It returns the number
-// of rounds consumed.
+// from all unfinished tasks into a single Round call: every task appends
+// straight to the one batch. It returns the number of rounds consumed.
 func Run(r oracle.Runner, tasks ...Task) (rounds int64, err error) {
-	type slot struct {
-		task Task
-		prev []oracle.Answer
-		done bool
-	}
-	slots := make([]slot, len(tasks))
-	for i, t := range tasks {
-		slots[i].task = t
-	}
 	sc := runScratchPool.Get()
-	remaining := len(slots)
-	for remaining > 0 {
-		batch, spans := sc.batch[:0], sc.spans[:0]
-		for i := range slots {
-			s := &slots[i]
-			if s.done {
-				continue
-			}
-			qs, done := s.task.Step(s.prev)
-			s.prev = nil
+	// An unfinished task always asked something, so the unfinished tasks are
+	// exactly the last round's spans, in task order; before the first round
+	// every task has an empty span of no answers.
+	live := sc.spans[:0]
+	for i := range tasks {
+		live = append(live, runSpan{task: i})
+	}
+	var answers []oracle.Answer
+	for {
+		batch := sc.batch[:0]
+		next := live[:0] // filtered in place: never ahead of the span being read
+		for _, sp := range live {
+			start := len(batch)
+			var done bool
+			batch, done = tasks[sp.task].Step(answers[sp.start:sp.end], batch)
+			n := len(batch) - start
 			if done {
-				if len(qs) != 0 {
-					return rounds, fmt.Errorf("transform: task returned %d queries with done=true", len(qs))
+				if n != 0 {
+					return rounds, fmt.Errorf("transform: task returned %d queries with done=true", n)
 				}
-				s.done = true
-				remaining--
 				continue
 			}
-			if len(qs) == 0 {
+			if n <= 0 {
 				return rounds, fmt.Errorf("transform: task returned no queries but is not done")
 			}
-			start := len(batch)
-			batch = append(batch, qs...)
-			spans = append(spans, runSpan{i, start, len(batch)})
+			next = append(next, runSpan{sp.task, start, len(batch)})
 		}
-		sc.batch, sc.spans = batch, spans
-		if len(batch) == 0 {
-			continue
+		live = next
+		sc.batch, sc.spans = batch, live
+		if len(live) == 0 {
+			break
 		}
-		answers, err := r.Round(batch)
-		if err != nil {
+		if answers, err = r.Round(batch); err != nil {
 			return rounds, err
 		}
 		rounds++
-		for _, sp := range spans {
-			slots[sp.task].prev = answers[sp.start:sp.end]
-		}
 	}
 	// Released on success only, like the runners (DESIGN.md §12): after a
 	// failed round the runner may still hold the batch.
@@ -115,10 +109,12 @@ func Run(r oracle.Runner, tasks ...Task) (rounds int64, err error) {
 }
 
 // FuncTask adapts a step function to the Task interface.
-type FuncTask func(prev []oracle.Answer) ([]oracle.Query, bool)
+type FuncTask func(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool)
 
 // Step implements Task.
-func (f FuncTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) { return f(prev) }
+func (f FuncTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
+	return f(prev, dst)
+}
 
 // StagesTask builds a Task from a fixed sequence of stages. Stage i receives
 // the answers to stage i-1's queries (nil for stage 0) and returns stage
@@ -136,15 +132,15 @@ func NewStages(stages ...func(prev []oracle.Answer) []oracle.Query) *StagesTask 
 }
 
 // Step implements Task.
-func (t *StagesTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
+func (t *StagesTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
 	if t.next >= len(t.stages) {
-		return nil, true
+		return dst, true
 	}
 	qs := t.stages[t.next](prev)
 	t.next++
 	if len(qs) == 0 {
 		t.next = len(t.stages)
-		return nil, true
+		return dst, true
 	}
-	return qs, false
+	return append(dst, qs...), false
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamcount/internal/gen"
 	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
+	"streamcount/internal/pool"
 	"streamcount/internal/sketch"
 	"streamcount/internal/stream"
 )
@@ -346,23 +348,24 @@ func TestTurnstileRandomEdgeNearUniform(t *testing.T) {
 	}
 }
 
-// rememberTask records answers for inspection.
+// rememberTask records answers for inspection. It copies them: a round's
+// answers are the runner's until its next round.
 type rememberTask struct {
 	batches [][]oracle.Query
 	seen    [][]oracle.Answer
 	step    int
 }
 
-func (r *rememberTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
+func (r *rememberTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
 	if prev != nil {
-		r.seen = append(r.seen, prev)
+		r.seen = append(r.seen, slices.Clone(prev))
 	}
 	if r.step >= len(r.batches) {
-		return nil, true
+		return dst, true
 	}
-	b := r.batches[r.step]
+	dst = append(dst, r.batches[r.step]...)
 	r.step++
-	return b, false
+	return dst, false
 }
 
 func TestRunParallelRoundCount(t *testing.T) {
@@ -428,12 +431,12 @@ func TestStagesTask(t *testing.T) {
 // badTask violates the executor contract in configurable ways.
 type badTask struct{ mode int }
 
-func (b *badTask) Step(prev []oracle.Answer) ([]oracle.Query, bool) {
+func (b *badTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
 	switch b.mode {
 	case 0: // queries together with done=true
-		return []oracle.Query{{Type: oracle.CountEdges}}, true
+		return append(dst, oracle.Query{Type: oracle.CountEdges}), true
 	default: // no queries but not done
-		return nil, false
+		return dst, false
 	}
 }
 
@@ -629,4 +632,60 @@ func TestRoundContextCancelBetweenBatches(t *testing.T) {
 			t.Errorf("post-cancel round m=%d, want %d", a[0].Count, n-1)
 		}
 	})
+}
+
+// TestAnswersExpireAtNextRound pins the answer-lifetime rule of
+// oracle.Runner.Round: a round's answers are the runner's buffer, and under
+// pool.DebugDirty the next round smears it before refilling it, so a caller
+// that reads a previous round's answers late reads sentinels — never the old
+// values that an untouched tail of the buffer would otherwise still show.
+func TestAnswersExpireAtNextRound(t *testing.T) {
+	defer pool.SetDebug(pool.SetDebug(pool.DebugDirty))
+	g := gen.Complete(6)
+	st := stream.FromGraph(g)
+	first := []oracle.Query{q(oracle.CountEdges), q(oracle.Degree, 1), q(oracle.Degree, 2), q(oracle.Adjacent, 0, 1)}
+	second := first[:1]
+
+	ins, err := NewInsertionRunner(st, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewPrefixIndex(st.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ForEachBatch(ix.Extend); err != nil {
+		t.Fatal(err)
+	}
+	indexed, err := NewIndexedRunner(ix, ix.Extent(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := map[string]oracle.Runner{
+		"insertion": ins,
+		"turnstile": NewTurnstileRunner(st, rand.New(rand.NewSource(1))),
+		"indexed":   indexed,
+	}
+	for name, r := range runners {
+		late, err := r.Round(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(late)
+		if want[0].Count != 15 || want[1].Count != 5 || !want[3].Yes {
+			t.Fatalf("%s: first round answers %+v", name, want)
+		}
+		now, err := r.Round(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(now) != 1 || now[0] != want[0] {
+			t.Errorf("%s: second round answers %+v, want [%+v]", name, now, want[0])
+		}
+		for i := len(second); i < len(first); i++ {
+			if late[i] == want[i] || !late[i].OK || late[i].Count != -0x5a5a5a {
+				t.Errorf("%s: answer %d of the expired round reads %+v, want the sentinel", name, i, late[i])
+			}
+		}
+	}
 }

@@ -78,6 +78,7 @@ type TurnstileRunner struct {
 	edgeFeed     []sketch.FeedEntry
 	tasks        []samplerTask
 	scratch      []sketch.L0Scratch // UpdateFeed working memory, one per worker
+	answers      []oracle.Answer    // EndRound's result, the caller's until the next round
 }
 
 // TurnstileRunner implements the session engine's round lifecycle.
@@ -174,6 +175,7 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
 	pool.DirtyInt64(r.batchDelta)
+	smearAnswers(r.answers)
 }
 
 func smearFeed(feed []sketch.FeedEntry) {
@@ -366,6 +368,7 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 	if err := checkUniverse(r.st.N()); err != nil {
 		return err
 	}
+	expireAnswers(r.answers)
 	r.rounds++
 	r.queries += int64(len(queries))
 	r.inRound = true
@@ -544,8 +547,10 @@ func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 
 	r.flushFeeds()
 
-	// ---- Merge (sequential, in query order). ----
-	answers := make([]oracle.Answer, len(queries))
+	// ---- Merge (sequential, in query order). Every query assigns its
+	// answer, so the buffer is not cleared first. ----
+	answers := answerBuffer(r.answers, len(queries))
+	r.answers = answers
 	for i, q := range queries {
 		switch q.Type {
 		case oracle.CountEdges:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streamcount"
+	"streamcount/internal/gen"
 )
 
 // estimateAt runs Estimate on st with the given trial budget and
@@ -136,6 +137,27 @@ func TestInsertionEstimateGolden(t *testing.T) {
 		const wantValue, wantPasses, wantQueries, wantSpace = 155.25414744917524, 7, 403744, 556398
 		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
 			t.Errorf("K3 parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
+				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
+		}
+	}
+
+	// One K4 chain, recorded on the commit before the ERS chains moved to
+	// flat level arrays (ISSUE 18): it has the levels a triangle count lacks —
+	// activeness chains that start at length-2 and length-3 prefixes and
+	// extend more than once.
+	krng := rand.New(rand.NewSource(7))
+	kg := gen.PlantCliques(krng, gen.BarabasiAlbert(krng, 80, 2), 4, 6)
+	lambda, _ = streamcount.Degeneracy(kg)
+	for _, par := range []int{1, 2, 3} {
+		got, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(kg), streamcount.CliqueQuery(4,
+			streamcount.WithLambda(lambda), streamcount.WithEpsilon(0.5), streamcount.WithLowerBound(6),
+			streamcount.WithSeed(6), streamcount.WithParallelism(par)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantValue, wantPasses, wantQueries, wantSpace = 5.437329317899849, 11, 2779991, 4224168
+		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
+			t.Errorf("K4 parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
 				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
 		}
 	}
