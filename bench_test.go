@@ -11,9 +11,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -607,6 +610,78 @@ func BenchmarkStreamPassThroughput(b *testing.B) {
 			b.Fatalf("replayed %d of %d updates", cnt, st.Len())
 		}
 	}
+}
+
+// BenchmarkStreamPassFile measures one replay of a file-backed stream — the
+// insert-count workload's 100k-line file, edges in random order — from the
+// block read to the parsed update batches. The read buffer and the batch come from a pool, so a pass
+// allocates only what opening the file does.
+func BenchmarkStreamPassFile(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	path := filepath.Join(b.TempDir(), "stream.txt")
+	if err := stream.WriteFile(path, stream.Shuffled(stream.FromGraph(gen.ErdosRenyiGNM(rng, 2000, 100000)), rng)); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := stream.OpenFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(info.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var cnt int64
+		if err := st.ForEachBatch(func(batch []stream.Update) error {
+			cnt += int64(len(batch))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if cnt != st.Len() {
+			b.Fatalf("replayed %d of %d updates", cnt, st.Len())
+		}
+	}
+}
+
+// BenchmarkReservoirBankSweep offers a 100k-key stream in DefaultBatchSize
+// batches to 20 000 bank slots — the reservoirs of one insert-count round —
+// and reports the cost per accept. Accepts are counted off to the side: a
+// slot's accept positions depend only on its seed, through the draws of
+// rand.New(sketch.NewSplitMix64(seed)).
+func BenchmarkReservoirBankSweep(b *testing.B) {
+	const slots, total = 20000, 100000
+	keys := make([]uint64, total)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	accepts := 0
+	for i := 0; i < slots; i++ {
+		rng := rand.New(sketch.NewSplitMix64(uint64(i) + 1))
+		for next := int64(1); next <= total; accepts++ {
+			u := rng.Float64()
+			for u == 0 {
+				u = rng.Float64()
+			}
+			next = max(int64(math.Ceil(float64(next)/u)), next+1)
+		}
+	}
+	var bank sketch.ReservoirBank
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		bank.Reset(slots)
+		for i := 0; i < slots; i++ {
+			bank.Seed(i, uint64(i)+1)
+		}
+		for lo := 0; lo < total; lo += stream.DefaultBatchSize {
+			bank.OfferKeysRange(0, slots, keys[lo:min(lo+stream.DefaultBatchSize, total)])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accepts), "ns/accept")
 }
 
 // BenchmarkStreamPassPerUpdate is the legacy per-update replay path, kept

@@ -1,7 +1,10 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -49,6 +52,170 @@ func TestBankMatchesReservoir(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceOfferKeys is the bank's offer loop as it was before the
+// accept-major sweep (ISSUE 21), kept as the equivalence reference: one slot
+// per call, that slot's accepts run to the end of the batch as one dependent
+// chain.
+func referenceOfferKeys(b *ReservoirBank, i int, keys []uint64) {
+	float64at := func() float64 {
+		for {
+			b.state[i] += 0x9e3779b97f4a7c15
+			f := float64(int64(splitmix64(b.state[i])>>1)) / (1 << 63)
+			if f != 1 {
+				return f
+			}
+		}
+	}
+	base := b.count[i]
+	end := base + int64(len(keys))
+	next := b.next[i]
+	for next <= end {
+		b.item[i] = keys[next-base-1]
+		cnt := next
+		u := float64at()
+		for u == 0 {
+			u = float64at()
+		}
+		next = int64(math.Ceil(float64(cnt) / u))
+		if next <= cnt {
+			next = cnt + 1
+		}
+	}
+	b.next[i] = next
+	b.count[i] = end
+}
+
+// unmix64 inverts the SplitMix64 finalizer: splitmix64(unmix64(x) -
+// 0x9e3779b97f4a7c15) == x.
+func unmix64(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3 // inverse of 0x94d049bb133111eb mod 2^64
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089 // inverse of 0xbf58476d1ce4e5b9 mod 2^64
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
+// seedWithFirstDraw returns a slot seed whose first SplitMix64 output is x.
+func seedWithFirstDraw(x uint64) uint64 { return unmix64(x) - 0x9e3779b97f4a7c15 - 0x9e3779b97f4a7c15 }
+
+func sameSlots(t *testing.T, label string, got, want *ReservoirBank) {
+	t.Helper()
+	for i := range want.state {
+		if got.state[i] != want.state[i] || got.item[i] != want.item[i] || got.count[i] != want.count[i] || got.next[i] != want.next[i] {
+			t.Fatalf("%s: slot %d {rng %#x item %d count %d next %d}, want {rng %#x item %d count %d next %d}", label, i,
+				got.state[i], got.item[i], got.count[i], got.next[i], want.state[i], want.item[i], want.count[i], want.next[i])
+		}
+	}
+}
+
+// TestBankSweepMatchesPerSlot holds OfferKeysRange to the per-slot reference
+// loop, slot state for slot state: over random batch cuts with empty and
+// one-key batches, swept as sub-ranges, across a Snapshot/Restore between
+// batches, and as disjoint blocks swept from three goroutines at once.
+func TestBankSweepMatchesPerSlot(t *testing.T) {
+	const slots = 301
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(NewSplitMix64(seed))
+		var got, want ReservoirBank
+		got.Reset(slots)
+		want.Reset(slots)
+		for i := 0; i < slots; i++ {
+			s := rng.Uint64()
+			got.Seed(i, s)
+			want.Seed(i, s)
+		}
+		batches := randBatches(seed^0xb10c, 6000)
+		batches = slices.Insert(batches, 3, nil, batches[3][:1], nil)
+		for bi, batch := range batches {
+			for i := 0; i < slots; i++ {
+				referenceOfferKeys(&want, i, batch)
+			}
+			switch bi % 3 {
+			case 0:
+				got.OfferKeysRange(0, slots, batch)
+			case 1: // sub-ranges, one of them empty
+				a, b := rng.Intn(slots+1), rng.Intn(slots+1)
+				a, b = min(a, b), max(a, b)
+				got.OfferKeysRange(a, b, batch)
+				got.OfferKeysRange(0, a, batch)
+				got.OfferKeysRange(b, slots, batch)
+				got.OfferKeysRange(a, a, batch)
+			case 2: // disjoint blocks from three goroutines
+				var wg sync.WaitGroup
+				for w := 0; w < 3; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got.OfferKeysRange(w*slots/3, (w+1)*slots/3, batch)
+					}()
+				}
+				wg.Wait()
+			}
+			sameSlots(t, "sweep", &got, &want)
+			if bi%17 == 5 { // a checkpoint round trip between batches
+				i, j := rng.Intn(slots), rng.Intn(slots)
+				snap := got.Snapshot(i)
+				if !got.Restore(j, snap) || !want.Restore(j, want.Snapshot(i)) {
+					t.Fatal("Restore rejected a bank snapshot")
+				}
+			}
+		}
+	}
+}
+
+// TestBankSweepRedraws reaches the two re-draw branches no random seed does:
+// seeds crafted through the inverse of the SplitMix64 finalizer make a slot's
+// first draw u == 0 (the reservoir re-draws) or round to f == 1 (math/rand
+// re-draws). The heap Reservoir over math/rand itself is the reference.
+func TestBankSweepRedraws(t *testing.T) {
+	if x := uint64(0x0123456789abcdef); splitmix64(unmix64(x)-0x9e3779b97f4a7c15) != x {
+		t.Fatal("unmix64 does not invert the finalizer")
+	}
+	seeds := []uint64{
+		seedWithFirstDraw(0),                 // u == 0
+		seedWithFirstDraw(1),                 // Int63 == 0 again
+		seedWithFirstDraw(^uint64(0)),        // Int63 == 2^63-1, rounds to f == 1
+		seedWithFirstDraw(^uint64(0) - 1023), // 2^63-512: the lowest Int63 that rounds to 1
+		seedWithFirstDraw(^uint64(0) - 1025), // 2^63-513: the highest that does not
+		7,
+	}
+	wantDraws := []uint64{2, 2, 2, 2, 1, 1}
+	var bank ReservoirBank
+	bank.Reset(len(seeds))
+	heap := make([]*Reservoir, len(seeds))
+	for i, s := range seeds {
+		bank.Seed(i, s)
+		heap[i] = NewReservoirSeeded(s)
+	}
+	check := func(step string) {
+		t.Helper()
+		for i, r := range heap {
+			if bank.state[i] != r.src.state || bank.item[i] != r.item || bank.count[i] != r.count || bank.next[i] != r.next {
+				t.Fatalf("%s: slot %d {rng %#x item %d count %d next %d}, reservoir {rng %#x item %d count %d next %d}", step, i,
+					bank.state[i], bank.item[i], bank.count[i], bank.next[i], r.src.state, r.item, r.count, r.next)
+			}
+		}
+	}
+	offer := func(keys []uint64) {
+		bank.OfferKeysRange(0, len(seeds), keys)
+		for _, r := range heap {
+			r.OfferKeys(keys)
+		}
+	}
+	offer([]uint64{11})
+	check("first key")
+	for i, s := range seeds {
+		if golden := uint64(0x9e3779b97f4a7c15); bank.state[i] != s+wantDraws[i]*golden {
+			t.Errorf("slot %d did not make %d draws for its first accept", i, wantDraws[i])
+		}
+	}
+	for _, batch := range randBatches(3, 3000) {
+		offer(batch)
+	}
+	check("after the stream")
 }
 
 // TestBankSnapshotRestore round-trips mid-stream slot state through the
@@ -192,4 +359,45 @@ type sampleState struct {
 func usedSample(s *L0Sampler) *sampleState {
 	k, ok := s.Sample()
 	return &sampleState{key: k, ok: ok}
+}
+
+// BenchmarkBankOffer offers a 100k-key stream in 4096-key batches to 20 000
+// slots — one FGP round of the insert-count workload — through the sweep and
+// through the per-slot reference loop, and reports the cost per accept (a
+// slot's RNG advances once per accept, so the state delta counts them).
+func BenchmarkBankOffer(b *testing.B) {
+	const slots, total, batch = 20000, 100000, 4096
+	keys := make([]uint64, total)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	for _, bc := range []struct {
+		name  string
+		offer func(*ReservoirBank, []uint64)
+	}{
+		{"sweep", func(bank *ReservoirBank, ks []uint64) { bank.OfferKeysRange(0, slots, ks) }},
+		{"perslot", func(bank *ReservoirBank, ks []uint64) {
+			for i := 0; i < slots; i++ {
+				referenceOfferKeys(bank, i, ks)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var bank ReservoirBank
+			accepts := uint64(0)
+			for n := 0; n < b.N; n++ {
+				bank.Reset(slots)
+				for i := 0; i < slots; i++ {
+					bank.Seed(i, uint64(i)+1)
+				}
+				for lo := 0; lo < total; lo += batch {
+					bc.offer(&bank, keys[lo:min(lo+batch, total)])
+				}
+				for i := 0; i < slots; i++ {
+					accepts += (bank.state[i] - (uint64(i) + 1)) * 0xf1de83e19937733d // / 0x9e3779b97f4a7c15 mod 2^64
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accepts), "ns/accept")
+		})
+	}
 }

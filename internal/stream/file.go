@@ -2,8 +2,13 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math/bits"
 	"os"
+	"sync"
 
 	"streamcount/internal/graph"
 )
@@ -63,8 +68,9 @@ func (f *File) ForEach(fn func(Update) error) error {
 }
 
 // ForEachBatch implements Stream: each call re-reads the file (one pass),
-// parsing updates into a reusable buffer flushed every DefaultBatchSize
-// updates. The batch slice is invalidated by the next callback.
+// parsing updates into a pooled buffer flushed every DefaultBatchSize
+// updates. The batch slice is invalidated by the next callback and by the
+// end of the pass, when the buffer goes back to the pool.
 func (f *File) ForEachBatch(fn func([]Update) error) error {
 	_, length, err := scanFile(f.path, f.n, fn)
 	if err == nil && length != f.length {
@@ -73,146 +79,203 @@ func (f *File) ForEachBatch(fn func([]Update) error) error {
 	return err
 }
 
+const (
+	scanBlock    = 1 << 16 // the read buffer a scan starts with
+	maxLineBytes = 1 << 24 // the longest line a scan accepts, so the most its buffer grows to
+)
+
+// fileScan is one scan's state between lines and its working memory: the
+// block the file is read into and the update batch handed to the consumer.
+type fileScan struct {
+	block     []byte
+	batch     []Update
+	path      string
+	wantN     int64
+	fn        func([]Update) error
+	n, length int64
+	line      int
+	gotHeader bool
+}
+
+// scanPool recycles scans, for their block and batch. A scan is its caller's
+// from Get to Put, so concurrent replays of one File stay independent.
+var scanPool = sync.Pool{New: func() any {
+	return &fileScan{block: make([]byte, scanBlock), batch: make([]Update, 0, DefaultBatchSize)}
+}}
+
 // scanFile parses the file at path once, handing its updates to fn in
 // batches, and returns the header's vertex count and the number of updates.
-// A non-zero wantN is the vertex count the header must still carry.
+// A non-zero wantN is the vertex count the header must still carry. The file
+// is read block by block into a buffer that carries a partial last line
+// forward and grows, up to maxLineBytes, only when one line outgrows it.
 func scanFile(path string, wantN int64, fn func([]Update) error) (n, length int64, err error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer fh.Close()
-	sc := bufio.NewScanner(fh)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	// The batch buffer is per-scan, not per-stream, so concurrent replays of
-	// one File stay independent; one allocation per pass is noise next to
-	// the file I/O.
-	batch := make([]Update, 0, DefaultBatchSize)
-	line := 0
-	gotHeader := false
-	for sc.Scan() {
-		// Lines are parsed straight from the scanner's byte buffer: a replay
-		// touches every line of the file once per pass, and materializing each
-		// as a string dominated the pass engine's allocation profile. Only the
-		// error paths convert to strings.
-		line++
-		txt := trimBytes(sc.Bytes())
-		if len(txt) == 0 || txt[0] == '#' {
+	s := scanPool.Get().(*fileScan)
+	*s = fileScan{block: s.block, batch: s.batch[:0], path: path, wantN: wantN, fn: fn}
+	defer func() {
+		s.fn = nil
+		scanPool.Put(s) // with the block it came with: a grown one is dropped
+	}()
+	buf := s.block
+	end := 0 // buf[:end] is the start of a line whose newline is still to come
+	for eof := false; !eof; {
+		if end == len(buf) {
+			if len(buf) >= maxLineBytes {
+				return 0, 0, fmt.Errorf("stream: %s line %d: line longer than %d bytes", path, s.line+1, maxLineBytes)
+			}
+			buf = append(make([]byte, 0, min(2*len(buf), maxLineBytes)), buf...)
+			buf = buf[:cap(buf)]
+		}
+		k, rerr := fh.Read(buf[end:])
+		if k == 0 && rerr != nil {
+			if rerr != io.EOF {
+				return 0, 0, rerr
+			}
+			if end == 0 {
+				break
+			}
+			buf[end], k, eof = '\n', 1, true // a last line without a newline gets one
+		}
+		nl := bytes.LastIndexByte(buf[end:end+k], '\n')
+		if end += k; nl < 0 {
 			continue
 		}
-		if !gotHeader {
-			field := txt
-			if sp := indexSpace(field); sp >= 0 {
-				field = field[:sp]
-			}
-			var ok bool
-			n, ok = parseInt(field)
-			if !ok || n <= 0 {
-				return 0, 0, fmt.Errorf("stream: %s line %d: bad header %q", path, line, txt)
-			}
-			if wantN != 0 && n != wantN {
-				return 0, 0, fmt.Errorf("stream: %s line %d: header says %d vertices, OpenFile read %d: the file changed", path, line, n, wantN)
-			}
-			gotHeader = true
-			continue
-		}
-		o := Insert
-		switch txt[0] {
-		case '+':
-		case '-':
-			o = Delete
-		default:
-			return 0, 0, fmt.Errorf("stream: %s line %d: bad op %q", path, line, txt[:1])
-		}
-		rest := trimBytes(txt[1:])
-		sp := indexSpace(rest)
-		if sp < 0 {
-			return 0, 0, fmt.Errorf("stream: %s line %d: bad update %q", path, line, txt)
-		}
-		u, ok1 := parseInt(rest[:sp])
-		v, ok2 := parseInt(trimBytes(rest[sp+1:]))
-		if !ok1 || !ok2 {
-			return 0, 0, fmt.Errorf("stream: %s line %d: bad update %q", path, line, txt)
-		}
-		if u == v || u < 0 || v < 0 || u >= n || v >= n {
-			return 0, 0, fmt.Errorf("stream: %s line %d: bad edge (%d,%d)", path, line, u, v)
-		}
-		batch = append(batch, Update{Edge: graph.Edge{U: u, V: v}, Op: o})
-		if len(batch) == DefaultBatchSize {
-			length += int64(len(batch))
-			if err := fn(batch); err != nil {
-				return 0, 0, err
-			}
-			batch = batch[:0]
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, err
-	}
-	if !gotHeader {
-		return 0, 0, fmt.Errorf("stream: %s: empty input", path)
-	}
-	if len(batch) > 0 {
-		length += int64(len(batch))
-		if err := fn(batch); err != nil {
+		whole := end - k + nl + 1
+		if err := s.parseLines(buf[:whole]); err != nil {
 			return 0, 0, err
 		}
+		end = copy(buf, buf[whole:end])
 	}
-	return n, length, nil
+	if !s.gotHeader {
+		return 0, 0, fmt.Errorf("stream: %s: empty input", path)
+	}
+	if err := s.flush(); err != nil {
+		return 0, 0, err
+	}
+	return s.n, s.length, nil
 }
 
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
+func (s *fileScan) flush() error {
+	if len(s.batch) == 0 {
+		return nil
+	}
+	s.length += int64(len(s.batch))
+	err := s.fn(s.batch)
+	s.batch = s.batch[:0]
+	return err
 }
 
-// trimBytes trims ASCII whitespace in place (no allocation).
-func trimBytes(b []byte) []byte {
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
+// blank marks the ASCII blanks around and between a line's fields. The newline
+// is not one: it ends every line parseLines is given, so every loop of its sweep.
+var blank = [256]bool{' ': true, '\t': true, '\v': true, '\f': true, '\r': true}
 
-// indexSpace returns the index of the first ASCII whitespace byte, or -1.
-func indexSpace(b []byte) int {
-	for i, c := range b {
-		if isSpace(c) {
-			return i
+// parseLines parses b — whole lines, each ended by its newline — in a single
+// forward sweep per line: blanks, the op byte, then twice blanks, an optional
+// sign and a digit run, then blanks up to the newline. The header line is
+// swept the same way, as one vertex count with anything after it. Lines are
+// parsed straight from the read buffer; only the error paths make strings.
+func (s *fileScan) parseLines(b []byte) error {
+	for i := 0; i < len(b); {
+		s.line++
+		start := i
+		for blank[b[i]] {
+			i++
+		}
+		if b[i] == '\n' {
+			i++
+			continue
+		}
+		if b[i] == '#' {
+			i += bytes.IndexByte(b[i:], '\n') + 1
+			continue
+		}
+		o, fields, kind := Insert, 1, "header"
+		if s.gotHeader {
+			switch b[i] {
+			case '+':
+			case '-':
+				o = Delete
+			default:
+				return fmt.Errorf("stream: %s line %d: bad op %q", s.path, s.line, b[i:i+1])
+			}
+			i, fields, kind = i+1, 2, "update"
+		}
+		var uv [2]int64
+		ok := true
+		for f := 0; f < fields && ok; f++ {
+			j := i
+			for blank[b[i]] {
+				i++
+			}
+			ok = f == 0 || i > j // the second vertex starts after a blank
+			neg := b[i] == '-'
+			if neg || b[i] == '+' {
+				i++
+			}
+			first, v := i, int64(0)
+			if i+8 <= len(b) {
+				// Up to eight digits at once, whatever their number: count the
+				// digit bytes that lead the word, left-pad them, add up pairwise.
+				w := binary.LittleEndian.Uint64(b[i:]) ^ 0x3030303030303030
+				nd := bits.TrailingZeros64((w+0x7676767676767676|w)&0x8080808080808080) >> 3
+				w <<= (8 - nd) * 8
+				w = (w&0x0f000f000f000f00)>>8 + (w&0x000f000f000f000f)*10
+				w = (w&0x00ff000000ff0000)>>16 + (w&0x000000ff000000ff)*100
+				v = int64((w&0x0000ffff00000000)>>32 + (w&0x000000000000ffff)*10000)
+				i += nd
+			}
+			for b[i]-'0' <= 9 {
+				d := int64(b[i] - '0')
+				if i-first >= 18 && v > (1<<63-1-d)/10 { // 18 digits cannot overflow
+					ok = false
+					break
+				}
+				v = v*10 + d
+				i++
+			}
+			ok = ok && i > first
+			if neg {
+				v = -v
+			}
+			uv[f] = v
+		}
+		u, v := uv[0], uv[1]
+		if !s.gotHeader {
+			ok = ok && u > 0 && (blank[b[i]] || b[i] == '\n')
+			i += bytes.IndexByte(b[i:], '\n') // the rest of a header line is not read
+		} else {
+			for blank[b[i]] {
+				i++
+			}
+			ok = ok && b[i] == '\n'
+		}
+		if !ok {
+			line := b[start : i+bytes.IndexByte(b[i:], '\n')]
+			return fmt.Errorf("stream: %s line %d: bad %s %q", s.path, s.line, kind, bytes.Trim(line, " \t\n\v\f\r"))
+		}
+		i++
+		if !s.gotHeader {
+			if s.wantN != 0 && u != s.wantN {
+				return fmt.Errorf("stream: %s line %d: header says %d vertices, OpenFile read %d: the file changed", s.path, s.line, u, s.wantN)
+			}
+			s.n, s.gotHeader = u, true
+			continue
+		}
+		if u == v || u < 0 || v < 0 || u >= s.n || v >= s.n {
+			return fmt.Errorf("stream: %s line %d: bad edge (%d,%d)", s.path, s.line, u, v)
+		}
+		s.batch = append(s.batch, Update{Edge: graph.Edge{U: u, V: v}, Op: o})
+		if len(s.batch) == DefaultBatchSize {
+			if err := s.flush(); err != nil {
+				return err
+			}
 		}
 	}
-	return -1
-}
-
-// parseInt parses a decimal int64 from bytes without allocating, with the
-// same accept set strconv.ParseInt(s, 10, 64) has on this format's inputs
-// (optional sign, digits, overflow rejected).
-func parseInt(b []byte) (int64, bool) {
-	neg := false
-	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-		neg = b[0] == '-'
-		b = b[1:]
-	}
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v int64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := int64(c - '0')
-		if v > (1<<63-1-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	return nil
 }
 
 // WriteFile writes a stream in the File format.

@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +131,22 @@ func TestFileParserErrorDetails(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantMsg) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantMsg)
 		}
+	}
+
+	// A line over the cap is named like every other bad line, and the attempt
+	// to read it never holds more than the cap: the buffer doubles up to it,
+	// so everything allocated on the way sums to under twice the cap (plus
+	// the scan's fixed block and batch when the pool has none to give).
+	long := write("long_line.txt", "5\n+ 0 1\n+ 1 2\n+ 2 3\n+ 3 4"+strings.Repeat(" ", 17<<20)+"\n+ 0 2\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := OpenFile(long)
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("stream: %s line 5: line longer than 16777216 bytes", long); err == nil || err.Error() != want {
+		t.Errorf("over-long line: error %v, want %q", err, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxLineBytes+1<<18 {
+		t.Errorf("over-long line: the scan allocated %d bytes, over twice the %d-byte cap", got, maxLineBytes)
 	}
 }
 

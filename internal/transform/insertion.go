@@ -123,6 +123,10 @@ type insShard struct {
 	watches      []neighborWatch // one run per vertex, runs in vs order
 	pairs        keyTable        // queried packed edge key -> index into seen
 	seen         []bool
+
+	// placeRun's scratch: the run being placed, and a position per i value.
+	runCopy []neighborWatch
+	runPos  []int32
 }
 
 func (s *insShard) reset() {
@@ -154,9 +158,7 @@ func register[T any](t *keyTable, key uint64, state *[]T) int32 {
 // process consumes one update batch: edges[i] is the canonical edge of the
 // i-th update and keys[i] its packed key.
 func (s *insShard) process(edges []graph.Edge, keys []uint64) {
-	for slot := s.resLo; slot < s.resHi; slot++ {
-		s.bank.OfferKeys(slot, keys)
-	}
+	s.bank.OfferKeysRange(s.resLo, s.resHi, keys)
 	if len(s.vs) > 0 {
 		for _, e := range edges {
 			// Both endpoints are touched even for a self-loop, which thus
@@ -213,6 +215,8 @@ func dirtyInsRunner(r *InsertionRunner) {
 		pool.Dirty(sh.vs, vertexState{count: -0x5a5a5a, next: 0x5a5a5a, end: -0x5a5a5a})
 		pool.Dirty(sh.watches, neighborWatch{i: 1, result: -0x5a5a5a, query: 0x5a5a5a, found: true})
 		pool.Dirty(sh.seen, true)
+		pool.Dirty(sh.runCopy, neighborWatch{i: 1, result: -0x5a5a5a, query: 0x5a5a5a, found: true})
+		pool.Dirty(sh.runPos, 0x5a5a5a)
 	}
 	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
@@ -439,10 +443,9 @@ func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
 
 // layoutWatches turns the per-vertex watch counts BeginRound left in
 // vs[v].end into each shard's watch runs: a prefix sum places the runs, a
-// second sweep over the queries fills them, and each run is sorted ascending
-// in i. Watches with equal i fire on the same update with the same answer,
-// so an unstable O(k log k) sort is enough — and needed: ERS registers
-// thousands of unordered watches on one vertex.
+// second sweep over the queries fills them, and placeRun orders each run
+// ascending in i. Watches with equal i fire on the same update with the same
+// answer, so their order within the run is free.
 func (r *InsertionRunner) layoutWatches(queries []oracle.Query) {
 	for _, sh := range r.shards {
 		total := int32(0)
@@ -464,9 +467,39 @@ func (r *InsertionRunner) layoutWatches(queries []oracle.Query) {
 	for _, sh := range r.shards {
 		for _, st := range sh.vs {
 			if st.end-st.next > 1 {
-				slices.SortFunc(sh.watches[st.next:st.end], func(a, b neighborWatch) int { return cmp.Compare(a.i, b.i) })
+				sh.placeRun(sh.watches[st.next:st.end])
 			}
 		}
+	}
+}
+
+// placeRun orders one vertex's watch run ascending in i. A run of 32 or more
+// whose i values span no more than its length — thousands of watches on one
+// vertex, none beyond its degree — is placed by counting: count per i, prefix
+// sum, scatter. Anything else, and a short run as fast, is sorted by comparison.
+func (s *insShard) placeRun(run []neighborWatch) {
+	lo, hi := run[0].i, run[0].i
+	for _, w := range run[1:] {
+		lo, hi = min(lo, w.i), max(hi, w.i)
+	}
+	if len(run) < 32 || uint64(hi-lo) >= uint64(len(run)) {
+		slices.SortFunc(run, func(a, b neighborWatch) int { return cmp.Compare(a.i, b.i) })
+		return
+	}
+	s.runCopy = append(s.runCopy[:0], run...)
+	pos := slices.Grow(s.runPos[:0], int(hi-lo)+1)[:hi-lo+1]
+	s.runPos = pos
+	clear(pos)
+	for _, w := range run {
+		pos[w.i-lo]++
+	}
+	at := int32(0)
+	for k, c := range pos {
+		pos[k], at = at, at+c
+	}
+	for _, w := range s.runCopy {
+		run[pos[w.i-lo]] = w
+		pos[w.i-lo]++
 	}
 }
 

@@ -1,8 +1,11 @@
 package transform
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -324,6 +327,106 @@ func TestInsertionRunnerMatchesReference(t *testing.T) {
 					front.Release()
 					back.Release()
 				}
+			}
+		}
+	}
+}
+
+// TestWatchRunPlacement holds placeRun to the comparison sort it replaces for
+// long, narrow runs: on both sides of the length threshold and of the span
+// bound, with all-equal and near-MaxInt64 indices; then end to end, a hub
+// vertex's watches answered from the stream's order at P = 1, 2, 3 on fresh
+// runners and on pooled ones under pool.DebugDirty.
+func TestWatchRunPlacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	byIThenQuery := func(a, b neighborWatch) int {
+		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.query, b.query))
+	}
+	for _, c := range []struct {
+		name     string
+		n        int
+		lo, span int64 // i values are lo, lo+span-1 and draws between them
+		counting bool
+	}{
+		{"len 31", 31, 1, 20, false},
+		{"len 32", 32, 1, 20, true},
+		{"len 33", 33, 1, 20, true},
+		{"all equal", 500, 7, 1, true},
+		{"span = len", 200, 3, 200, true},
+		{"span = len + 1", 200, 3, 201, false},
+		{"wide", 200, 1, 1 << 40, false},
+		{"narrow near MaxInt64", 64, math.MaxInt64 - 39, 40, true},
+		{"whole int64 range", 64, 1, math.MaxInt64, false},
+	} {
+		run := make([]neighborWatch, c.n)
+		for k := range run {
+			run[k] = neighborWatch{i: c.lo + rng.Int63n(c.span), query: int32(k)}
+		}
+		run[rng.Intn(c.n/2)].i = c.lo
+		run[c.n/2+rng.Intn(c.n/2)].i = c.lo + c.span - 1
+		want := slices.Clone(run)
+		slices.SortFunc(want, byIThenQuery)
+
+		var sh insShard
+		sh.runCopy = []neighborWatch{{i: -1}} // a previous run's leftovers
+		sh.runPos = []int32{9, 9, 9}
+		sh.placeRun(run)
+		if counted := len(sh.runCopy) == c.n; counted != c.counting {
+			t.Errorf("%s: placed by counting: %v, want %v", c.name, counted, c.counting)
+		}
+		if !slices.IsSortedFunc(run, func(a, b neighborWatch) int { return cmp.Compare(a.i, b.i) }) {
+			t.Errorf("%s: run is not ascending in i", c.name)
+		}
+		slices.SortFunc(run, byIThenQuery)
+		if !slices.Equal(run, want) {
+			t.Errorf("%s: placement lost or changed a watch", c.name)
+		}
+	}
+
+	defer pool.SetDebug(pool.SetDebug(pool.DebugDirty))
+	st, ups := equivalenceStream(t, rng, 50, 3000)
+	var hub []int64 // vertex 0's neighbors in stream order
+	for _, u := range ups {
+		if u.Edge.U == 0 {
+			hub = append(hub, u.Edge.V)
+		} else if u.Edge.V == 0 {
+			hub = append(hub, u.Edge.U)
+		}
+	}
+	var qs []oracle.Query
+	var want []oracle.Answer
+	for k := 0; k < 4000; k++ {
+		i := 1 + rng.Int63n(int64(len(hub))+100)
+		if k%5 == 0 { // a short run on another vertex, sorted by comparison
+			qs = append(qs, oracle.Query{Type: oracle.Degree, U: 0})
+			want = append(want, oracle.Answer{OK: true, Count: int64(len(hub))})
+			continue
+		}
+		qs = append(qs, oracle.Query{Type: oracle.Neighbor, U: 0, I: i})
+		if i <= int64(len(hub)) {
+			want = append(want, oracle.Answer{OK: true, Count: hub[i-1]})
+		} else {
+			want = append(want, oracle.Answer{})
+		}
+	}
+	for _, p := range []int{1, 2, 3} {
+		for _, pooled := range []bool{false, true, true} {
+			mk := NewInsertionRunner
+			if pooled {
+				mk = AcquireInsertionRunner
+			}
+			r, err := mk(st, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetParallelism(p)
+			got, err := r.Round(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, fmt.Sprintf("hub round P=%d pooled=%v", p, pooled), want, got)
+			if pooled {
+				r.Release()
 			}
 		}
 	}
