@@ -70,13 +70,16 @@ func TestEstimateSubgraphsAuto(t *testing.T) {
 	if est.Value < want/3 || est.Value > want*3 {
 		t.Errorf("auto estimate %.1f vs truth %.0f", est.Value, want)
 	}
-	if est.Passes%3 != 0 || est.Passes < 3 {
-		t.Errorf("passes=%d: should be a multiple of 3 (one guess per 3 passes)", est.Passes)
+	// A guess costs at most 3 passes, and fewer only when none of its trials
+	// survives round 2 — which cannot be the guess that found the triangles.
+	if est.Passes < 3 {
+		t.Errorf("passes=%d: the validating guess alone costs 3", est.Passes)
 	}
 }
 
 // TestEstimateAutoCumulativePasses pins the geometric search's pass
-// accounting: the reported passes cover every guess made (3 per guess), not
+// accounting: the reported passes cover every guess made (at most 3 per
+// guess — a guess none of whose trials survives round 2 stops early), not
 // only the final validating guess, and agree with the session scheduler's
 // per-job round count.
 func TestEstimateAutoCumulativePasses(t *testing.T) {
@@ -107,13 +110,10 @@ func TestEstimateAutoCumulativePasses(t *testing.T) {
 	if est.Passes != cnt.Passes() {
 		t.Errorf("estimate reports %d passes, stream saw %d", est.Passes, cnt.Passes())
 	}
-	if est.Passes%3 != 0 {
-		t.Errorf("passes=%d: want a multiple of 3 (one guess per 3 passes)", est.Passes)
-	}
 	// The search starts at the AGM bound m^1.5 >> #H, so it must have taken
-	// more than one guess: single-guess accounting would report exactly 3.
-	if est.Passes < 6 {
-		t.Errorf("passes=%d: cumulative accounting should cover all guesses (>= 6)", est.Passes)
+	// more than one guess: single-guess accounting would report at most 3.
+	if est.Passes <= 3 {
+		t.Errorf("passes=%d: cumulative accounting should cover all guesses (> 3)", est.Passes)
 	}
 	// And the whole thing must match the plain entry point bit-for-bit.
 	plain, err := EstimateSubgraphsAuto(sl, cfg)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"streamcount/internal/exact"
 	"streamcount/internal/gen"
+	"streamcount/internal/graph"
 	"streamcount/internal/pattern"
 	"streamcount/internal/stream"
 )
@@ -234,5 +237,60 @@ func TestSessionLifecycleGuards(t *testing.T) {
 	h := s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 10, Seed: 1})
 	if h.res.Err == nil {
 		t.Error("Submit after Run should carry an error")
+	}
+}
+
+// TestSharedReplayWithEarlyFinisher: an FGP job none of whose trials
+// survives round 2 is done after two passes (fgp.Result.Rounds), and that is
+// an ordinary outcome for the shared replay — the job leaves the generation,
+// the one that still needs round 3 gets its third pass, and both results are
+// the standalone ones. The stream is a perfect matching: every vertex has
+// degree 1 ≤ S, so a triangle trial's neighbour draw j ∈ [S] fails unless
+// j = 1, and a one-trial job stops after round 2 or goes on to round 3
+// depending on its seed alone.
+func TestSharedReplayWithEarlyFinisher(t *testing.T) {
+	g := graph.New(16)
+	for v := int64(0); v < 16; v += 2 {
+		g.AddEdge(v, v+1)
+	}
+	sl := stream.FromGraph(g)
+	cfgFor := func(passes int64) (Config, *CountResult) {
+		for seed := int64(0); seed < 64; seed++ {
+			cfg := Config{Pattern: pattern.Triangle(), Trials: 1, Seed: seed}
+			est, err := EstimateSubgraphs(sl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.Passes == passes {
+				return cfg, est
+			}
+		}
+		t.Fatalf("no one-trial seed below 64 takes %d passes", passes)
+		return Config{}, nil
+	}
+	earlyCfg, wantEarly := cfgFor(2)
+	fullCfg, wantFull := cfgFor(3)
+
+	before := runtime.NumGoroutine()
+	cnt := stream.NewCounter(sl)
+	s := NewSession(cnt)
+	hEarly, hFull := s.SubmitEstimate(earlyCfg), s.SubmitEstimate(fullCfg)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cnt.Passes() != 3 || hEarly.Passes() != 2 || hFull.Passes() != 3 {
+		t.Errorf("passes: shared %d, early job %d, full job %d; want 3, 2, 3", cnt.Passes(), hEarly.Passes(), hFull.Passes())
+	}
+	if got := hEarly.Result().Est; *got != *wantEarly {
+		t.Errorf("early finisher: session result %+v != standalone %+v", *got, *wantEarly)
+	}
+	if got := hFull.Result().Est; *got != *wantFull {
+		t.Errorf("full job: session result %+v != standalone %+v", *got, *wantFull)
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines: %d before the session, %d after", before, n)
 	}
 }

@@ -1,6 +1,7 @@
 package fgp
 
 import (
+	"math"
 	"math/rand"
 
 	"streamcount/internal/oracle"
@@ -9,7 +10,7 @@ import (
 )
 
 // trialArena is the pooled scratch of one runTrials execution: every
-// per-trial slice (oriented edges, neighbor answers, vertex sets, the
+// per-trial slice (oriented edges, round-2 answers, vertex sets, the
 // round-3 view, tuple-edge lists) is a region of a flat arena buffer, and
 // every trial RNG is a reseeded slot of a persistent generator array. One
 // FGP run with thousands of trials then costs O(1) allocations after the
@@ -34,6 +35,7 @@ type trialArena struct {
 	starBuf   []directedEdge   // trials × Σs_j
 	starHdr   [][]directedEdge // trials × #stars
 	nbrBuf    []oracle.Answer  // trials × #cycles
+	branchBuf []cycleBranch    // trials × #cycles
 	vertsBuf  []int64          // trials × vertsCap
 	degBuf    []int64          // trials × vertsCap
 	adjBuf    []bool           // trials × vertsCap²
@@ -106,7 +108,7 @@ func (a *trialArena) prepare(pl *Plan, trials int, relaxed bool) {
 	sumK, sumS, vertsCap, tupleCap, maxSeq := 0, 0, 0, sumInts(pl.stars), 0
 	for _, k := range pl.ks {
 		sumK += k
-		vertsCap += 2*k + 3 // path endpoints + spare endpoints + neighbor
+		vertsCap += 2*k + 2 // path endpoints + the neighbor or the spare endpoints, never both
 		tupleCap += 2*k + 1
 		if 2*k+1 > maxSeq {
 			maxSeq = 2*k + 1
@@ -140,6 +142,7 @@ func (a *trialArena) prepare(pl *Plan, trials int, relaxed bool) {
 	a.starHdr = growHdr(a.starHdr, trials*nS)
 	if cap(a.nbrBuf) < trials*nC {
 		a.nbrBuf = make([]oracle.Answer, trials*nC)
+		a.branchBuf = make([]cycleBranch, trials*nC)
 	}
 	a.vertsBuf = growI64(a.vertsBuf, trials*vertsCap)
 	a.degBuf = growI64(a.degBuf, trials*vertsCap)
@@ -180,7 +183,8 @@ func (a *trialArena) prepare(pl *Plan, trials int, relaxed bool) {
 			off += s
 		}
 		tr.starEdges = shdr
-		tr.neighbor = a.nbrBuf[t*nC : t*nC : (t+1)*nC]
+		tr.neighbor = a.nbrBuf[t*nC : (t+1)*nC : (t+1)*nC]
+		tr.branch = a.branchBuf[t*nC : (t+1)*nC : (t+1)*nC]
 		tr.verts = a.vertsBuf[t*vertsCap : t*vertsCap : (t+1)*vertsCap]
 		tr.view.deg = a.degBuf[t*vertsCap : t*vertsCap : (t+1)*vertsCap]
 		tr.view.adj = a.adjBuf[t*vertsCap*vertsCap : (t+1)*vertsCap*vertsCap]
@@ -217,6 +221,12 @@ func dirtyArena(a *trialArena) {
 	nb := a.nbrBuf[:cap(a.nbrBuf)]
 	for i := range nb {
 		nb[i] = oracle.Answer{OK: true, Count: -0x6b6b6b}
+	}
+	// A stale branch must flip the decision, not repeat it: nearly every
+	// real u₁ is low-degree, so the smear says high.
+	br := a.branchBuf[:cap(a.branchBuf)]
+	for i := range br {
+		br[i] = cycleBranch{deg1: math.MaxInt64 >> 8}
 	}
 	pool.DirtyInt64(a.vertsBuf)
 	pool.DirtyInt64(a.degBuf)

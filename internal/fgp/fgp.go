@@ -8,7 +8,8 @@
 // oracle.Direct gives the sublinear-time query algorithm, on
 // transform.InsertionRunner the 3-pass insertion-only streaming algorithm
 // (Theorem 9), and on transform.TurnstileRunner the 3-pass turnstile
-// streaming algorithm (Theorem 11).
+// streaming algorithm (Theorem 11). A run takes at most 3 rounds, and 3
+// whenever a trial survives round 2 (see Result.Rounds).
 //
 // # Exact per-copy probability
 //
@@ -107,6 +108,7 @@ type trial struct {
 	cycleSpare []directedEdge   // per cycle: the extra edge for the high-degree branch
 	starEdges  [][]directedEdge // per star: s directed edges
 	neighbor   []oracle.Answer  // per cycle: round-2 neighbor answer
+	branch     []cycleBranch    // per cycle: round-2 degree of u₁ and the branch it selects
 	dead       bool
 	relaxed    bool    // running in the relaxed (turnstile) model
 	verts      []int64 // all distinct vertices needing degrees/adjacency
@@ -117,6 +119,25 @@ type trial struct {
 	seq        []int64 // cycle-sequence scratch, max cycle length
 	tupleEdges [][2]int64
 	tupleLocal [][2]int
+}
+
+// cycleBranch is what round 2 learns about one cycle's first vertex u₁:
+// its degree, and with it Algorithm 1's branch. Everything after round 2 —
+// vertex collection, the round-3 batch, postprocessing — reads low from here.
+type cycleBranch struct {
+	deg1 int64
+	low  bool // deg(u₁) ≤ S: w is u₁'s sampled neighbor; else an endpoint of the spare edge
+}
+
+// knownDegree returns v's degree if round 2 already asked it (v is some
+// cycle's u₁), so round 3 neither asks it again nor expects an answer for it.
+func (tr *trial) knownDegree(v int64) (int64, bool) {
+	for ci, path := range tr.cyclePath {
+		if path[0].tail == v {
+			return tr.branch[ci].deg1, true
+		}
+	}
+	return 0, false
 }
 
 // Result carries the counting estimate and diagnostics.
@@ -137,8 +158,10 @@ type Result struct {
 	StdErr float64
 	// PerTupleProb is W, the per-tuple witness probability of one trial.
 	PerTupleProb float64
-	// Rounds is the adaptivity/pass count consumed (always 3, plus 0 extra
-	// when the graph turns out to be empty after round 1).
+	// Rounds is the adaptivity/pass count consumed: at most 3, and 3
+	// whenever a trial survives round 2. It is 1 when the graph is empty or
+	// every trial fails its round-1 prechecks, 2 when every remaining trial's
+	// neighbor draw fails.
 	Rounds int64
 }
 
@@ -286,7 +309,8 @@ func runTrials(r oracle.Runner, pl *Plan, trials int, rng *rand.Rand, res *Resul
 		}
 	})
 
-	// ---- Round 2: one neighbor sample per cycle per live trial (f3).
+	// ---- Round 2: one neighbor sample (f3) and the degree of u₁ (f2) per
+	// cycle per live trial, as Algorithm 1 reads them — in the same pass.
 	// Query assembly is sequential so the batch order is deterministic; the
 	// neighbor-index draw comes from the trial's own RNG. ----
 	round2 := arena.q[:0]
@@ -310,7 +334,7 @@ func runTrials(r oracle.Runner, pl *Plan, trials int, rng *rand.Rand, res *Resul
 				// postprocessing once the degree is known.
 				q = oracle.Query{Type: oracle.RandomNeighbor, U: u1}
 			}
-			round2 = append(round2, q)
+			round2 = append(round2, q, oracle.Query{Type: oracle.Degree, U: u1})
 			nrefs = append(nrefs, nref{ti, ci})
 		}
 	}
@@ -321,17 +345,23 @@ func runTrials(r oracle.Runner, pl *Plan, trials int, rng *rand.Rand, res *Resul
 			return nil, err
 		}
 		res.Rounds = 2
-		for i, a := range a2 {
-			tr := &ts[nrefs[i].t]
-			for len(tr.neighbor) <= nrefs[i].c {
-				tr.neighbor = append(tr.neighbor, oracle.Answer{})
+		// The degree branch is decided here, once. A low-degree u₁ whose
+		// neighbor draw failed (j > deg(u₁)) ends the trial: it asks nothing
+		// in round 3, as Algorithm 1 stops there.
+		for i, ref := range nrefs {
+			tr := &ts[ref.t]
+			nbr, deg := a2[2*i], a2[2*i+1].Count
+			br := cycleBranch{deg1: deg, low: deg <= s}
+			tr.neighbor[ref.c], tr.branch[ref.c] = nbr, br
+			if br.low && !nbr.OK {
+				tr.dead = true
 			}
-			tr.neighbor[nrefs[i].c] = a
 		}
 	}
 
-	// ---- Round 3: degrees and all pairwise adjacencies per live trial
-	// (f2, f4). Vertex collection is parallel; query assembly sequential. ----
+	// ---- Round 3: the degrees not yet known and all pairwise adjacencies
+	// of the vertices each surviving trial's branches read (f2, f4). Vertex
+	// collection is parallel; query assembly sequential. ----
 	par.For(parallelism, trials, func(ti int) {
 		if tr := &ts[ti]; !tr.dead {
 			collectVertices(tr, pl)
@@ -346,7 +376,9 @@ func runTrials(r oracle.Runner, pl *Plan, trials int, rng *rand.Rand, res *Resul
 		}
 		start := len(round3)
 		for _, v := range tr.verts {
-			round3 = append(round3, oracle.Query{Type: oracle.Degree, U: v})
+			if _, known := tr.knownDegree(v); !known {
+				round3 = append(round3, oracle.Query{Type: oracle.Degree, U: v})
+			}
 		}
 		for i := 0; i < len(tr.verts); i++ {
 			for j := i + 1; j < len(tr.verts); j++ {
@@ -438,11 +470,12 @@ func precheck(tr *trial, pl *Plan) {
 }
 
 // collectVertices gathers every vertex the trial must know degrees and
-// adjacencies for — path endpoints, spare-edge endpoints, star vertices and
-// the round-2 neighbor — into the trial's arena-backed verts region, in
-// first-occurrence order (the order defines the round-3 query sequence, so
-// it must match a map-free cold run exactly — which it does, both being
-// insertion-ordered dedup).
+// adjacencies for — per cycle the path endpoints plus the round-2 neighbor
+// (low branch) or the spare-edge endpoints (high branch), then the star
+// vertices — into the trial's arena-backed verts region, in first-occurrence
+// order (the order defines the round-3 query sequence, so it must match a
+// map-free cold run exactly — which it does, both being insertion-ordered
+// dedup).
 func collectVertices(tr *trial, pl *Plan) {
 	verts := tr.verts[:0]
 	add := func(v int64) {
@@ -458,10 +491,11 @@ func collectVertices(tr *trial, pl *Plan) {
 			add(e.tail)
 			add(e.head)
 		}
-		add(tr.cycleSpare[ci].tail)
-		add(tr.cycleSpare[ci].head)
-		if ci < len(tr.neighbor) && tr.neighbor[ci].OK {
+		if tr.branch[ci].low {
 			add(tr.neighbor[ci].Count)
+		} else {
+			add(tr.cycleSpare[ci].tail)
+			add(tr.cycleSpare[ci].head)
 		}
 	}
 	for _, se := range tr.starEdges {
@@ -539,9 +573,13 @@ func postprocess(tr *trial, pl *Plan, answers []oracle.Answer, m, s int64, rng *
 	}
 	view.adj = adj
 	pos := 0
-	for range tr.verts {
-		view.deg = append(view.deg, answers[pos].Count)
-		pos++
+	for _, v := range tr.verts {
+		d, known := tr.knownDegree(v)
+		if !known {
+			d = answers[pos].Count
+			pos++
+		}
+		view.deg = append(view.deg, d)
 	}
 	for i := 0; i < nv; i++ {
 		for j := i + 1; j < nv; j++ {
@@ -567,21 +605,17 @@ func postprocess(tr *trial, pl *Plan, answers []oracle.Answer, m, s int64, rng *
 	// check canonicality.
 	for ci := range pl.ks {
 		path := tr.cyclePath[ci]
-		u1 := path[0].tail
-		du1 := view.degOf(u1)
 		var w int64
-		if du1 <= s {
-			// Low-degree branch: w is the sampled neighbor of u1.
-			if ci >= len(tr.neighbor) || !tr.neighbor[ci].OK {
-				return trialOutcome{}
-			}
+		if br := tr.branch[ci]; br.low {
+			// Low-degree branch: w is the sampled neighbor of u1 (the draw
+			// succeeded, or round 2 would have ended the trial).
 			w = tr.neighbor[ci].Count
 			// In the relaxed model the neighbor is uniform over deg(u1)
 			// neighbors; accept with probability deg(u1)/S to land on 1/S
 			// exactly. (The augmented Neighbor query already realized the
 			// 1/S by failing when the random index exceeded the degree.)
 			if tr.relaxed {
-				if rng.Int63n(s) >= du1 {
+				if rng.Int63n(s) >= br.deg1 {
 					return trialOutcome{}
 				}
 			}

@@ -200,8 +200,9 @@ type countQuery struct {
 
 // CountQuery builds the (1±ε)-approximate counting query for pattern p —
 // the paper's 3-pass algorithm (Theorem 17 insertion-only, Theorem 1
-// turnstile). Give either WithTrials, or WithEpsilon+WithLowerBound (the
-// edge bound defaults to the stream length).
+// turnstile): at most 3 passes, 3 whenever a trial survives round 2. Give
+// either WithTrials, or WithEpsilon+WithLowerBound (the edge bound defaults
+// to the stream length).
 func CountQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 	return countQuery{p: p, o: resolve(opts)}
 }
@@ -228,8 +229,9 @@ type sampleQuery struct {
 }
 
 // SampleQuery builds the uniform-sampling query for pattern p: one
-// uniformly random copy of H in 3 passes (Lemma 16/18). Found is false on a
-// miss; for success probability ~1 set WithTrials ≈ 10·(2m)^ρ(H)/#H.
+// uniformly random copy of H in at most 3 passes (Lemma 16/18). Found is
+// false on a miss; for success probability ~1 set WithTrials ≈
+// 10·(2m)^ρ(H)/#H.
 func SampleQuery(p *Pattern, opts ...QueryOption) TypedQuery[*SampleResult] {
 	return sampleQuery{p: p, o: resolve(opts)}
 }
@@ -318,9 +320,9 @@ type autoQuery struct {
 }
 
 // AutoQuery builds the counting query for callers without a lower bound on
-// #H: a geometric search over guesses (cf. Lemma 21) at 3 passes per guess,
-// with cumulative pass/space accounting. ε defaults to 0.1 like every other
-// query (the legacy EstimateAuto defaulted to 0.2).
+// #H: a geometric search over guesses (cf. Lemma 21) at up to 3 passes per
+// guess, with cumulative pass/space accounting. ε defaults to 0.1 like every
+// other query (the legacy EstimateAuto defaulted to 0.2).
 func AutoQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 	return autoQuery{p: p, o: resolve(opts)}
 }

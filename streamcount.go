@@ -209,7 +209,8 @@ func legacyOpts(cfg Config) queryOpts {
 }
 
 // Estimate runs the paper's 3-pass subgraph counting algorithm (Theorem 17
-// on insertion-only streams, Theorem 1 on turnstile streams).
+// on insertion-only streams, Theorem 1 on turnstile streams): at most 3
+// passes, 3 whenever a trial survives round 2.
 //
 // Deprecated: use Run with CountQuery — it adds context cancellation and
 // uniform option defaults:
@@ -219,7 +220,8 @@ func Estimate(st Stream, cfg Config) (*Result, error) {
 	return Run(context.Background(), st, countQuery{p: cfg.Pattern, o: legacyOpts(cfg)})
 }
 
-// Sample draws one uniformly random copy of H in 3 passes (Lemma 16/18).
+// Sample draws one uniformly random copy of H in at most 3 passes (Lemma
+// 16/18).
 //
 // Deprecated: use Run with SampleQuery.
 func Sample(st Stream, cfg Config) (SampledCopy, bool, error) {
@@ -239,7 +241,7 @@ func EstimateCliques(st Stream, cfg CliqueConfig) (*Result, error) {
 }
 
 // EstimateAuto is Estimate without a known lower bound on #H: it performs a
-// geometric search over guesses (cf. Lemma 21), at 3 passes per guess.
+// geometric search over guesses (cf. Lemma 21), at up to 3 passes per guess.
 //
 // Deprecated: use Run with AutoQuery. Note AutoQuery defaults ε to 0.1 like
 // every other query; this legacy path defaults it to 0.2.
