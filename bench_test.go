@@ -134,8 +134,9 @@ func BenchmarkDecomposePattern(b *testing.B) {
 	}
 }
 
-// benchFGPInsertion measures one full 3-pass FGP count at the given pass
-// engine parallelism (0 = GOMAXPROCS, 1 = the sequential baseline).
+// benchFGPInsertion measures one full 3-pass FGP count at the given
+// trial-level parallelism (0 = GOMAXPROCS, 1 = the sequential baseline); the
+// insertion pass itself has one worker.
 func benchFGPInsertion(b *testing.B, parallelism int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(4))
@@ -151,7 +152,6 @@ func benchFGPInsertion(b *testing.B, parallelism int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.SetParallelism(parallelism)
 		if _, err := fgp.CountParallel(r, pl, 5000, rng, parallelism); err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func benchFGPInsertion(b *testing.B, parallelism int) {
 func BenchmarkFGPInsertionPass(b *testing.B)           { benchFGPInsertion(b, 0) }
 func BenchmarkFGPInsertionPassSequential(b *testing.B) { benchFGPInsertion(b, 1) }
 
-// BenchmarkInsertionRoundManyWatches is one sequential insertion round in the
+// BenchmarkInsertionRoundManyWatches is one insertion round in the
 // shape ERS gives it: ~50 000 Neighbor watches piled on ~50 vertices with
 // their indices in random order, over a 3 000-edge stream. It is the leaf
 // that shows a per-vertex watch ordering worse than O(k log k), or a pass
@@ -184,7 +184,6 @@ func BenchmarkInsertionRoundManyWatches(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.SetParallelism(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Round(qs); err != nil {
@@ -195,7 +194,7 @@ func BenchmarkInsertionRoundManyWatches(b *testing.B) {
 
 // BenchmarkERSCliqueCount is one ERS triangle count in the clique-ers
 // benchmark workload's shape — BA(800, 3) plus 80 planted triangles, ε 0.4,
-// L the exact count — over a pooled InsertionRunner with one pass worker.
+// L the exact count — over a pooled InsertionRunner.
 // Its allocs/op gate the algorithm↔runner round trip: in steady state the
 // chains, the task executor and the runner all work out of recycled or
 // slab-allocated scratch.
@@ -213,7 +212,6 @@ func BenchmarkERSCliqueCount(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.SetParallelism(1)
 		if _, err := ers.Count(r, p, qrng); err != nil {
 			b.Fatal(err)
 		}

@@ -101,9 +101,9 @@
 //
 // # Parallelism and determinism
 //
-// The pass engine is parallel: stream replay is batched, each runner shards
-// its per-query emulation state across workers, and the FGP trials are
-// processed concurrently. WithParallelism bounds the worker count — 0 means
+// Stream replay is batched, the FGP trials are processed concurrently, and
+// a turnstile pass updates its ℓ0-samplers in parallel; an insertion pass
+// has one worker. WithParallelism bounds the worker count — 0 means
 // GOMAXPROCS, 1 forces the sequential path. For a fixed WithSeed the result
 // is bit-identical at any parallelism, standalone or inside any engine
 // generation, even after cancellations; see DESIGN.md §2–§3 for the

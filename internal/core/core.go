@@ -59,10 +59,11 @@ type Config struct {
 	MaxTrials int
 	// Seed seeds the run's randomness.
 	Seed int64
-	// Parallelism bounds the worker goroutines of the pass engine (sharded
-	// query serving, batched stream replay) and the per-trial pipeline. 0
-	// selects GOMAXPROCS; 1 forces the sequential path. For a fixed Seed the
-	// estimate is bit-identical at any Parallelism (DESIGN.md §2).
+	// Parallelism bounds the worker goroutines of the per-trial pipeline and
+	// of a turnstile pass's sampler stages (an insertion pass has one
+	// worker). 0 selects GOMAXPROCS; 1 forces the sequential path. For a
+	// fixed Seed the estimate is bit-identical at any Parallelism
+	// (DESIGN.md §2).
 	Parallelism int
 }
 
@@ -221,9 +222,9 @@ type CliqueConfig struct {
 	Params ers.Params
 	// Seed seeds the run's randomness.
 	Seed int64
-	// Parallelism bounds the pass engine's worker goroutines (see
-	// Config.Parallelism). The ERS chain itself is sequential; its passes
-	// are served by the sharded runner.
+	// Parallelism is accepted as in Config.Parallelism and changes nothing
+	// here: the ERS chain is sequential and its passes, being insertion
+	// passes, have one worker.
 	Parallelism int
 }
 

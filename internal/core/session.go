@@ -302,7 +302,7 @@ func (s *Session) RunContext(ctx context.Context) error {
 }
 
 // roundAborter is the optional cleanup hook of a pass runner: AbortRound
-// discards an in-flight round (worker group, scratch references) after a
+// discards an in-flight round (its samplers, its query references) after a
 // failed pass. Both transform runners implement it.
 type roundAborter interface{ AbortRound() }
 
@@ -314,8 +314,8 @@ func (s *Session) servePass(reqs []*roundReq) {
 	fail := func(err error) {
 		for _, req := range reqs {
 			// A failed pass leaves runners mid-round (some may not even
-			// have begun); abort them so round-scoped resources — worker
-			// groups especially — are released on every path.
+			// have begun); abort them so round-scoped resources are
+			// released on every path.
 			if ab, ok := req.runner.(roundAborter); ok {
 				ab.AbortRound()
 			}
@@ -324,7 +324,11 @@ func (s *Session) servePass(reqs []*roundReq) {
 	}
 	for _, req := range reqs {
 		if err := req.runner.BeginRound(req.qs); err != nil {
-			fail(err)
+			// BeginRound refuses what the query or the stream's declared
+			// universe makes unanswerable (the turnstile runner checks the
+			// universe here, its constructors return no error), never a
+			// transient fault.
+			fail(fmt.Errorf("%w: %w", ErrBadConfig, err))
 			return
 		}
 	}
@@ -415,16 +419,19 @@ func (p *sessionRunner) NumVertices() int64  { return p.inner.NumVertices() }
 // stream — it only uses it for n and the insert-only check; all replays go
 // through the session's broadcaster. Runners come from the transform
 // package's process-wide pools, so a generation's jobs reuse the grown
-// scratch (reservoir banks, sampler cells, shard maps) of the jobs the
-// previous generations released instead of rebuilding it per wave.
+// scratch (reservoir banks, sampler cells, query tables) of the jobs the
+// previous generations released instead of rebuilding it per wave. Only the
+// turnstile runner takes the parallelism (its sampler stages); an insertion
+// pass has one worker.
 func (s *Session) newRunner(h *JobHandle, rng *rand.Rand, parallelism int) (oracle.Runner, error) {
 	var inner oracle.PassRunner
 	if s.st.InsertOnly() {
 		r, err := transform.AcquireInsertionRunner(s.st, rng)
 		if err != nil {
-			return nil, err
+			// The one thing the constructor refuses over an insertion-only
+			// stream is a universe a packed edge key cannot address.
+			return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 		}
-		r.SetParallelism(parallelism)
 		inner = r
 	} else {
 		r := transform.AcquireTurnstileRunner(s.st, rng)

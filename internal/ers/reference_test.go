@@ -786,8 +786,8 @@ func sameCounted(t *testing.T, label string, got, want counted) {
 }
 
 // TestCountMatchesReference runs the flat chain against the reference over
-// R ∈ {3, 4}, eight seeds, the direct oracle and the insertion runner at one
-// to three pass workers, fresh and recycled from a dirtied pool.
+// R ∈ {3, 4}, eight seeds, the direct oracle and the insertion runner, fresh
+// and recycled from a dirtied pool.
 func TestCountMatchesReference(t *testing.T) {
 	defer pool.SetDebug(pool.SetDebug(pool.DebugOff))
 	for _, c := range refCases() {
@@ -807,14 +807,13 @@ func TestCountMatchesReference(t *testing.T) {
 			covered = covered || c.check(want.res)
 
 			st := stream.Shuffled(stream.FromGraph(c.g), rand.New(rand.NewSource(seed+100)))
-			streaming := func(count countFn, workers int, pooled bool) counted {
+			streaming := func(count countFn, pooled bool) counted {
 				rng := rand.New(rand.NewSource(seed))
 				if !pooled {
 					r, err := transform.NewInsertionRunner(st, rng)
 					if err != nil {
 						t.Fatal(err)
 					}
-					r.SetParallelism(workers)
 					return runCount(t, count, r, c.p, rng, active)
 				}
 				defer pool.SetDebug(pool.SetDebug(pool.DebugDirty))
@@ -823,15 +822,12 @@ func TestCountMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer r.Release()
-				r.SetParallelism(workers)
 				return runCount(t, count, r, c.p, rng, active)
 			}
-			want = streaming(referenceCount, 1, false)
+			want = streaming(referenceCount, false)
 			covered = covered || c.check(want.res)
-			for workers := 1; workers <= 3; workers++ {
-				sameCounted(t, fmt.Sprintf("%s, %d workers, fresh", label, workers), streaming(countImpl, workers, false), want)
-				sameCounted(t, fmt.Sprintf("%s, %d workers, pooled dirty", label, workers), streaming(countImpl, workers, true), want)
-			}
+			sameCounted(t, label+", fresh", streaming(countImpl, false), want)
+			sameCounted(t, label+", pooled dirty", streaming(countImpl, true), want)
 		}
 		if !covered {
 			t.Errorf("%s: no seed exercised what the case is for", c.name)

@@ -105,10 +105,10 @@ func (m Model) String() string {
 type Runner interface {
 	// Round answers all queries in the batch. The answer slice is parallel
 	// to the query slice. It may be the runner's own buffer, filled again
-	// by every round: answers are valid until the next Round, BeginRound or
-	// ResumeRound on the runner, or its release to a pool, and a caller
-	// that needs one for longer copies it. The runner keeps queries no
-	// longer than the round.
+	// by every round: answers are valid until the next Round or BeginRound
+	// on the runner, or its release to a pool, and a caller that needs one
+	// for longer copies it. The runner keeps queries no longer than the
+	// round.
 	Round(queries []Query) ([]Answer, error)
 	// Model reports which f3 flavour the runner supports.
 	Model() Model
@@ -149,31 +149,4 @@ type PassRunner interface {
 	// scheduler hands them to the round's caller before it begins that
 	// runner's next round.
 	EndRound() ([]Answer, error)
-	// SnapshotRound captures the complete per-query state of the in-flight
-	// round, positioned between two ConsumeBatch calls. The snapshot is
-	// immutable: further ConsumeBatch/EndRound calls on this runner must not
-	// affect it, and ResumeRound must not consume it (one snapshot can seed
-	// many resumptions). Taking a snapshot never changes the round's answers.
-	SnapshotRound() (RoundCheckpoint, error)
-	// ResumeRound restores a snapshot into this runner as its in-flight
-	// round state, replacing any BeginRound. fromVersion is the number of
-	// updates the caller is about to skip; it must equal the snapshot's
-	// CheckpointVersion — the contract is that ResumeRound + ConsumeBatch
-	// over the suffix [fromVersion, end) + EndRound is bit-identical to
-	// BeginRound + a full replay + EndRound on an identically-constructed
-	// runner.
-	ResumeRound(cp RoundCheckpoint, fromVersion int64) error
-}
-
-// RoundCheckpoint is an opaque snapshot of an in-flight round, produced by
-// SnapshotRound and accepted by ResumeRound of the same runner type. It is
-// position-stamped so schedulers can validate the suffix they feed next and
-// account cache residency.
-type RoundCheckpoint interface {
-	// CheckpointVersion is the number of stream updates the round had
-	// consumed when the snapshot was taken.
-	CheckpointVersion() int64
-	// CheckpointBytes approximates the snapshot's resident size in bytes,
-	// for bounded-cache accounting.
-	CheckpointBytes() int64
 }

@@ -1,9 +1,9 @@
 // Package par provides the tiny deterministic-parallelism substrate shared
-// by the pass engine (internal/transform), the FGP trial pipeline
-// (internal/fgp) and the experiments harness: bounded worker fan-out whose
-// work assignment never influences results. Callers keep determinism by
-// giving each unit of work its own state (its own RNG, its own shard of a
-// map) and by merging results in index order, so any worker count — 1, 4,
+// by the turnstile sampler stages (internal/transform), the FGP trial
+// pipeline (internal/fgp) and the experiments harness: bounded worker fan-out
+// whose work assignment never influences results. Callers keep determinism
+// by giving each unit of work its own state (its own RNG, its own sampler)
+// and by merging results in index order, so any worker count — 1, 4,
 // GOMAXPROCS — computes bit-identical outputs.
 package par
 
@@ -19,79 +19,6 @@ func Workers(p int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return p
-}
-
-// Group is a set of persistent workers for repeated fan-out with stable
-// worker identity: worker i always runs as index i, so callers can pin
-// per-worker state (a shard's maps, a scratch buffer) to the index and
-// reuse it across every Run without synchronization. Where For pays a
-// goroutine spawn per worker per call, a Group pays it once per round —
-// the pass engine starts one per query round and dispatches every
-// replayed batch through it.
-//
-// A Group with one worker (or one constructed by NewGroup(1)) runs
-// everything inline on the caller's goroutine. Run must not be called
-// concurrently with itself or Close.
-type Group struct {
-	inbox []chan func(int)
-	round sync.WaitGroup // rendezvous for the current Run
-	alive sync.WaitGroup // worker lifetime, for Close
-}
-
-// NewGroup starts a group of Workers(p) persistent workers (none when that
-// resolves to 1). The caller owns the group and must Close it.
-func NewGroup(p int) *Group {
-	w := Workers(p)
-	g := &Group{}
-	if w <= 1 {
-		return g
-	}
-	g.inbox = make([]chan func(int), w)
-	for i := range g.inbox {
-		g.inbox[i] = make(chan func(int), 1)
-		g.alive.Add(1)
-		go func(i int) {
-			defer g.alive.Done()
-			for fn := range g.inbox[i] {
-				fn(i)
-				g.round.Done()
-			}
-		}(i)
-	}
-	return g
-}
-
-// Workers returns the group's worker count (1 for an inline group).
-func (g *Group) Workers() int {
-	if len(g.inbox) == 0 {
-		return 1
-	}
-	return len(g.inbox)
-}
-
-// Run invokes fn(i) on every worker i and returns once all calls have
-// finished. fn must be safe to call concurrently for distinct i.
-func (g *Group) Run(fn func(i int)) {
-	if len(g.inbox) == 0 {
-		fn(0)
-		return
-	}
-	g.round.Add(len(g.inbox))
-	for _, ch := range g.inbox {
-		ch <- fn
-	}
-	g.round.Wait()
-}
-
-// Close stops the workers and waits for them to exit. The group must not
-// be used afterwards (a closed group silently degrades to inline Run, so a
-// late caller misbehaves loudly in race builds rather than deadlocking).
-func (g *Group) Close() {
-	for _, ch := range g.inbox {
-		close(ch)
-	}
-	g.alive.Wait()
-	g.inbox = nil
 }
 
 // For runs fn(i) for every i in [0, n), fanning the index range out to at

@@ -32,42 +32,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestGroupStableIdentity(t *testing.T) {
-	const workers, rounds = 4, 50
-	g := NewGroup(workers)
-	defer g.Close()
-	if g.Workers() != workers {
-		t.Fatalf("Workers()=%d, want %d", g.Workers(), workers)
-	}
-	// Each worker accumulates into its own slot with no synchronization:
-	// stable identity means worker i only ever touches slot i, so the race
-	// detector stays quiet and counts come out exact.
-	counts := make([]int, workers)
-	for r := 0; r < rounds; r++ {
-		g.Run(func(i int) { counts[i]++ })
-	}
-	for i, c := range counts {
-		if c != rounds {
-			t.Fatalf("worker %d ran %d rounds, want %d", i, c, rounds)
-		}
-	}
-}
-
-func TestGroupInline(t *testing.T) {
-	g := NewGroup(1)
-	defer g.Close()
-	if g.Workers() != 1 {
-		t.Fatalf("Workers()=%d, want 1", g.Workers())
-	}
-	var order []int
-	for r := 0; r < 3; r++ {
-		g.Run(func(i int) { order = append(order, i) })
-	}
-	if len(order) != 3 || order[0] != 0 || order[1] != 0 || order[2] != 0 {
-		t.Fatalf("inline group misdispatched: %v", order)
-	}
-}
-
 func TestForSequentialIsInline(t *testing.T) {
 	// With one worker the calls must run on the caller's goroutine, in order.
 	var order []int

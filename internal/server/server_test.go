@@ -170,6 +170,18 @@ func TestHandlerErrors(t *testing.T) {
 			t.Errorf("invalid update %s: status %d (%q), want 400", body, code, e.Error)
 		}
 	}
+
+	// So is declaring more vertices than a packed edge key can tell apart.
+	if code := do(t, s, "POST", "/v1/streams", `{"name":"vast","n":8589934592}`, nil); code != http.StatusCreated {
+		t.Fatalf("create vast: status %d", code)
+	}
+	if code := do(t, s, "POST", "/v1/streams/vast/edges", `{"updates":[{"u":0,"v":1}]}`, nil); code != http.StatusOK {
+		t.Fatalf("append to vast: status %d", code)
+	}
+	e = wire.Error{}
+	if code := do(t, s, "POST", "/v1/queries", `{"stream":"vast","pattern":"triangle","trials":10}`, &e); code != http.StatusBadRequest || e.Code != wire.CodeBadConfig {
+		t.Errorf("query over 2^33 vertices: status %d code %q (%q), want 400 %q", code, e.Code, e.Error, wire.CodeBadConfig)
+	}
 }
 
 func TestQuerySyncAgainstIngestedStream(t *testing.T) {

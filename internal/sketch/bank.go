@@ -16,9 +16,9 @@ import "math"
 // Each slot draws the bit-identical accept sequence of
 // NewReservoirSeeded(seed): the skip draw replicates math/rand's
 // (*Rand).Float64 over a SplitMix64 source exactly (including its f==1
-// re-draw), so banked and heap reservoirs are interchangeable — the
-// checkpoint path relies on this, snapshotting slots as ordinary cloneable
-// Reservoirs and restoring them back into slots (Snapshot / Restore).
+// re-draw), so banked and heap reservoirs are interchangeable: the watch
+// fast path answers from a heap Reservoir what a streaming pass answers from
+// a slot.
 type ReservoirBank struct {
 	state []uint64 // splitmix64 RNG state per slot
 	item  []uint64 // current sample
@@ -31,9 +31,8 @@ type ReservoirBank struct {
 }
 
 // Reset re-arms the bank with n unseeded slots, reusing its backing arrays.
-// Every slot must be seeded (Seed or Restore) before use; Reset itself
-// clears all slot state so a recycled bank cannot leak a previous round's
-// samples.
+// Every slot must be seeded (Seed) before use; Reset itself clears all slot
+// state so a recycled bank cannot leak a previous round's samples.
 func (b *ReservoirBank) Reset(n int) {
 	if cap(b.state) < n {
 		b.state = make([]uint64, n)
@@ -121,12 +120,6 @@ func (b *ReservoirBank) Sample(i int) (uint64, bool) {
 	return b.item[i], b.count[i] > 0
 }
 
-// Snapshot returns slot i as an independent heap Reservoir that continues
-// from the identical RNG state — the checkpoint path's deep copy.
-func (b *ReservoirBank) Snapshot(i int) *Reservoir {
-	return newReservoirState(b.state[i], b.item[i], b.count[i], b.next[i])
-}
-
 // Dirty smears the bank's full backing capacity with loud sentinels. It is
 // a pool-debug hook (pool.DebugDirty): a later Reset that failed to re-arm
 // a slot then yields wildly wrong samples instead of coincidentally
@@ -146,19 +139,4 @@ func (b *ReservoirBank) Dirty() {
 	for i := range active {
 		active[i] = -0x5a5a5a5a
 	}
-}
-
-// Restore loads a cloneable Reservoir's state into slot i, so that the
-// slot's future evolution is bit-identical to the reservoir's. It reports
-// false for reservoirs with an external RNG (not cloneable, same rule as
-// Reservoir.Clone).
-func (b *ReservoirBank) Restore(i int, r *Reservoir) bool {
-	if r.src == nil {
-		return false
-	}
-	b.state[i] = r.src.state
-	b.item[i] = r.item
-	b.count[i] = r.count
-	b.next[i] = r.next
-	return true
 }

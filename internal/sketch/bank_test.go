@@ -45,10 +45,9 @@ func TestBankMatchesReservoir(t *testing.T) {
 			if bs != rs || bok != rok {
 				t.Fatalf("seed %d batch %d: bank sample (%d,%v) != reservoir (%d,%v)", seed, bi, bs, bok, rs, rok)
 			}
-			snap := bank.Snapshot(0)
-			if snap.count != res.count || snap.next != res.next || snap.src.state != res.src.state {
+			if bank.count[0] != res.count || bank.next[0] != res.next || bank.state[0] != res.src.state {
 				t.Fatalf("seed %d batch %d: bank state {count %d next %d rng %#x} != reservoir {count %d next %d rng %#x}",
-					seed, bi, snap.count, snap.next, snap.src.state, res.count, res.next, res.src.state)
+					seed, bi, bank.count[0], bank.next[0], bank.state[0], res.count, res.next, res.src.state)
 			}
 		}
 	}
@@ -113,8 +112,8 @@ func sameSlots(t *testing.T, label string, got, want *ReservoirBank) {
 
 // TestBankSweepMatchesPerSlot holds OfferKeysRange to the per-slot reference
 // loop, slot state for slot state: over random batch cuts with empty and
-// one-key batches, swept as sub-ranges, across a Snapshot/Restore between
-// batches, and as disjoint blocks swept from three goroutines at once.
+// one-key batches, swept as sub-ranges, and as disjoint blocks swept from
+// three goroutines at once.
 func TestBankSweepMatchesPerSlot(t *testing.T) {
 	const slots = 301
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -155,13 +154,6 @@ func TestBankSweepMatchesPerSlot(t *testing.T) {
 				wg.Wait()
 			}
 			sameSlots(t, "sweep", &got, &want)
-			if bi%17 == 5 { // a checkpoint round trip between batches
-				i, j := rng.Intn(slots), rng.Intn(slots)
-				snap := got.Snapshot(i)
-				if !got.Restore(j, snap) || !want.Restore(j, want.Snapshot(i)) {
-					t.Fatal("Restore rejected a bank snapshot")
-				}
-			}
 		}
 	}
 }
@@ -218,50 +210,6 @@ func TestBankSweepRedraws(t *testing.T) {
 	check("after the stream")
 }
 
-// TestBankSnapshotRestore round-trips mid-stream slot state through the
-// heap Reservoir form used by checkpoints and requires both continuations
-// to agree bit for bit.
-func TestBankSnapshotRestore(t *testing.T) {
-	batches := randBatches(7, 10000)
-	half := len(batches) / 2
-
-	var bank ReservoirBank
-	bank.Reset(2)
-	bank.Seed(0, 99)
-	for _, b := range batches[:half] {
-		bank.OfferKeys(0, b)
-	}
-	snap := bank.Snapshot(0)
-
-	// The snapshot must be an independent copy: keep feeding the original
-	// slot, then restore the snapshot into a different slot and replay.
-	for _, b := range batches[half:] {
-		bank.OfferKeys(0, b)
-	}
-	if !bank.Restore(1, snap) {
-		t.Fatal("Restore rejected a cloneable snapshot")
-	}
-	for _, b := range batches[half:] {
-		bank.OfferKeys(1, b)
-	}
-	s0, _ := bank.Sample(0)
-	s1, _ := bank.Sample(1)
-	if s0 != s1 {
-		t.Fatalf("restored slot diverged: %d != %d", s0, s1)
-	}
-	if bank.count[0] != bank.count[1] || bank.next[0] != bank.next[1] || bank.state[0] != bank.state[1] {
-		t.Fatalf("restored slot state diverged: {%d %d %#x} != {%d %d %#x}",
-			bank.count[0], bank.next[0], bank.state[0], bank.count[1], bank.next[1], bank.state[1])
-	}
-
-	if !bank.Restore(1, NewReservoirSeeded(5)) {
-		t.Fatal("Restore rejected a fresh seeded reservoir")
-	}
-	if bank.Restore(1, NewReservoir(rand.New(NewSplitMix64(5)))) {
-		t.Fatal("Restore accepted a non-cloneable reservoir")
-	}
-}
-
 // TestReservoirResetEqualsFresh proves the pool discipline's core claim for
 // reservoirs: a recycled, Reset reservoir is bit-identical to a fresh
 // NewReservoirSeeded, even after arbitrary prior use.
@@ -285,15 +233,9 @@ func TestReservoirResetEqualsFresh(t *testing.T) {
 		t.Fatal("reset reservoir final state differs from fresh")
 	}
 
-	// A NewReservoir over an external RNG becomes cloneable after Reset.
+	// A NewReservoir over an external RNG gets its own source at Reset.
 	ext := NewReservoir(rand.New(NewSplitMix64(1)))
-	if _, ok := ext.Clone(); ok {
-		t.Fatal("external-RNG reservoir should not be cloneable")
-	}
 	ext.Reset(77)
-	if _, ok := ext.Clone(); !ok {
-		t.Fatal("reset reservoir should be cloneable")
-	}
 	for _, b := range randBatches(4, 5000) {
 		ext.OfferKeys(b)
 	}
@@ -303,8 +245,7 @@ func TestReservoirResetEqualsFresh(t *testing.T) {
 }
 
 // TestL0ReseedEqualsFresh proves the same claim for ℓ0-samplers: Reseed on
-// a dirty sampler behaves exactly like a new construction, and
-// CopyStateFrom transplants full sketch state.
+// a dirty sampler behaves exactly like a new construction.
 func TestL0ReseedEqualsFresh(t *testing.T) {
 	cfg := L0Config{Levels: 12, Buckets: 4, Reps: 2}
 	rng := rand.New(NewSplitMix64(9))
@@ -332,22 +273,6 @@ func TestL0ReseedEqualsFresh(t *testing.T) {
 		if used.cells[i] != fresh.cells[i] {
 			t.Fatalf("cell %d differs after reseed: %+v != %+v", i, used.cells[i], fresh.cells[i])
 		}
-	}
-
-	other := NewL0Sampler(1, cfg)
-	if !other.CopyStateFrom(used) {
-		t.Fatal("CopyStateFrom rejected same-geometry sampler")
-	}
-	for i := range other.cells {
-		if other.cells[i] != used.cells[i] {
-			t.Fatalf("cell %d differs after CopyStateFrom", i)
-		}
-	}
-	if other.seed != used.seed || other.z != used.z {
-		t.Fatal("CopyStateFrom did not transplant seed/base")
-	}
-	if other.CopyStateFrom(NewL0Sampler(1, L0Config{Levels: 3, Buckets: 2, Reps: 1})) {
-		t.Fatal("CopyStateFrom accepted mismatched geometry")
 	}
 }
 

@@ -51,10 +51,6 @@ func (s *SplitMix64) Seed(seed int64) { s.state = uint64(seed) }
 // Read, which the engine never uses).
 func (s *SplitMix64) Reseed(seed uint64) { s.state = seed }
 
-// Clone returns an independent source that continues from the same state:
-// both copies produce the identical remaining sequence.
-func (s *SplitMix64) Clone() *SplitMix64 { c := *s; return &c }
-
 // mersenne61 is the Mersenne prime 2^61 - 1, the fingerprint field modulus.
 const mersenne61 = (1 << 61) - 1
 

@@ -108,16 +108,6 @@ func NewL0SamplerWithBase(seed, z uint64, cfg L0Config) *L0Sampler {
 	return s
 }
 
-// Clone returns an independent deep copy: the sampler is a pure linear
-// sketch (stateless hashing over a cell array), so the copy and the
-// original answer identically given identical further updates.
-func (s *L0Sampler) Clone() *L0Sampler {
-	c := *s
-	c.cells = make([]l0cell, len(s.cells))
-	copy(c.cells, s.cells)
-	return &c
-}
-
 // Reseed re-arms the sampler in place under a new seed and fingerprint
 // base, reusing its cell array: the result is bit-identical in every
 // observable way to NewL0SamplerWithBase(seed, z, cfg) with the sampler's
@@ -128,23 +118,6 @@ func (s *L0Sampler) Reseed(seed, z uint64) {
 	s.z = z
 	clear(s.cells)
 }
-
-// CopyStateFrom overwrites s with src's complete sketch state (seed, base
-// and cells). Both samplers must share a geometry (levels, buckets, reps);
-// it reports whether they did. It is the checkpoint-restore path's way of
-// loading a snapshot clone into pooled storage.
-func (s *L0Sampler) CopyStateFrom(src *L0Sampler) bool {
-	if s.levels != src.levels || s.buckets != src.buckets || s.reps != src.reps {
-		return false
-	}
-	s.seed = src.seed
-	s.z = src.z
-	copy(s.cells, src.cells)
-	return true
-}
-
-// CellBytes approximates the sampler's resident cell-array size in bytes.
-func (s *L0Sampler) CellBytes() int64 { return int64(len(s.cells)) * 24 }
 
 // Dirty smears the sampler's state with loud sentinels. It is a pool-debug
 // hook (pool.DebugDirty) for sampler freelists: a reuse path that skipped

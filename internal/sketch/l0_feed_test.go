@@ -105,7 +105,6 @@ func TestUpdateFeedMatchesReference(t *testing.T) {
 					}
 					got.UpdateFeed(feed, &sc)
 					check("whole feed", got)
-					check("clone", got.Clone())
 
 					got.Reseed(feedSeed, z)
 					for lo := 0; lo < len(feed); {

@@ -15,7 +15,7 @@ import (
 // uniform U), costing O(log m) random draws per stream instead of O(m).
 type Reservoir struct {
 	rng   *rand.Rand
-	src   *SplitMix64 // non-nil iff built by NewReservoirSeeded (cloneable)
+	src   *SplitMix64 // rng's source when the reservoir owns it, for Reset to reseed
 	item  uint64
 	count int64
 	next  int64 // index (1-based) of the next item to accept
@@ -29,37 +29,17 @@ func NewReservoir(rng *rand.Rand) *Reservoir {
 // NewReservoirSeeded returns an empty reservoir over a private splitmix64
 // source seeded with seed. It draws the same accept sequence as
 // NewReservoir(rand.New(NewSplitMix64(seed))), but retains the source so
-// the reservoir is cloneable mid-stream (see Clone).
+// Reset can reseed it in place.
 func NewReservoirSeeded(seed uint64) *Reservoir {
 	src := NewSplitMix64(seed)
 	return &Reservoir{rng: rand.New(src), src: src, next: 1}
-}
-
-// Clone returns an independent deep copy of the reservoir: both copies
-// continue from the identical RNG state, so offering the same items to each
-// yields bit-identical samples. Only reservoirs built by NewReservoirSeeded
-// are cloneable (ok reports false otherwise — an external *rand.Rand cannot
-// be duplicated).
-func (r *Reservoir) Clone() (*Reservoir, bool) {
-	if r.src == nil {
-		return nil, false
-	}
-	src := r.src.Clone()
-	return &Reservoir{rng: rand.New(src), src: src, item: r.item, count: r.count, next: r.next}, true
-}
-
-// newReservoirState builds a cloneable reservoir from raw state — the bank
-// snapshot path's constructor.
-func newReservoirState(rngState, item uint64, count, next int64) *Reservoir {
-	src := NewSplitMix64(rngState)
-	return &Reservoir{rng: rand.New(src), src: src, item: item, count: count, next: next}
 }
 
 // Reset re-arms the reservoir over a private splitmix64 source seeded with
 // seed, reusing its allocations: the result is bit-identical in every
 // observable way to a fresh NewReservoirSeeded(seed). Reservoirs built with
 // an external *rand.Rand (NewReservoir) allocate their source on first
-// Reset and are cloneable thereafter.
+// Reset.
 func (r *Reservoir) Reset(seed uint64) {
 	if r.src == nil {
 		r.src = NewSplitMix64(seed)

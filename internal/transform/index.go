@@ -78,8 +78,8 @@ func (ix *PrefixIndex) Extend(batch []stream.Update) error {
 		key := edgeKey(e, ix.n)
 		pos := int64(len(ix.keys))
 		// Both incidence entries are appended even for a self-loop,
-		// mirroring the streaming pass (insShard.process touches U then V
-		// unconditionally), so degrees and neighbor order match exactly.
+		// mirroring the streaming pass (InsertionRunner.process touches U
+		// then V unconditionally), so degrees and neighbor order match.
 		ix.keys = append(ix.keys, key)
 		ix.nbr[e.U] = append(ix.nbr[e.U], nbrEntry{pos: pos, other: e.V})
 		ix.nbr[e.V] = append(ix.nbr[e.V], nbrEntry{pos: pos, other: e.U})

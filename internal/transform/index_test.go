@@ -2,8 +2,6 @@ package transform
 
 import (
 	"math/rand"
-	"slices"
-	"strings"
 	"testing"
 
 	"streamcount/internal/fgp"
@@ -41,36 +39,6 @@ func insQueries() []oracle.Query {
 	}
 }
 
-// feedAll drives one full manual round over ups in uneven chunks.
-func feedAll(t *testing.T, r oracle.PassRunner, qs []oracle.Query, ups []stream.Update) []oracle.Answer {
-	t.Helper()
-	if err := r.BeginRound(qs); err != nil {
-		t.Fatal(err)
-	}
-	return feedSuffix(t, r, ups)
-}
-
-// feedSuffix feeds ups into an already-begun round and ends it. It returns a
-// copy of the answers, which the tests compare across the runner's rounds.
-func feedSuffix(t *testing.T, r oracle.PassRunner, ups []stream.Update) []oracle.Answer {
-	t.Helper()
-	for len(ups) > 0 {
-		k := 7
-		if k > len(ups) {
-			k = len(ups)
-		}
-		if err := r.ConsumeBatch(ups[:k]); err != nil {
-			t.Fatal(err)
-		}
-		ups = ups[k:]
-	}
-	ans, err := r.EndRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return slices.Clone(ans)
-}
-
 func sameAnswers(t *testing.T, label string, want, got []oracle.Answer) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -89,159 +57,6 @@ type passCounters struct {
 
 func countersOf(r oracle.Runner) passCounters {
 	return passCounters{rounds: r.Rounds(), queries: r.Queries(), space: r.SpaceWords()}
-}
-
-// testSnapshotResumeLinearity checks the checkpoint contract on any
-// PassRunner factory: snapshot at position v, resume on a fresh runner, feed
-// only the suffix — answers and budget counters must be bit-identical to a
-// cold full-replay round, and a SECOND full round on both runners must also
-// agree (seed lockstep: ResumeRound discards exactly the RNG draws
-// BeginRound would have made).
-func testSnapshotResumeLinearity(t *testing.T, ups []stream.Update, qs []oracle.Query, mk func(seed int64) oracle.PassRunner) {
-	t.Helper()
-	for _, v := range []int{0, 1, 7, len(ups) / 2, len(ups) - 1, len(ups)} {
-		cold := mk(42)
-		wantAns := feedAll(t, cold, qs, ups)
-		wantRound2 := feedAll(t, cold, qs, ups)
-		want := countersOf(cold)
-
-		snap := mk(42)
-		if err := snap.BeginRound(qs); err != nil {
-			t.Fatal(err)
-		}
-		if err := snap.ConsumeBatch(ups[:v]); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := snap.SnapshotRound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cp.CheckpointVersion() != int64(v) {
-			t.Fatalf("v=%d: CheckpointVersion=%d", v, cp.CheckpointVersion())
-		}
-		if v > 0 && cp.CheckpointBytes() <= 0 {
-			t.Fatalf("v=%d: CheckpointBytes=%d", v, cp.CheckpointBytes())
-		}
-
-		// The snapshotted runner finishes its own round first: taking the
-		// snapshot must not have changed its answers, and its progress must
-		// not reach the snapshot.
-		sameAnswers(t, "snapshotted runner finishes", wantAns, feedSuffix(t, snap, ups[v:]))
-
-		resumed := mk(42)
-		if err := resumed.ResumeRound(cp, int64(v)); err != nil {
-			t.Fatal(err)
-		}
-		gotAns := feedSuffix(t, resumed, ups[v:])
-		sameAnswers(t, "resumed round", wantAns, gotAns)
-		gotRound2 := feedAll(t, resumed, qs, ups)
-		sameAnswers(t, "post-resume round 2 (seed lockstep)", wantRound2, gotRound2)
-		if got := countersOf(resumed); got != want {
-			t.Errorf("v=%d: counters %+v, want %+v", v, got, want)
-		}
-	}
-}
-
-func TestSnapshotResumeLinearityInsertion(t *testing.T) {
-	ups := checkpointWorkload(t, 60, 150)
-	st, err := stream.NewSlice(60, ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testSnapshotResumeLinearity(t, ups, insQueries(), func(seed int64) oracle.PassRunner {
-		r, err := NewInsertionRunner(st, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.SetParallelism(2)
-		return r
-	})
-}
-
-func TestSnapshotResumeLinearityTurnstile(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ts := stream.WithDeletions(gen.ErdosRenyiGNM(rng, 40, 120), 0.3, rng)
-	ups := ts.Updates()
-	qs := []oracle.Query{
-		q(oracle.CountEdges),
-		q(oracle.RandomEdge),
-		q(oracle.RandomNeighbor, 2),
-		q(oracle.Degree, 2),
-		q(oracle.RandomEdge),
-		q(oracle.Adjacent, 0, 1),
-		q(oracle.RandomNeighbor, 7),
-	}
-	testSnapshotResumeLinearity(t, ups, qs, func(seed int64) oracle.PassRunner {
-		r := NewTurnstileRunner(ts, rand.New(rand.NewSource(seed)))
-		r.SetParallelism(2)
-		return r
-	})
-}
-
-// TestSnapshotImmutable: a snapshot outlives its runner's round — feeding
-// the snapshotted runner onward (and ending its round) must not leak into
-// the checkpoint, and one snapshot must seed many identical resumptions.
-func TestSnapshotImmutable(t *testing.T) {
-	ups := checkpointWorkload(t, 30, 60)
-	st, err := stream.NewSlice(30, ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := insQueries()
-	v := len(ups) / 3
-
-	cold, _ := NewInsertionRunner(st, rand.New(rand.NewSource(7)))
-	wantAns := feedAll(t, cold, qs, ups)
-
-	snap, _ := NewInsertionRunner(st, rand.New(rand.NewSource(7)))
-	if err := snap.BeginRound(qs); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.ConsumeBatch(ups[:v]); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := snap.SnapshotRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The snapshotted runner keeps going to completion; the snapshot must
-	// not notice.
-	sameAnswers(t, "snapshotted runner finishes", wantAns, feedSuffix(t, snap, ups[v:]))
-
-	for i := 0; i < 2; i++ {
-		resumed, _ := NewInsertionRunner(st, rand.New(rand.NewSource(7)))
-		if err := resumed.ResumeRound(cp, int64(v)); err != nil {
-			t.Fatal(err)
-		}
-		sameAnswers(t, "repeat resumption", wantAns, feedSuffix(t, resumed, ups[v:]))
-	}
-}
-
-func TestSnapshotRoundErrors(t *testing.T) {
-	ups := checkpointWorkload(t, 20, 30)
-	st, err := stream.NewSlice(20, ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewInsertionRunner(st, rand.New(rand.NewSource(1)))
-	if _, err := r.SnapshotRound(); err == nil || !strings.Contains(err.Error(), "outside a round") {
-		t.Errorf("SnapshotRound outside a round: err=%v", err)
-	}
-	if err := r.BeginRound(insQueries()); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := r.SnapshotRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := NewInsertionRunner(st, rand.New(rand.NewSource(1)))
-	if err := r2.ResumeRound(cp, 5); err == nil || !strings.Contains(err.Error(), "checkpoint position") {
-		t.Errorf("fromVersion mismatch: err=%v", err)
-	}
-	tr := NewTurnstileRunner(st, rand.New(rand.NewSource(1)))
-	if err := tr.ResumeRound(cp, 0); err == nil || !strings.Contains(err.Error(), "not a turnstile-round checkpoint") {
-		t.Errorf("cross-runner checkpoint: err=%v", err)
-	}
 }
 
 // TestIndexedRunnerMatchesInsertionRunner pins the fast path's core claim:

@@ -13,9 +13,9 @@ import (
 // most 1/2, multiplicative hash) whose size follows the number of distinct
 // keys and never the universe: the same structure at n = 2 000 and n = 10⁹.
 // reset keeps the slots, so a reused table allocates only when a round holds
-// more keys than any before it. Dense indices are int32: one round, one
-// shard, holds fewer than 2³¹ distinct keys (BeginRound bounds the query
-// count accordingly).
+// more keys than any before it. Dense indices are int32: one round holds
+// fewer than 2³¹ distinct keys (BeginRound bounds the query count
+// accordingly).
 type keyTable struct {
 	slots []keySlot
 	n     int // distinct keys held
@@ -100,17 +100,4 @@ func (t *keyTable) grow() {
 		}
 		t.slots[i] = s
 	}
-}
-
-// keys returns the held keys in dense-index order: re-inserting them in that
-// order into an empty table reproduces every index, which is how a round
-// checkpoint carries a table in O(distinct keys) words.
-func (t *keyTable) keys() []uint64 {
-	ks := make([]uint64, t.n)
-	for _, s := range t.slots {
-		if s.ref != 0 {
-			ks[s.ref-1] = s.key
-		}
-	}
-	return ks
 }

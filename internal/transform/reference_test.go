@@ -211,10 +211,10 @@ func feedCuts(rng *rand.Rand, ups []stream.Update, fn func([]stream.Update)) {
 }
 
 // TestInsertionRunnerMatchesReference property-tests the flat-table round
-// against the map-and-countdown reference: three rounds per runner, answers
-// and Rounds/Queries/SpaceWords bit-equal, at P = 1, 2, 3, straight through
-// and across a snapshot/resume at a random batch cut, on fresh runners and on
-// a pooled runner recycled under pool.DebugDirty.
+// against the map-and-countdown reference: three rounds per runner, fed in
+// batches cut at random positions, answers and Rounds/Queries/SpaceWords
+// bit-equal, on fresh runners and on a pooled runner recycled under
+// pool.DebugDirty.
 func TestInsertionRunnerMatchesReference(t *testing.T) {
 	defer pool.SetDebug(pool.SetDebug(pool.DebugDirty))
 	for seed := int64(0); seed < 12; seed++ {
@@ -245,88 +245,37 @@ func TestInsertionRunnerMatchesReference(t *testing.T) {
 		}
 		wantCounters := passCounters{ref.rounds, ref.queries, ref.space}
 
-		for _, p := range []int{1, 2, 3} {
-			for _, pooled := range []bool{false, true} {
-				label := fmt.Sprintf("seed %d P=%d pooled=%v", seed, p, pooled)
-				mk := NewInsertionRunner
-				if pooled {
-					mk = AcquireInsertionRunner
+		for _, pooled := range []bool{false, true} {
+			label := fmt.Sprintf("seed %d pooled=%v", seed, pooled)
+			mk := NewInsertionRunner
+			if pooled {
+				mk = AcquireInsertionRunner
+			}
+			r, err := mk(st, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := rand.New(rand.NewSource(seed + 100))
+			for k, qs := range rounds {
+				if err := r.BeginRound(qs); err != nil {
+					t.Fatal(err)
 				}
-				newRunner := func() *InsertionRunner {
-					r, err := mk(st, rand.New(rand.NewSource(seed)))
-					if err != nil {
+				feedCuts(cuts, ups, func(b []stream.Update) {
+					if err := r.ConsumeBatch(b); err != nil {
 						t.Fatal(err)
 					}
-					r.SetParallelism(p)
-					return r
+				})
+				got, err := r.EndRound()
+				if err != nil {
+					t.Fatal(err)
 				}
-				cuts := rand.New(rand.NewSource(seed + 100))
-
-				straight := newRunner()
-				for k, qs := range rounds {
-					if err := straight.BeginRound(qs); err != nil {
-						t.Fatal(err)
-					}
-					feedCuts(cuts, ups, func(b []stream.Update) {
-						if err := straight.ConsumeBatch(b); err != nil {
-							t.Fatal(err)
-						}
-					})
-					got, err := straight.EndRound()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameAnswers(t, fmt.Sprintf("%s round %d", label, k), want[k], got)
-				}
-				if got := countersOf(straight); got != wantCounters {
-					t.Errorf("%s: counters %+v, want %+v", label, got, wantCounters)
-				}
-				if pooled {
-					straight.Release()
-				}
-
-				// Every round again, cut in two by a snapshot on one runner
-				// and a resume on another.
-				front, back := newRunner(), newRunner()
-				for k, qs := range rounds {
-					v := cuts.Intn(len(ups) + 1)
-					if err := front.BeginRound(qs); err != nil {
-						t.Fatal(err)
-					}
-					if err := front.ConsumeBatch(ups[:v]); err != nil {
-						t.Fatal(err)
-					}
-					cp, err := front.SnapshotRound()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := front.ConsumeBatch(ups[v:]); err != nil { // must not reach the snapshot
-						t.Fatal(err)
-					}
-					if _, err := front.EndRound(); err != nil {
-						t.Fatal(err)
-					}
-					if err := back.ResumeRound(cp, int64(v)); err != nil {
-						t.Fatal(err)
-					}
-					feedCuts(cuts, ups[v:], func(b []stream.Update) {
-						if err := back.ConsumeBatch(b); err != nil {
-							t.Fatal(err)
-						}
-					})
-					got, err := back.EndRound()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameAnswers(t, fmt.Sprintf("%s round %d resumed at %d", label, k, v), want[k], got)
-				}
-				if got := countersOf(back); got != wantCounters {
-					t.Errorf("%s: resumed counters %+v, want %+v", label, got, wantCounters)
-				}
-				if pooled {
-					front.Release()
-					back.Release()
-				}
+				sameAnswers(t, fmt.Sprintf("%s round %d", label, k), want[k], got)
+			}
+			if got := countersOf(r); got != wantCounters {
+				t.Errorf("%s: counters %+v, want %+v", label, got, wantCounters)
+			}
+			if pooled {
+				r.Release()
 			}
 		}
 	}
@@ -335,8 +284,8 @@ func TestInsertionRunnerMatchesReference(t *testing.T) {
 // TestWatchRunPlacement holds placeRun to the comparison sort it replaces for
 // long, narrow runs: on both sides of the length threshold and of the span
 // bound, with all-equal and near-MaxInt64 indices; then end to end, a hub
-// vertex's watches answered from the stream's order at P = 1, 2, 3 on fresh
-// runners and on pooled ones under pool.DebugDirty.
+// vertex's watches answered from the stream's order on a fresh runner and on
+// pooled ones under pool.DebugDirty.
 func TestWatchRunPlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	byIThenQuery := func(a, b neighborWatch) int {
@@ -367,11 +316,11 @@ func TestWatchRunPlacement(t *testing.T) {
 		want := slices.Clone(run)
 		slices.SortFunc(want, byIThenQuery)
 
-		var sh insShard
-		sh.runCopy = []neighborWatch{{i: -1}} // a previous run's leftovers
-		sh.runPos = []int32{9, 9, 9}
-		sh.placeRun(run)
-		if counted := len(sh.runCopy) == c.n; counted != c.counting {
+		var r InsertionRunner
+		r.runCopy = []neighborWatch{{i: -1}} // a previous run's leftovers
+		r.runPos = []int32{9, 9, 9}
+		r.placeRun(run)
+		if counted := len(r.runCopy) == c.n; counted != c.counting {
 			t.Errorf("%s: placed by counting: %v, want %v", c.name, counted, c.counting)
 		}
 		if !slices.IsSortedFunc(run, func(a, b neighborWatch) int { return cmp.Compare(a.i, b.i) }) {
@@ -409,25 +358,22 @@ func TestWatchRunPlacement(t *testing.T) {
 			want = append(want, oracle.Answer{})
 		}
 	}
-	for _, p := range []int{1, 2, 3} {
-		for _, pooled := range []bool{false, true, true} {
-			mk := NewInsertionRunner
-			if pooled {
-				mk = AcquireInsertionRunner
-			}
-			r, err := mk(st, rand.New(rand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.SetParallelism(p)
-			got, err := r.Round(qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAnswers(t, fmt.Sprintf("hub round P=%d pooled=%v", p, pooled), want, got)
-			if pooled {
-				r.Release()
-			}
+	for _, pooled := range []bool{false, true, true} {
+		mk := NewInsertionRunner
+		if pooled {
+			mk = AcquireInsertionRunner
+		}
+		r, err := mk(st, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Round(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswers(t, fmt.Sprintf("hub round pooled=%v", pooled), want, got)
+		if pooled {
+			r.Release()
 		}
 	}
 }
@@ -439,12 +385,10 @@ func TestKeyTable(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		tab.reset()
 		want := map[uint64]int32{}
-		var order []uint64
 		for len(want) < 3000>>round {
 			key := rng.Uint64() >> uint(rng.Intn(64)) // all magnitudes, 0 included
 			if _, ok := want[key]; !ok {
 				want[key] = int32(len(want))
-				order = append(order, key)
 			}
 			if got := tab.insert(key); got != want[key] {
 				t.Fatalf("round %d: insert(%#x) = %d, want %d", round, key, got, want[key])
@@ -462,15 +406,6 @@ func TestKeyTable(t *testing.T) {
 			key := rng.Uint64()
 			if _, ok := want[key]; !ok && tab.find(key) != -1 {
 				t.Fatalf("round %d: find(%#x) hit an absent key", round, key)
-			}
-		}
-		got := tab.keys()
-		if len(got) != len(order) {
-			t.Fatalf("round %d: %d keys, want %d", round, len(got), len(order))
-		}
-		for i := range order {
-			if got[i] != order[i] {
-				t.Fatalf("round %d: keys()[%d] = %#x, want %#x", round, i, got[i], order[i])
 			}
 		}
 		if round == 1 {

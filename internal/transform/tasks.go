@@ -37,9 +37,9 @@ type Task interface {
 
 // runScratch is one Run call's round buffers: the batch handed to the
 // runner and, per unfinished task, where its queries sit in it. Runners
-// keep a batch only until the round ends (checkpoints copy it), so the
-// buffers are refilled round after round and recycled across Run calls —
-// ERS calls Run once per phase with rounds of 10⁵ queries from 10⁴ tasks.
+// keep a batch only until the round ends, so the buffers are refilled round
+// after round and recycled across Run calls — ERS calls Run once per phase
+// with rounds of 10⁵ queries from 10⁴ tasks.
 type runScratch struct {
 	batch []oracle.Query
 	spans []runSpan

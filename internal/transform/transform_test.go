@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -576,6 +577,72 @@ func TestRoundLifecycleEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPassRunnersStartNoGoroutines: a round belongs to the goroutine that
+// drives it. Whatever SetParallelism asks for, BeginRound and a batch short
+// of feedBlock start nothing that outlives the call — so a runner dropped
+// mid-round is plain garbage — and the answers are those of one worker.
+func TestPassRunnersStartNoGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := gen.ErdosRenyiGNM(rng, 40, 200)
+	type passRunner interface {
+		oracle.PassRunner
+		SetParallelism(int)
+	}
+	for _, c := range []struct {
+		name string
+		st   *stream.Slice
+		qs   []oracle.Query
+		mk   func(st stream.Stream) passRunner
+	}{
+		{"insertion", stream.FromGraph(g), insQueries(), func(st stream.Stream) passRunner {
+			r, err := NewInsertionRunner(st, rand.New(rand.NewSource(35)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+		{"turnstile", stream.WithDeletions(g, 0.5, rng), []oracle.Query{
+			q(oracle.CountEdges), q(oracle.RandomEdge), q(oracle.Degree, 3), q(oracle.RandomNeighbor, 2),
+			q(oracle.Adjacent, 0, 1), q(oracle.RandomNeighbor, 7), q(oracle.RandomEdge),
+		}, func(st stream.Stream) passRunner {
+			return NewTurnstileRunner(st, rand.New(rand.NewSource(35)))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ups := c.st.Updates()
+			if len(ups) >= feedBlock {
+				t.Fatalf("%d updates are not short of a feed block", len(ups))
+			}
+			one := c.mk(c.st)
+			one.SetParallelism(1)
+			want, err := one.Round(c.qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			r := c.mk(c.st)
+			r.SetParallelism(4)
+			before := runtime.NumGoroutine()
+			if err := r.BeginRound(c.qs); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ConsumeBatch(ups); err != nil {
+				t.Fatal(err)
+			}
+			// More, not different: a finished goroutine of an earlier test may
+			// still be on its way out.
+			if got := runtime.NumGoroutine(); got > before {
+				t.Errorf("%d goroutines mid-round, %d before it", got, before)
+			}
+			got, err := r.EndRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, "4 workers asked for", want, got)
+		})
+	}
 }
 
 // TestRoundContextCancelBetweenBatches: the runners' ctx-aware round entry

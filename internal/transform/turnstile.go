@@ -27,9 +27,8 @@ import (
 // bits. All ℓ0-samplers in a round share one fingerprint base so the
 // per-update field exponentiation is computed once per feed entry.
 //
-// The pass is a three-stage parallel pipeline: (1) counters are sharded by
-// hash(vertex) / hash(packed edge key) mod P and each update batch fans out
-// to a persistent per-round worker group, while sampler feeds are buffered;
+// The pass is a three-stage pipeline: (1) the goroutine that calls
+// ConsumeBatch updates the counters and buffers the sampler feeds;
 // (2) what a feed entry costs once for all samplers — its fingerprint term
 // (a field exponentiation) and its key hash — is filled in by a parallel
 // sweep; (3) every sampler takes its whole feed in one UpdateFeed call,
@@ -56,22 +55,22 @@ type TurnstileRunner struct {
 	// In-flight round state (BeginRound .. EndRound).
 	inRound      bool
 	curQueries   []oracle.Query
-	curP         int
 	curM         int64 // net edge count (insertions minus deletions)
-	curConsumed  int64 // updates consumed, the round's stream position
 	curBuffered  int   // updates consumed since the feeds were last flushed
 	curBase      uint64
 	edgeSamplers []*sketch.L0Sampler // for RandomEdge queries
 	edgeSampIdx  []int
 	nbrSamplers  map[int64][]*sketch.L0Sampler // vertex -> samplers
 	nbrSampIdx   map[int64][]int
-	nbrVerts     []int64 // deterministic iteration order over nbrSamplers
+	nbrVerts     []int64                      // deterministic iteration order over nbrSamplers
+	deg          map[int64]int64              // queried vertex -> signed degree
+	adj          map[uint64]int64             // queried packed edge key -> signed multiplicity
+	nbrFeed      map[int64][]sketch.FeedEntry // RandomNeighbor vertex -> its buffered feed
 
 	// Scratch reused across rounds (and, via the runner pool, across
 	// engine generations).
-	freeSamplers []*sketch.L0Sampler // retired samplers awaiting Reseed
-	shards       []*turnShard
-	grp          *par.Group // round-scoped worker group when curP > 1
+	freeSamplers []*sketch.L0Sampler  // retired samplers awaiting Reseed
+	freeFeed     [][]sketch.FeedEntry // emptied feed buffers of earlier rounds
 	batchEdges   []graph.Edge
 	batchKeys    []uint64
 	batchDelta   []int64
@@ -95,62 +94,61 @@ type samplerTask struct {
 	feed []sketch.FeedEntry
 }
 
-// turnShard is the per-worker slice of a round's counter state and neighbor
-// feeds, pre-populated at setup with the keys the shard owns.
-type turnShard struct {
-	deg      map[int64]int64
-	adj      map[uint64]int64
-	nbrFeed  map[int64][]sketch.FeedEntry
-	freeFeed [][]sketch.FeedEntry // emptied feed buffers of earlier rounds
-}
-
-// reset empties the shard for a new round, keeping the last round's feed
-// buffers for newFeed to hand out again.
-func (s *turnShard) reset() {
-	clear(s.deg)
-	clear(s.adj)
-	for _, f := range s.nbrFeed {
-		s.freeFeed = append(s.freeFeed, f[:0])
+// resetCounters empties the counter and feed tables for a new round, keeping
+// the last round's feed buffers for newFeed to hand out again.
+func (r *TurnstileRunner) resetCounters() {
+	if r.deg == nil {
+		r.deg = make(map[int64]int64)
+		r.adj = make(map[uint64]int64)
+		r.nbrFeed = make(map[int64][]sketch.FeedEntry)
+		return
 	}
-	clear(s.nbrFeed)
+	clear(r.deg)
+	clear(r.adj)
+	for _, f := range r.nbrFeed {
+		r.freeFeed = append(r.freeFeed, f[:0])
+	}
+	clear(r.nbrFeed)
 }
 
 // newFeed returns an empty feed buffer, a recycled one when there is one.
 // Which buffer a vertex gets is arbitrary and invisible: all are empty.
-func (s *turnShard) newFeed() []sketch.FeedEntry {
-	if n := len(s.freeFeed); n > 0 {
-		f := s.freeFeed[n-1]
-		s.freeFeed = s.freeFeed[:n-1]
+func (r *TurnstileRunner) newFeed() []sketch.FeedEntry {
+	if n := len(r.freeFeed); n > 0 {
+		f := r.freeFeed[n-1]
+		r.freeFeed = r.freeFeed[:n-1]
 		return f
 	}
 	return nil
 }
 
-func (s *turnShard) process(edges []graph.Edge, keys []uint64, deltas []int64) {
-	if len(s.deg) == 0 && len(s.adj) == 0 && len(s.nbrFeed) == 0 {
+// process is the round's stage 1 over one canonicalized batch: counters move,
+// neighbor feeds grow.
+func (r *TurnstileRunner) process(edges []graph.Edge, keys []uint64, deltas []int64) {
+	if len(r.deg) == 0 && len(r.adj) == 0 && len(r.nbrFeed) == 0 {
 		return
 	}
 	for i, e := range edges {
 		d := deltas[i]
-		if _, ok := s.deg[e.U]; ok {
-			s.deg[e.U] += d
+		if _, ok := r.deg[e.U]; ok {
+			r.deg[e.U] += d
 		}
-		if _, ok := s.deg[e.V]; ok {
-			s.deg[e.V] += d
+		if _, ok := r.deg[e.V]; ok {
+			r.deg[e.V] += d
 		}
-		if _, ok := s.nbrFeed[e.U]; ok {
-			s.nbrFeed[e.U] = append(s.nbrFeed[e.U], sketch.FeedEntry{Key: uint64(e.V), Delta: d})
+		if _, ok := r.nbrFeed[e.U]; ok {
+			r.nbrFeed[e.U] = append(r.nbrFeed[e.U], sketch.FeedEntry{Key: uint64(e.V), Delta: d})
 		}
-		if _, ok := s.nbrFeed[e.V]; ok {
-			s.nbrFeed[e.V] = append(s.nbrFeed[e.V], sketch.FeedEntry{Key: uint64(e.U), Delta: d})
+		if _, ok := r.nbrFeed[e.V]; ok {
+			r.nbrFeed[e.V] = append(r.nbrFeed[e.V], sketch.FeedEntry{Key: uint64(e.U), Delta: d})
 		}
-		if _, ok := s.adj[keys[i]]; ok {
-			s.adj[keys[i]] += d
+		if _, ok := r.adj[keys[i]]; ok {
+			r.adj[keys[i]] += d
 		}
 	}
 }
 
-// turnRunnerPool recycles released runners — the sampler freelist, shard
+// turnRunnerPool recycles released runners — the sampler freelist, counter
 // maps, feed and batch buffers — across engine generations, under the same
 // reset ≡ fresh obligation as the insertion pool (DESIGN.md §12).
 var turnRunnerPool = pool.New(
@@ -164,13 +162,11 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 		s.Dirty()
 	}
 	smearFeed(r.edgeFeed)
-	for _, sh := range r.shards {
-		for _, f := range sh.nbrFeed {
-			smearFeed(f)
-		}
-		for _, f := range sh.freeFeed {
-			smearFeed(f)
-		}
+	for _, f := range r.nbrFeed {
+		smearFeed(f)
+	}
+	for _, f := range r.freeFeed {
+		smearFeed(f)
 	}
 	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
@@ -220,21 +216,21 @@ func AcquireTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
 	r.rounds, r.queries, r.space = 0, 0, 0
 	r.inRound = false
 	r.curQueries = nil
-	r.curP, r.curM, r.curConsumed, r.curBuffered, r.curBase = 0, 0, 0, 0, 0
+	r.curM, r.curBuffered, r.curBase = 0, 0, 0
 	return r
 }
 
 // Release aborts any in-flight round and returns the runner to the pool.
-// The runner must not be used afterwards. Checkpoints taken from it remain
-// valid: SnapshotRound deep-copies every piece of state it captures.
+// The runner must not be used afterwards.
 func (r *TurnstileRunner) Release() {
 	r.AbortRound()
 	r.st, r.rng = nil, nil
 	turnRunnerPool.Put(r)
 }
 
-// SetParallelism bounds the number of pass workers. p <= 0 selects
-// GOMAXPROCS, 1 forces the sequential path. Answers do not depend on p.
+// SetParallelism bounds the workers of the sampler stages (flushFeeds).
+// p <= 0 selects GOMAXPROCS, 1 forces the sequential path. Answers do not
+// depend on p.
 func (r *TurnstileRunner) SetParallelism(p int) { r.paral = p }
 
 // Model implements oracle.Runner.
@@ -251,24 +247,6 @@ func (r *TurnstileRunner) SpaceWords() int64 { return r.space }
 
 // NumVertices implements oracle.Runner.
 func (r *TurnstileRunner) NumVertices() int64 { return r.st.N() }
-
-func (r *TurnstileRunner) ensureShards(p int) {
-	if len(r.shards) != p {
-		r.shards = make([]*turnShard, p)
-		for i := range r.shards {
-			r.shards[i] = &turnShard{
-				deg:     make(map[int64]int64),
-				adj:     make(map[uint64]int64),
-				nbrFeed: make(map[int64][]sketch.FeedEntry),
-			}
-		}
-		r.scratch = make([]sketch.L0Scratch, p)
-		return
-	}
-	for _, s := range r.shards {
-		s.reset()
-	}
-}
 
 // newSampler returns a sampler armed like NewL0SamplerWithBase(seed, base,
 // r.l0cfg), reusing a freelist entry when one is available. Freelist
@@ -289,7 +267,10 @@ func (r *TurnstileRunner) newSampler(seed, base uint64) *sketch.L0Sampler {
 // changes nothing an answer can see — the cells a sampler ends the pass with
 // do not depend on how often or where the feed was flushed.
 func (r *TurnstileRunner) flushFeeds() {
-	p := r.curP
+	p := par.Workers(r.paral)
+	for len(r.scratch) < p {
+		r.scratch = append(r.scratch, sketch.L0Scratch{})
+	}
 	base := r.curBase
 	r.curBuffered = 0
 
@@ -302,8 +283,7 @@ func (r *TurnstileRunner) flushFeeds() {
 		sketch.FillFeed(base, edgeFeed[c*chunk:min((c+1)*chunk, len(edgeFeed))])
 	})
 	par.For(p, len(r.nbrVerts), func(i int) {
-		v := r.nbrVerts[i]
-		sketch.FillFeed(base, r.shards[shardOfVertex(v, p)].nbrFeed[v])
+		sketch.FillFeed(base, r.nbrFeed[r.nbrVerts[i]])
 	})
 
 	// ---- Stage 3: every sampler consumes its feed; samplers in parallel,
@@ -314,11 +294,10 @@ func (r *TurnstileRunner) flushFeeds() {
 		tasks = append(tasks, samplerTask{s, edgeFeed})
 	}
 	for _, v := range r.nbrVerts {
-		sh := r.shards[shardOfVertex(v, p)]
 		for _, s := range r.nbrSamplers[v] {
-			tasks = append(tasks, samplerTask{s, sh.nbrFeed[v]})
+			tasks = append(tasks, samplerTask{s, r.nbrFeed[v]})
 		}
-		sh.nbrFeed[v] = sh.nbrFeed[v][:0]
+		r.nbrFeed[v] = r.nbrFeed[v][:0]
 	}
 	r.tasks = tasks
 	r.edgeFeed = edgeFeed[:0]
@@ -362,8 +341,7 @@ func (r *TurnstileRunner) RoundContext(ctx context.Context, queries []oracle.Que
 }
 
 // BeginRound implements oracle.PassRunner: it registers the round's queries,
-// shards the counters and registers the ℓ0-samplers (sequentially, so
-// sampler seeds are drawn in query order regardless of the worker count).
+// counters and ℓ0-samplers, drawing sampler seeds in query order.
 func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 	if err := checkUniverse(r.st.N()); err != nil {
 		return err
@@ -374,12 +352,9 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 	r.inRound = true
 	r.curQueries = queries
 	r.curM = 0
-	r.curConsumed = 0
 	r.curBuffered = 0
 	n := r.st.N()
-	p := par.Workers(r.paral)
-	r.curP = p
-	r.ensureShards(p)
+	r.resetCounters()
 	base := sketch.RandomFieldBase(r.rng.Uint64())
 	r.curBase = base
 	r.edgeFeed = r.edgeFeed[:0]
@@ -405,19 +380,15 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 			edgeSampIdx = append(edgeSampIdx, i)
 			r.space += s.SpaceWords()
 		case oracle.Degree:
-			sh := r.shards[shardOfVertex(q.U, p)]
-			if _, ok := sh.deg[q.U]; !ok {
-				sh.deg[q.U] = 0
+			if _, ok := r.deg[q.U]; !ok {
+				r.deg[q.U] = 0
 			}
 			r.space++
 		case oracle.RandomNeighbor:
 			s := r.newSampler(r.rng.Uint64(), base)
 			if _, ok := nbrSamplers[q.U]; !ok {
 				nbrVerts = append(nbrVerts, q.U)
-				sh := r.shards[shardOfVertex(q.U, p)]
-				if _, ok := sh.nbrFeed[q.U]; !ok {
-					sh.nbrFeed[q.U] = sh.newFeed()
-				}
+				r.nbrFeed[q.U] = r.newFeed()
 			}
 			nbrSamplers[q.U] = append(nbrSamplers[q.U], s)
 			nbrSampIdx[q.U] = append(nbrSampIdx[q.U], i)
@@ -426,9 +397,8 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 			return fmt.Errorf("transform: Neighbor is an augmented-model query; the turnstile runner emulates the relaxed model (use RandomNeighbor)")
 		case oracle.Adjacent:
 			key := edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n)
-			sh := r.shards[shardOfKey(key, p)]
-			if _, ok := sh.adj[key]; !ok {
-				sh.adj[key] = 0
+			if _, ok := r.adj[key]; !ok {
+				r.adj[key] = 0
 			}
 			r.space++
 		default:
@@ -437,25 +407,14 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 	}
 	r.edgeSamplers, r.edgeSampIdx = edgeSamplers, edgeSampIdx
 	r.nbrVerts = nbrVerts
-	if r.grp != nil {
-		r.grp.Close()
-		r.grp = nil
-	}
-	if p > 1 {
-		r.grp = par.NewGroup(p)
-	}
 	return nil
 }
 
 // AbortRound discards an in-flight round after a mid-pass failure,
-// releasing the worker group and recycling the round's samplers (their
-// poisoned state is irrelevant — reuse starts with Reseed). It is a no-op
-// outside a round. Accounting keeps the aborted round's charges.
+// recycling the round's samplers (their poisoned state is irrelevant — reuse
+// starts with Reseed). It is a no-op outside a round. Accounting keeps the
+// aborted round's charges.
 func (r *TurnstileRunner) AbortRound() {
-	if r.grp != nil {
-		r.grp.Close()
-		r.grp = nil
-	}
 	if !r.inRound {
 		return
 	}
@@ -479,10 +438,10 @@ func (r *TurnstileRunner) recycleSamplers() {
 }
 
 // ConsumeBatch implements oracle.PassRunner (the round's stage 1): counters
-// are updated by the round's worker group; sampler feeds are buffered, a
-// block of feedBlock updates at a time, so each sampler can consume a whole
-// block sequentially, keeping its cells cache-resident (processing
-// thousands of samplers per incoming update would thrash the cache).
+// are updated in place; sampler feeds are buffered, a block of feedBlock
+// updates at a time, so each sampler can consume a whole block sequentially,
+// keeping its cells cache-resident (processing thousands of samplers per
+// incoming update would thrash the cache).
 func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 	for len(batch) > 0 {
 		if r.curBuffered == feedBlock {
@@ -513,17 +472,10 @@ func (r *TurnstileRunner) buffer(batch []stream.Update) {
 		deltas = append(deltas, delta)
 	}
 	r.batchEdges, r.batchKeys, r.batchDelta = edges, keys, deltas
-	r.curConsumed += int64(len(batch))
 	r.curBuffered += len(batch)
-	if r.grp == nil {
-		r.shards[0].process(edges, keys, deltas)
-	} else {
-		shards := r.shards
-		r.grp.Run(func(i int) { shards[i].process(edges, keys, deltas) })
-	}
-	// The coordinator buffers the edge-matrix feed after the fan-out
-	// returns; no worker touches edgeFeed. The buffer doubles as it grows,
-	// but never past the one block it can be asked to hold.
+	r.process(edges, keys, deltas)
+	// The edge-matrix feed buffer doubles as it grows, but never past the
+	// one block it can be asked to hold.
 	if len(r.edgeSamplers) > 0 {
 		if need := len(r.edgeFeed) + len(keys); need > cap(r.edgeFeed) {
 			grown := make([]sketch.FeedEntry, 0, min(max(need, 2*cap(r.edgeFeed)), feedBlock))
@@ -540,7 +492,6 @@ func (r *TurnstileRunner) buffer(batch []stream.Update) {
 func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 	queries := r.curQueries
 	n := r.st.N()
-	p := r.curP
 	m := r.curM
 	edgeSamplers, edgeSampIdx := r.edgeSamplers, r.edgeSampIdx
 	nbrSamplers, nbrSampIdx, nbrVerts := r.nbrSamplers, r.nbrSampIdx, r.nbrVerts
@@ -556,12 +507,10 @@ func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 		case oracle.CountEdges:
 			answers[i] = oracle.Answer{OK: true, Count: m}
 		case oracle.Degree:
-			sh := r.shards[shardOfVertex(q.U, p)]
-			answers[i] = oracle.Answer{OK: true, Count: sh.deg[q.U]}
+			answers[i] = oracle.Answer{OK: true, Count: r.deg[q.U]}
 		case oracle.Adjacent:
 			key := edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n)
-			sh := r.shards[shardOfKey(key, p)]
-			answers[i] = oracle.Answer{OK: true, Yes: sh.adj[key] > 0}
+			answers[i] = oracle.Answer{OK: true, Yes: r.adj[key] > 0}
 		}
 	}
 	for j, s := range edgeSamplers {
@@ -581,10 +530,6 @@ func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 		}
 	}
 	r.recycleSamplers()
-	if r.grp != nil {
-		r.grp.Close()
-		r.grp = nil
-	}
 	r.curQueries = nil
 	r.inRound = false
 	return answers, nil

@@ -219,6 +219,58 @@ func TestQueryValidationErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedUniverseIsBadConfig: a stream declaring more vertices than a
+// packed edge key can tell apart is the caller's mistake, in both stream
+// models, for every query kind and on the watch path.
+func TestOversizedUniverseIsBadConfig(t *testing.T) {
+	ctx := context.Background()
+	p, _ := streamcount.PatternByName("triangle")
+	ins := streamcount.Update{Edge: streamcount.Edge{U: 0, V: 1}, Op: streamcount.Insert}
+	del := streamcount.Update{Edge: streamcount.Edge{U: 0, V: 1}, Op: streamcount.Delete}
+	for name, ups := range map[string][]streamcount.Update{"insertion": {ins}, "turnstile": {ins, del, ins}} {
+		st, err := streamcount.NewStream(1<<33, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(p, streamcount.WithTrials(10))); !errors.Is(err, streamcount.ErrBadConfig) {
+			t.Errorf("%s count: %v, want ErrBadConfig", name, err)
+		}
+		if _, err := streamcount.Run(ctx, st, streamcount.SampleQuery(p, streamcount.WithTrials(10))); !errors.Is(err, streamcount.ErrBadConfig) {
+			t.Errorf("%s sample: %v, want ErrBadConfig", name, err)
+		}
+	}
+	st, err := streamcount.NewStream(1<<33, []streamcount.Update{ins})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(3, streamcount.WithLambda(2), streamcount.WithLowerBound(1))); !errors.Is(err, streamcount.ErrBadConfig) {
+		t.Errorf("cliques: %v, want ErrBadConfig", err)
+	}
+
+	app, err := streamcount.NewAppendableStream(1<<33, streamcount.AppendableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := streamcount.NewEngine(app)
+	defer e.Close()
+	sub, err := streamcount.Watch(ctx, e, "", streamcount.CountQuery(p, streamcount.WithTrials(10)), streamcount.WatchEveryVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := e.Append("", []streamcount.Update{ins}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-sub.Events():
+		if !errors.Is(ev.Err, streamcount.ErrBadConfig) {
+			t.Errorf("watch event: %v, want ErrBadConfig", ev.Err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("no watch event")
+	}
+}
+
 // TestRunHonorsContext: an already-canceled context fails with ErrCanceled
 // before any pass, and both sentinel and context error match.
 func TestRunHonorsContext(t *testing.T) {
