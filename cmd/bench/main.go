@@ -22,6 +22,12 @@
 // together: DIR/<Benchmark>.cpu.pprof, DIR/<Benchmark>.mem.pprof, plus the
 // test binary DIR/<Benchmark>.test for pprof symbolization.
 //
+// With -cpu N the benchmarks run at GOMAXPROCS N (go test -cpu) instead of
+// the host's core count. allocs/op of anything that fans out per P grows
+// with it, so a gate against a baseline should run at the baseline's value;
+// every row records the value it was measured at ("cpu"), and -compare notes
+// the rows where the two differ.
+//
 // It shells out to `go test -bench`, so it needs the Go toolchain — the
 // same environment that builds the repository.
 //
@@ -32,7 +38,7 @@
 //	bench -filter 'WatchIngest'   # core set restricted to matching names
 //	bench -benchtime 5s -out perf.json
 //	bench -short -out /tmp/smoke.json  # CI smoke: one fast iteration each
-//	bench -compare BENCH_core.json -tolerance 0.25   # CI regression gate
+//	bench -cpu 2 -compare BENCH_core.json -tolerance 0.25   # CI regression gate
 //	bench -in /tmp/BENCH_ci.json -compare BENCH_core.json -tolerance 0.05 \
 //	      -filter 'ContinuousAdmission'  # re-gate a prior run, no re-run
 //	bench -bench BenchmarkEngineContinuousAdmission -cpuprofile /tmp/prof \
@@ -66,6 +72,9 @@ type Measurement struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	Iterations  int64   `json:"iterations"`
+	// CPU is the GOMAXPROCS the row was measured at, read off the suffix go
+	// test puts on the benchmark's name; 0 in files older than the stamp.
+	CPU int `json:"cpu,omitempty"`
 }
 
 func main() {
@@ -75,6 +84,7 @@ func main() {
 		benchRe     = flag.String("bench", coreSet, "benchmark selection regexp passed to go test -bench")
 		benchtime   = flag.String("benchtime", "1s", "per-benchmark measuring time (go test -benchtime)")
 		count       = flag.Int("count", 1, "runs per benchmark; the minimum ns/op is kept")
+		cpu         = flag.Int("cpu", 0, "GOMAXPROCS to run the benchmarks at (go test -cpu); 0 leaves it to the host")
 		pkg         = flag.String("pkg", ".", "package pattern to benchmark")
 		out         = flag.String("out", "BENCH_core.json", "output JSON path")
 		short       = flag.Bool("short", false, "smoke mode: one iteration per benchmark, numbers are build-health only")
@@ -130,12 +140,12 @@ func main() {
 		fmt.Printf("bench: loaded %d results from %s\n", len(results), *inFile)
 	case *cpuProfile != "" || *memProfile != "":
 		var err error
-		results, err = runProfiled(*benchRe, *benchtime, *count, *pkg, *cpuProfile, *memProfile)
+		results, err = runProfiled(*benchRe, *benchtime, *count, *cpu, *pkg, *cpuProfile, *memProfile)
 		if err != nil {
 			log.Fatal(err)
 		}
 	default:
-		buf, err := runGoBench([]string{"-bench", *benchRe, "-benchmem",
+		buf, err := runGoBench(*cpu, []string{"-bench", *benchRe, "-benchmem",
 			"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg})
 		if err != nil {
 			log.Fatal(err)
@@ -188,10 +198,14 @@ func main() {
 	}
 }
 
-// runGoBench shells out to `go test -run ^$ <args...>` and returns its
-// stdout for parsing.
-func runGoBench(args []string) (*bytes.Buffer, error) {
-	full := append([]string{"test", "-run", "^$"}, args...)
+// runGoBench shells out to `go test -run ^$ [-cpu N] <args...>` and returns
+// its stdout for parsing.
+func runGoBench(cpu int, args []string) (*bytes.Buffer, error) {
+	full := []string{"test", "-run", "^$"}
+	if cpu > 0 {
+		full = append(full, "-cpu", strconv.Itoa(cpu))
+	}
+	full = append(full, args...)
 	cmd := exec.Command("go", full...)
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
@@ -230,7 +244,7 @@ func listBenchmarks(re, pkg string) ([]string, error) {
 // shared invocation would fold every benchmark into one indistinguishable
 // profile. Results are merged into the same Measurement map a plain run
 // produces, so -out and -compare behave identically.
-func runProfiled(benchRe, benchtime string, count int, pkg, cpuDir, memDir string) (map[string]Measurement, error) {
+func runProfiled(benchRe, benchtime string, count, cpu int, pkg, cpuDir, memDir string) (map[string]Measurement, error) {
 	for _, dir := range []string{cpuDir, memDir} {
 		if dir != "" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -261,7 +275,7 @@ func runProfiled(benchRe, benchtime string, count int, pkg, cpuDir, memDir strin
 			args = append(args, "-memprofile", filepath.Join(memDir, name+".mem.pprof"))
 		}
 		args = append(args, pkg)
-		buf, err := runGoBench(args)
+		buf, err := runGoBench(cpu, args)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", name, err)
 		}
@@ -322,6 +336,9 @@ func compareBaseline(path string, results map[string]Measurement, tolerance, nsT
 		if cur.AllocsPerOp > b.AllocsPerOp*(1+tolerance)+0.5 {
 			fail(name, "allocs/op", b.AllocsPerOp, cur.AllocsPerOp)
 		}
+		if b.CPU != 0 && cur.CPU != 0 && cur.CPU != b.CPU {
+			fmt.Printf("note: %s ran at -cpu %d, its baseline at %d; per-P costs differ\n", name, cur.CPU, b.CPU)
+		}
 		// Timings gate only above the noise floor.
 		if b.NsPerOp >= noiseFloor && cur.NsPerOp > b.NsPerOp*(1+nsTolerance) {
 			fail(name, "ns/op", b.NsPerOp, cur.NsPerOp)
@@ -352,11 +369,12 @@ func parseBench(r *bytes.Buffer) (map[string]Measurement, error) {
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
-		name := fields[0]
+		name, cpu := fields[0], 1
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			// Strip the -GOMAXPROCS suffix so keys are stable across hosts.
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			// Strip the -GOMAXPROCS suffix so keys are stable across hosts;
+			// go test leaves it off at GOMAXPROCS 1.
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, cpu = name[:i], n
 			}
 		}
 		iters, err1 := strconv.ParseInt(fields[1], 10, 64)
@@ -364,7 +382,7 @@ func parseBench(r *bytes.Buffer) (map[string]Measurement, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("unparseable benchmark line: %q", line)
 		}
-		m := Measurement{NsPerOp: ns, Iterations: iters}
+		m := Measurement{NsPerOp: ns, Iterations: iters, CPU: cpu}
 		for i := 4; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

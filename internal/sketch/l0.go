@@ -20,17 +20,22 @@ import "math/bits"
 //
 // Updates: the sketch is linear — a cell is a sum over the updates that hash
 // to it — and its hashes are pure functions of (seed, repetition, key), so
-// the cells depend on the multiset of updates applied and on nothing else:
-// not their order, not how they were batched. UpdateFeed uses that freedom.
+// the cells depend on the net vector of the updates applied — the sum of the
+// deltas per key — and on nothing else: not their order, not how they were
+// batched, not deltas that cancel. UpdateFeed uses the first two freedoms, and
+// its callers the third (TurnstileRunner nets a feed by key before filling it).
 // It takes a whole feed of updates whose seed-independent parts (fingerprint
 // term, key hash) were computed once for all samplers of a round, and
 // applies it repetition by repetition and level by level instead of update
 // by update. Update and UpdateTerm are the same code over a feed of one.
 //
-// Key and count magnitudes are bounded: |key| < 2^50 and the absolute sum of
-// counts per cell must stay below 2^12 scale such that |keySum| < 2^62.
-// Graph streams satisfy this comfortably (keys are edge IDs < n^2 with
-// n <= 2^25, net counts are 0 or 1).
+// Key and count magnitudes are bounded by the cell's int64 keySum: keys must
+// be below 2^63 — recovery takes a keySum that reads negative for a
+// collision, so a larger key is never returned — and |Σ count·key| over the
+// keys of a cell below 2^63 for its recovery to succeed. Intermediate sums may
+// wrap; only the net matters. Graph streams keep net counts at 0 or 1 and
+// their callers bound the keys (edge IDs < n^2: TurnstileRunner takes
+// n <= ⌊√2^63⌋).
 type L0Sampler struct {
 	seed       uint64
 	z          uint64 // fingerprint evaluation point

@@ -212,12 +212,21 @@ func TestL0SamplerSharedBase(t *testing.T) {
 }
 
 func TestL0SamplerLargeKeys(t *testing.T) {
-	// Edge keys go up to n^2 with n ~ 2^20; check big keys round-trip.
+	// Keys round-trip up to the documented bound, 2^63-1: a cell's keySum is
+	// an int64, and one that reads negative is taken for a collision.
+	for _, key := range []uint64{1 << 49, 1<<63 - 1} {
+		s := NewL0Sampler(5, L0Config{})
+		s.Update(key, 1)
+		if got, ok := s.Sample(); !ok || got != key {
+			t.Errorf("Sample()=(%d,%v), want (%d,true)", got, ok, key)
+		}
+	}
+	// Past it the key is in the support and can never be returned — which is
+	// why the turnstile runner bounds the universe (maxTurnstileVertices).
 	s := NewL0Sampler(5, L0Config{})
-	key := uint64(1) << 49
-	s.Update(key, 1)
-	if got, ok := s.Sample(); !ok || got != key {
-		t.Errorf("Sample()=(%d,%v), want (%d,true)", got, ok, key)
+	s.Update(1<<63+5, 1)
+	if got, ok := s.Sample(); ok {
+		t.Errorf("Sample()=(%d,true) for a key over 2^63: the bound moved, move maxTurnstileVertices with it", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"math/bits"
+	"slices"
 
 	"streamcount/internal/pool"
 )
@@ -40,6 +41,17 @@ func (t *keyTable) reset() {
 		clear(t.slots)
 		t.n = 0
 	}
+}
+
+// resetFor empties the table at the slot count n keys need, so a table that
+// serves many key sets in turn clears what the set at hand takes, not what
+// the largest ever did; the slots beyond stay allocated.
+func (t *keyTable) resetFor(n int) {
+	size := max(keyTableMinSlots, 1<<bits.Len(uint(2*n-1)))
+	t.slots = slices.Grow(t.slots[:0], size)[:size]
+	clear(t.slots)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	t.n = 0
 }
 
 // dirty smears the slots with sentinels and makes the next reset clear them.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"streamcount/internal/gen"
@@ -233,6 +234,39 @@ func TestTurnstileRunnerDeletionsErase(t *testing.T) {
 	}
 	if !ans[4].Yes {
 		t.Error("edge (0,1) should remain")
+	}
+}
+
+// TestTurnstileUniverseBound: an ℓ0-sampler returns no key of 2⁶³ or more, so
+// the turnstile runner takes a universe up to ⌊√2⁶³⌋ vertices — whose top edge
+// is still sampled, as an edge and as a neighbor — and refuses one vertex
+// more, where edges would silently drop out of f1. The insertion runner, which
+// builds no sampler, keeps its own 2³² limit.
+func TestTurnstileUniverseBound(t *testing.T) {
+	const limit = maxTurnstileVertices
+	top := graph.Edge{U: limit - 2, V: limit - 1}
+	qs := []oracle.Query{q(oracle.RandomEdge), q(oracle.RandomNeighbor, top.U), q(oracle.Adjacent, top.V, top.U)}
+	for _, n := range []int64{limit, limit + 1} {
+		st, err := stream.NewSlice(n, []stream.Update{{Edge: top, Op: stream.Insert}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewInsertionRunner(st, rand.New(rand.NewSource(1))); err != nil {
+			t.Errorf("n = %d: insertion runner: %v", n, err)
+		}
+		ans, err := NewTurnstileRunner(st, rand.New(rand.NewSource(1))).Round(qs)
+		if n > limit {
+			if err == nil || !strings.Contains(err.Error(), "2^63") {
+				t.Errorf("n = %d: err = %v, want one naming the 2^63 key limit", n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("n = %d: %v", n, err)
+		}
+		if want := []oracle.Answer{{OK: true, Edge: top}, {OK: true, Count: top.V}, {OK: true, Yes: true}}; !slices.Equal(ans, want) {
+			t.Errorf("n = %d: answers %+v, want %+v", n, ans, want)
+		}
 	}
 }
 

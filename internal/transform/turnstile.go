@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
@@ -29,20 +30,24 @@ import (
 //
 // The pass is a three-stage pipeline: (1) the goroutine that calls
 // ConsumeBatch updates the counters and buffers the sampler feeds;
-// (2) what a feed entry costs once for all samplers — its fingerprint term
-// (a field exponentiation) and its key hash — is filled in by a parallel
-// sweep; (3) every sampler takes its whole feed in one UpdateFeed call,
+// (2) each buffered feed is netted by key (netFeed), and what a remaining
+// entry costs once for all samplers — its fingerprint term (a field
+// exponentiation) and its key hash — is filled in by a parallel sweep;
+// (3) every sampler takes its whole feed in one UpdateFeed call,
 // sampler-major so that its cells stay cache-resident, samplers in parallel.
 // Stages 2 and 3 run whenever feedBlock updates have been buffered, and at
-// the end of the pass: the sketches are linear, so their cells do not depend
-// on where the feed was cut, and a round buffers at most feedBlock updates
-// however long the stream is. Sampler seeds are drawn sequentially at setup,
-// so answers are bit-identical at any parallelism.
+// the end of the pass: the sketches are linear, so their cells depend on the
+// net vector only — not on where the feed was cut, nor on an insert and a
+// delete that met inside one block — and a round buffers at most feedBlock
+// updates however long the stream is. Sampler seeds are drawn sequentially at
+// setup, so answers are bit-identical at any parallelism.
 //
-// A round's samplers are drawn from the runner's freelist and re-armed with
-// Reseed — bit-identical to fresh construction — so steady-state rounds
-// allocate no sampler cells; runners themselves recycle across engine
-// generations through AcquireTurnstileRunner / Release.
+// The round's query state has InsertionRunner's shape — key tables filled at
+// setup with flat state arrays beside them — plus the round's samplers as
+// one list in query order. They are drawn from the runner's freelist and
+// re-armed with Reseed — bit-identical to fresh construction — so
+// steady-state rounds allocate no sampler cells; runners themselves recycle
+// across engine generations through AcquireTurnstileRunner / Release.
 type TurnstileRunner struct {
 	st      stream.Stream
 	rng     *rand.Rand
@@ -53,29 +58,26 @@ type TurnstileRunner struct {
 	space   int64
 
 	// In-flight round state (BeginRound .. EndRound).
-	inRound      bool
-	curQueries   []oracle.Query
-	curM         int64 // net edge count (insertions minus deletions)
-	curBuffered  int   // updates consumed since the feeds were last flushed
-	curBase      uint64
-	edgeSamplers []*sketch.L0Sampler // for RandomEdge queries
-	edgeSampIdx  []int
-	nbrSamplers  map[int64][]*sketch.L0Sampler // vertex -> samplers
-	nbrSampIdx   map[int64][]int
-	nbrVerts     []int64                      // deterministic iteration order over nbrSamplers
-	deg          map[int64]int64              // queried vertex -> signed degree
-	adj          map[uint64]int64             // queried packed edge key -> signed multiplicity
-	nbrFeed      map[int64][]sketch.FeedEntry // RandomNeighbor vertex -> its buffered feed
+	curQueries  []oracle.Query
+	curM        int64 // net edge count (insertions minus deletions)
+	curBuffered int   // updates consumed since the feeds were last flushed
+	curBase     uint64
+	edgeSampled bool // some sampler of the round reads edgeFeed
 
 	// Scratch reused across rounds (and, via the runner pool, across
 	// engine generations).
-	freeSamplers []*sketch.L0Sampler  // retired samplers awaiting Reseed
-	freeFeed     [][]sketch.FeedEntry // emptied feed buffers of earlier rounds
+	samplers     []roundSampler // the round's samplers, in query order
+	refs         []int32        // query index -> dense index of its vertex or pair
+	verts        keyTable       // queried vertex -> index into vs
+	vs           []turnVertex
+	pairs        keyTable            // queried packed edge key -> index into mult
+	mult         []int64             // signed multiplicity of each queried pair
+	net          keyTable            // netFeed's key -> position in the netted feed
+	freeSamplers []*sketch.L0Sampler // retired samplers awaiting Reseed
 	batchEdges   []graph.Edge
 	batchKeys    []uint64
 	batchDelta   []int64
 	edgeFeed     []sketch.FeedEntry
-	tasks        []samplerTask
 	scratch      []sketch.L0Scratch // UpdateFeed working memory, one per worker
 	answers      []oracle.Answer    // EndRound's result, the caller's until the next round
 }
@@ -88,68 +90,94 @@ var _ oracle.PassRunner = (*TurnstileRunner)(nil)
 // most one entry per update).
 const feedBlock = 4 * stream.DefaultBatchSize
 
-// samplerTask pairs a sampler with the feed it consumes in stage 3.
-type samplerTask struct {
-	s    *sketch.L0Sampler
-	feed []sketch.FeedEntry
+// maxTurnstileVertices is ⌊√2⁶³⌋: an ℓ0-sampler cell sums its keys in an
+// int64 and recovers none that reads negative, so a packed edge key — at most
+// n²−1 — must stay below 2⁶³ or the edge can never be sampled.
+const maxTurnstileVertices = 3037000499
+
+// roundSampler is one f1 or f3 query of the round: the sampler that answers
+// it and the feed that sampler reads.
+type roundSampler struct {
+	s     *sketch.L0Sampler
+	query int32 // index of the query in the round
+	vert  int32 // dense index of the vertex whose feed it reads; -1 for edgeFeed
 }
 
-// resetCounters empties the counter and feed tables for a new round, keeping
-// the last round's feed buffers for newFeed to hand out again.
-func (r *TurnstileRunner) resetCounters() {
-	if r.deg == nil {
-		r.deg = make(map[int64]int64)
-		r.adj = make(map[uint64]int64)
-		r.nbrFeed = make(map[int64][]sketch.FeedEntry)
-		return
-	}
-	clear(r.deg)
-	clear(r.adj)
-	for _, f := range r.nbrFeed {
-		r.freeFeed = append(r.freeFeed, f[:0])
-	}
-	clear(r.nbrFeed)
+// turnVertex is what a round keeps per queried vertex: its signed degree —
+// the f2 answer — and, when an f3 sampler reads it, the buffered feed of its
+// adjacency-list updates.
+type turnVertex struct {
+	deg     int64
+	feed    []sketch.FeedEntry
+	sampled bool
 }
 
-// newFeed returns an empty feed buffer, a recycled one when there is one.
-// Which buffer a vertex gets is arbitrary and invisible: all are empty.
-func (r *TurnstileRunner) newFeed() []sketch.FeedEntry {
-	if n := len(r.freeFeed); n > 0 {
-		f := r.freeFeed[n-1]
-		r.freeFeed = r.freeFeed[:n-1]
-		return f
+// vertex returns the dense index of queried vertex u, registering it on first
+// sight with a zero degree and whatever emptied feed buffer an earlier round
+// left at that index.
+func (r *TurnstileRunner) vertex(u int64) int32 {
+	k := r.verts.insert(uint64(u))
+	if int(k) == len(r.vs) {
+		r.vs = slices.Grow(r.vs, 1)[:k+1]
+		r.vs[k] = turnVertex{feed: r.vs[k].feed[:0]}
 	}
-	return nil
+	return k
+}
+
+// incident is stage 1 for one update at a queried vertex.
+func (v *turnVertex) incident(other, delta int64) {
+	v.deg += delta
+	if v.sampled {
+		v.feed = append(v.feed, sketch.FeedEntry{Key: uint64(other), Delta: delta})
+	}
 }
 
 // process is the round's stage 1 over one canonicalized batch: counters move,
 // neighbor feeds grow.
 func (r *TurnstileRunner) process(edges []graph.Edge, keys []uint64, deltas []int64) {
-	if len(r.deg) == 0 && len(r.adj) == 0 && len(r.nbrFeed) == 0 {
-		return
+	if len(r.vs) > 0 {
+		for i, e := range edges {
+			if v := r.verts.find(uint64(e.U)); v >= 0 {
+				r.vs[v].incident(e.V, deltas[i])
+			}
+			if v := r.verts.find(uint64(e.V)); v >= 0 {
+				r.vs[v].incident(e.U, deltas[i])
+			}
+		}
 	}
-	for i, e := range edges {
-		d := deltas[i]
-		if _, ok := r.deg[e.U]; ok {
-			r.deg[e.U] += d
-		}
-		if _, ok := r.deg[e.V]; ok {
-			r.deg[e.V] += d
-		}
-		if _, ok := r.nbrFeed[e.U]; ok {
-			r.nbrFeed[e.U] = append(r.nbrFeed[e.U], sketch.FeedEntry{Key: uint64(e.V), Delta: d})
-		}
-		if _, ok := r.nbrFeed[e.V]; ok {
-			r.nbrFeed[e.V] = append(r.nbrFeed[e.V], sketch.FeedEntry{Key: uint64(e.U), Delta: d})
-		}
-		if _, ok := r.adj[keys[i]]; ok {
-			r.adj[keys[i]] += d
+	if len(r.mult) > 0 {
+		for i, key := range keys {
+			if k := r.pairs.find(key); k >= 0 {
+				r.mult[k] += deltas[i]
+			}
 		}
 	}
 }
 
-// turnRunnerPool recycles released runners — the sampler freelist, counter
-// maps, feed and batch buffers — across engine generations, under the same
+// netFeed sums the deltas of each distinct key of a buffered feed into the
+// key's first entry and drops the keys whose deltas cancel — in place, keeping
+// first-occurrence order. The cells a sampler ends up with are the same: count
+// and keySum are integer sums, and the Term FillFeed derives from a net delta
+// is the canonical residue of the sum of the terms it replaces.
+func (r *TurnstileRunner) netFeed(feed []sketch.FeedEntry) []sketch.FeedEntry {
+	if len(feed) < 2 {
+		return feed
+	}
+	r.net.resetFor(len(feed))
+	n := 0
+	for _, e := range feed {
+		if k := int(r.net.insert(e.Key)); k < n {
+			feed[k].Delta += e.Delta
+		} else {
+			feed[n] = e
+			n++
+		}
+	}
+	return slices.DeleteFunc(feed[:n], func(e sketch.FeedEntry) bool { return e.Delta == 0 })
+}
+
+// turnRunnerPool recycles released runners — the sampler freelist, key
+// tables, feed and batch buffers — across engine generations, under the same
 // reset ≡ fresh obligation as the insertion pool (DESIGN.md §12).
 var turnRunnerPool = pool.New(
 	func() *TurnstileRunner { return &TurnstileRunner{} },
@@ -162,12 +190,17 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 		s.Dirty()
 	}
 	smearFeed(r.edgeFeed)
-	for _, f := range r.nbrFeed {
-		smearFeed(f)
+	pool.Dirty(r.samplers, roundSampler{query: 0x5a5a5a, vert: 0x5a5a5a})
+	pool.Dirty(r.refs, 0x5a5a5a)
+	r.verts.dirty()
+	r.pairs.dirty()
+	r.net.dirty()
+	for i := range r.vs[:cap(r.vs)] {
+		v := &r.vs[:cap(r.vs)][i]
+		smearFeed(v.feed)
+		v.deg, v.sampled = -0x5a5a5a, true
 	}
-	for _, f := range r.freeFeed {
-		smearFeed(f)
-	}
+	pool.DirtyInt64(r.mult)
 	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
 	pool.DirtyUint64(r.batchKeys)
 	pool.DirtyInt64(r.batchDelta)
@@ -214,7 +247,6 @@ func AcquireTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
 	r.st, r.rng, r.l0cfg = st, rng, cfg
 	r.paral = 0
 	r.rounds, r.queries, r.space = 0, 0, 0
-	r.inRound = false
 	r.curQueries = nil
 	r.curM, r.curBuffered, r.curBase = 0, 0, 0
 	return r
@@ -263,9 +295,9 @@ func (r *TurnstileRunner) newSampler(seed, base uint64) *sketch.L0Sampler {
 }
 
 // flushFeeds is the round's stages 2 and 3 over everything buffered so far:
-// it fills the feeds, applies each to its samplers and empties them. It
-// changes nothing an answer can see — the cells a sampler ends the pass with
-// do not depend on how often or where the feed was flushed.
+// it nets and fills the feeds, applies each to its samplers and empties them.
+// It changes nothing an answer can see — the cells a sampler ends the pass
+// with do not depend on how often or where the feed was flushed.
 func (r *TurnstileRunner) flushFeeds() {
 	p := par.Workers(r.paral)
 	for len(r.scratch) < p {
@@ -274,41 +306,40 @@ func (r *TurnstileRunner) flushFeeds() {
 	base := r.curBase
 	r.curBuffered = 0
 
-	// ---- Stage 2: the per-entry values all samplers share, computed once
-	// per feed entry by a parallel sweep (the field exponentiation dominates
-	// the feed cost). ----
+	// ---- Stage 2: every feed is netted by key, then the per-entry values
+	// all samplers share are computed once per remaining entry by a parallel
+	// sweep (the field exponentiation dominates the feed cost). ----
+	edgeFeed := r.netFeed(r.edgeFeed)
+	for i := range r.vs {
+		r.vs[i].feed = r.netFeed(r.vs[i].feed)
+	}
 	const chunk = 2048
-	edgeFeed := r.edgeFeed
 	par.For(p, (len(edgeFeed)+chunk-1)/chunk, func(c int) {
 		sketch.FillFeed(base, edgeFeed[c*chunk:min((c+1)*chunk, len(edgeFeed))])
 	})
-	par.For(p, len(r.nbrVerts), func(i int) {
-		sketch.FillFeed(base, r.nbrFeed[r.nbrVerts[i]])
+	par.For(p, len(r.vs), func(i int) {
+		sketch.FillFeed(base, r.vs[i].feed)
 	})
 
 	// ---- Stage 3: every sampler consumes its feed; samplers in parallel,
 	// a contiguous run of them per worker, each worker with its own scratch.
 	// Sampler state is private, so assignment cannot affect answers. ----
-	tasks := r.tasks[:0]
-	for _, s := range r.edgeSamplers {
-		tasks = append(tasks, samplerTask{s, edgeFeed})
+	tasks := r.samplers
+	if len(tasks) > 0 {
+		par.For(p, p, func(w int) {
+			for _, t := range tasks[w*len(tasks)/p : (w+1)*len(tasks)/p] {
+				feed := edgeFeed
+				if t.vert >= 0 {
+					feed = r.vs[t.vert].feed
+				}
+				t.s.UpdateFeed(feed, &r.scratch[w])
+			}
+		})
 	}
-	for _, v := range r.nbrVerts {
-		for _, s := range r.nbrSamplers[v] {
-			tasks = append(tasks, samplerTask{s, r.nbrFeed[v]})
-		}
-		r.nbrFeed[v] = r.nbrFeed[v][:0]
-	}
-	r.tasks = tasks
 	r.edgeFeed = edgeFeed[:0]
-	if len(tasks) == 0 {
-		return
+	for i := range r.vs {
+		r.vs[i].feed = r.vs[i].feed[:0]
 	}
-	par.For(p, p, func(w int) {
-		for _, t := range tasks[w*len(tasks)/p : (w+1)*len(tasks)/p] {
-			t.s.UpdateFeed(t.feed, &r.scratch[w])
-		}
-	})
 }
 
 // Round implements oracle.Runner: one pass answers the whole batch. It is
@@ -343,98 +374,73 @@ func (r *TurnstileRunner) RoundContext(ctx context.Context, queries []oracle.Que
 // BeginRound implements oracle.PassRunner: it registers the round's queries,
 // counters and ℓ0-samplers, drawing sampler seeds in query order.
 func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
-	if err := checkUniverse(r.st.N()); err != nil {
+	n := r.st.N()
+	if err := checkUniverse(n); err != nil {
 		return err
 	}
+	if n > maxTurnstileVertices {
+		return fmt.Errorf("transform: %d vertices exceed the %d whose packed edge keys an ℓ0-sampler can recover (keys below 2^63)", n, int64(maxTurnstileVertices))
+	}
+	if len(queries) > math.MaxInt32 {
+		return fmt.Errorf("transform: %d queries in one round exceed the int32 query index", len(queries))
+	}
 	expireAnswers(r.answers)
+	r.AbortRound() // a round left open has no one to answer to
 	r.rounds++
 	r.queries += int64(len(queries))
-	r.inRound = true
 	r.curQueries = queries
 	r.curM = 0
 	r.curBuffered = 0
-	n := r.st.N()
-	r.resetCounters()
+	r.edgeSampled = false
+	r.verts.reset()
+	r.vs = r.vs[:0]
+	r.pairs.reset()
+	r.mult = r.mult[:0]
+	r.refs = slices.Grow(r.refs[:0], len(queries))[:len(queries)] // written for Degree, Adjacent
 	base := sketch.RandomFieldBase(r.rng.Uint64())
 	r.curBase = base
 	r.edgeFeed = r.edgeFeed[:0]
 
-	edgeSamplers := r.edgeSamplers[:0]
-	edgeSampIdx := r.edgeSampIdx[:0]
-	if r.nbrSamplers == nil {
-		r.nbrSamplers = make(map[int64][]*sketch.L0Sampler)
-		r.nbrSampIdx = make(map[int64][]int)
-	} else {
-		clear(r.nbrSamplers)
-		clear(r.nbrSampIdx)
-	}
-	nbrSamplers, nbrSampIdx := r.nbrSamplers, r.nbrSampIdx
-	nbrVerts := r.nbrVerts[:0] // deterministic iteration order over nbrSamplers
 	for i, q := range queries {
 		switch q.Type {
 		case oracle.CountEdges:
 			r.space++
-		case oracle.RandomEdge:
+		case oracle.RandomEdge, oracle.RandomNeighbor:
 			s := r.newSampler(r.rng.Uint64(), base)
-			edgeSamplers = append(edgeSamplers, s)
-			edgeSampIdx = append(edgeSampIdx, i)
+			vert := int32(-1)
+			if q.Type == oracle.RandomNeighbor {
+				vert = r.vertex(q.U)
+				r.vs[vert].sampled = true
+			} else {
+				r.edgeSampled = true
+			}
+			r.samplers = append(r.samplers, roundSampler{s: s, query: int32(i), vert: vert})
 			r.space += s.SpaceWords()
 		case oracle.Degree:
-			if _, ok := r.deg[q.U]; !ok {
-				r.deg[q.U] = 0
-			}
+			r.refs[i] = r.vertex(q.U)
 			r.space++
-		case oracle.RandomNeighbor:
-			s := r.newSampler(r.rng.Uint64(), base)
-			if _, ok := nbrSamplers[q.U]; !ok {
-				nbrVerts = append(nbrVerts, q.U)
-				r.nbrFeed[q.U] = r.newFeed()
-			}
-			nbrSamplers[q.U] = append(nbrSamplers[q.U], s)
-			nbrSampIdx[q.U] = append(nbrSampIdx[q.U], i)
-			r.space += s.SpaceWords()
 		case oracle.Neighbor:
 			return fmt.Errorf("transform: Neighbor is an augmented-model query; the turnstile runner emulates the relaxed model (use RandomNeighbor)")
 		case oracle.Adjacent:
-			key := edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n)
-			if _, ok := r.adj[key]; !ok {
-				r.adj[key] = 0
-			}
+			r.refs[i] = register(&r.pairs, edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n), &r.mult)
 			r.space++
 		default:
 			return fmt.Errorf("transform: unknown query type %d", q.Type)
 		}
 	}
-	r.edgeSamplers, r.edgeSampIdx = edgeSamplers, edgeSampIdx
-	r.nbrVerts = nbrVerts
 	return nil
 }
 
 // AbortRound discards an in-flight round after a mid-pass failure,
 // recycling the round's samplers (their poisoned state is irrelevant — reuse
-// starts with Reseed). It is a no-op outside a round. Accounting keeps the
-// aborted round's charges.
+// starts with Reseed). It is a no-op outside a round, which holds no sampler.
+// Accounting keeps the aborted round's charges.
 func (r *TurnstileRunner) AbortRound() {
-	if !r.inRound {
-		return
+	for _, t := range r.samplers {
+		r.freeSamplers = append(r.freeSamplers, t.s)
 	}
-	r.recycleSamplers()
+	r.samplers = r.samplers[:0]
 	r.curQueries = nil
-	r.inRound = false
-}
-
-// recycleSamplers moves the round's samplers to the freelist and empties
-// the round's sampler registry.
-func (r *TurnstileRunner) recycleSamplers() {
-	r.freeSamplers = append(r.freeSamplers, r.edgeSamplers...)
-	for _, v := range r.nbrVerts {
-		r.freeSamplers = append(r.freeSamplers, r.nbrSamplers[v]...)
-	}
-	r.edgeSamplers = r.edgeSamplers[:0]
-	r.edgeSampIdx = r.edgeSampIdx[:0]
-	clear(r.nbrSamplers)
-	clear(r.nbrSampIdx)
-	r.nbrVerts = r.nbrVerts[:0]
 }
 
 // ConsumeBatch implements oracle.PassRunner (the round's stage 1): counters
@@ -476,7 +482,7 @@ func (r *TurnstileRunner) buffer(batch []stream.Update) {
 	r.process(edges, keys, deltas)
 	// The edge-matrix feed buffer doubles as it grows, but never past the
 	// one block it can be asked to hold.
-	if len(r.edgeSamplers) > 0 {
+	if r.edgeSampled {
 		if need := len(r.edgeFeed) + len(keys); need > cap(r.edgeFeed) {
 			grown := make([]sketch.FeedEntry, 0, min(max(need, 2*cap(r.edgeFeed)), feedBlock))
 			r.edgeFeed = append(grown, r.edgeFeed...)
@@ -488,14 +494,12 @@ func (r *TurnstileRunner) buffer(batch []stream.Update) {
 }
 
 // EndRound implements oracle.PassRunner: the sampler stages over what is
-// still buffered, and the sequential in-query-order merge.
+// still buffered, then answers read off the round's state through the
+// references BeginRound recorded.
 func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 	queries := r.curQueries
 	n := r.st.N()
 	m := r.curM
-	edgeSamplers, edgeSampIdx := r.edgeSamplers, r.edgeSampIdx
-	nbrSamplers, nbrSampIdx, nbrVerts := r.nbrSamplers, r.nbrSampIdx, r.nbrVerts
-
 	r.flushFeeds()
 
 	// ---- Merge (sequential, in query order). Every query assigns its
@@ -507,30 +511,21 @@ func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 		case oracle.CountEdges:
 			answers[i] = oracle.Answer{OK: true, Count: m}
 		case oracle.Degree:
-			answers[i] = oracle.Answer{OK: true, Count: r.deg[q.U]}
+			answers[i] = oracle.Answer{OK: true, Count: r.vs[r.refs[i]].deg}
 		case oracle.Adjacent:
-			key := edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n)
-			answers[i] = oracle.Answer{OK: true, Yes: r.adj[key] > 0}
+			answers[i] = oracle.Answer{OK: true, Yes: r.mult[r.refs[i]] > 0}
 		}
 	}
-	for j, s := range edgeSamplers {
-		if key, ok := s.Sample(); ok {
-			answers[edgeSampIdx[j]] = oracle.Answer{OK: true, Edge: keyEdge(key, n)}
-		} else {
-			answers[edgeSampIdx[j]] = oracle.Answer{OK: false}
+	for _, t := range r.samplers {
+		switch key, ok := t.s.Sample(); {
+		case !ok:
+			answers[t.query] = oracle.Answer{OK: false}
+		case t.vert < 0:
+			answers[t.query] = oracle.Answer{OK: true, Edge: keyEdge(key, n)}
+		default:
+			answers[t.query] = oracle.Answer{OK: true, Count: int64(key)}
 		}
 	}
-	for _, v := range nbrVerts {
-		for j, s := range nbrSamplers[v] {
-			if key, ok := s.Sample(); ok {
-				answers[nbrSampIdx[v][j]] = oracle.Answer{OK: true, Count: int64(key)}
-			} else {
-				answers[nbrSampIdx[v][j]] = oracle.Answer{OK: false}
-			}
-		}
-	}
-	r.recycleSamplers()
-	r.curQueries = nil
-	r.inRound = false
+	r.AbortRound() // the round is over: its samplers go back to the freelist
 	return answers, nil
 }

@@ -95,6 +95,28 @@ func TestTurnstileEstimateGolden(t *testing.T) {
 			}
 		}
 	}
+
+	// One row across feed blocks, recorded on the commit before a block was
+	// netted by key (ISSUE 24): 33 600 updates are more than two blocks of
+	// 16 384, so decoy pairs fall inside one block (netted away) and across a
+	// flush boundary (not), at every worker split of the sampler stages.
+	g = streamcount.ErdosRenyi(rng, 300, 21000)
+	st = streamcount.TurnstileFromGraph(g, 0.3, rng)
+	if st.Len() != 33600 {
+		t.Fatalf("cross-block stream has %d updates, want 33600", st.Len())
+	}
+	const wantValue, wantQueries, wantSpace = 430499.99999999994, 535, 226435
+	for _, par := range []int{1, 2, 3} {
+		got, err := streamcount.Run(context.Background(), st, streamcount.CountQuery(p,
+			streamcount.WithTrials(60), streamcount.WithSeed(24), streamcount.WithParallelism(par)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Value != wantValue || got.Queries != wantQueries || got.SpaceWords != wantSpace || got.Passes != 3 {
+			t.Errorf("cross-block parallelism %d: (value %v, queries %d, space %d, passes %d), want (%v, %d, %d, 3)",
+				par, got.Value, got.Queries, got.SpaceWords, got.Passes, wantValue, wantQueries, wantSpace)
+		}
+	}
 }
 
 // TestInsertionEstimateGolden is the insertion-only counterpart: the values

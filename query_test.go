@@ -239,6 +239,20 @@ func TestOversizedUniverseIsBadConfig(t *testing.T) {
 			t.Errorf("%s sample: %v, want ErrBadConfig", name, err)
 		}
 	}
+	// A turnstile stream's limit is lower, ⌊√2⁶³⌋ vertices: its packed edge
+	// keys feed ℓ0-samplers, which return no key of 2⁶³ or more. Between the
+	// two limits the insertion-only model answers and the turnstile one refuses.
+	for name, ups := range map[string][]streamcount.Update{"insertion": {ins}, "turnstile": {ins, del, ins}} {
+		st, err := streamcount.NewStream(3037000500, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = streamcount.Run(ctx, st, streamcount.CountQuery(p, streamcount.WithTrials(10)))
+		if turnstile := name == "turnstile"; turnstile != errors.Is(err, streamcount.ErrBadConfig) || !turnstile && err != nil {
+			t.Errorf("%s count over ⌊√2⁶³⌋+1 vertices: %v, want ErrBadConfig from the turnstile model only", name, err)
+		}
+	}
+
 	st, err := streamcount.NewStream(1<<33, []streamcount.Update{ins})
 	if err != nil {
 		t.Fatal(err)
