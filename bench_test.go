@@ -197,13 +197,14 @@ func BenchmarkInsertionRoundManyWatches(b *testing.B) {
 // L the exact count — over a pooled InsertionRunner.
 // Its allocs/op gate the algorithm↔runner round trip: in steady state the
 // chains, the task executor and the runner all work out of recycled or
-// slab-allocated scratch.
+// slab-allocated scratch. queries/op is the oracle queries a count asks.
 func BenchmarkERSCliqueCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.PlantCliques(rng, gen.BarabasiAlbert(rng, 800, 3), 3, 80)
 	lambda, _ := graph.Degeneracy(g)
 	p := ers.Params{R: 3, Lambda: lambda, Eps: 0.4, L: float64(exact.Cliques(g, 3))}
 	st := stream.Shuffled(stream.FromGraph(g), rng)
+	var queries int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -215,8 +216,10 @@ func BenchmarkERSCliqueCount(b *testing.B) {
 		if _, err := ers.Count(r, p, qrng); err != nil {
 			b.Fatal(err)
 		}
+		queries += r.Queries()
 		r.Release()
 	}
+	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
 }
 
 func benchFGPTurnstile(b *testing.B, parallelism int) {

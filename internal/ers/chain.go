@@ -8,14 +8,18 @@ import (
 )
 
 // chainEnv is what the level chains of one phase share: the parameters, the
-// RNG every chain draws from in task order, the ω̃ decay, the arena their
-// level arrays and pending samples are cut from, and the scratch a single
-// Step uses and leaves.
+// RNG every chain draws from in task order, the ω̃ decay, whether the phase
+// only votes, the arena their level arrays and pending samples are cut from,
+// and the scratch a single Step uses and leaves.
 type chainEnv struct {
 	p     Params
 	rng   *rand.Rand
 	gamma float64 // the (1-γ) decay of the ω̃ recurrence
-	arena arena
+	// voteOnly marks the activeness phase: its chains are read only through
+	// vote, which needs |R_r| but no tuple of it, so the last level asks no
+	// Degree(w) and keeps a count instead of R_r.
+	voteOnly bool
+	arena    arena
 
 	prefix       []int64 // neighborQueries: prefix sums of dg(⃗T) over R_t
 	nextV, nextD []int64 // finishLevel: R_{t+1} before it is cut to size
@@ -66,7 +70,8 @@ type levelChain struct {
 	env *chainEnv
 
 	t           int     // current level: tuples are ordered t-cliques
-	verts, degs []int64 // current R_t, stride t
+	n           int     // |R_t|
+	verts, degs []int64 // current R_t, stride t; nil on a vote-only chain's R_r
 	omega       float64 // ω̃_t
 
 	// Products for the estimator: Π dg(R_t) and Π s_{t+1} over processed
@@ -89,20 +94,20 @@ type levelChain struct {
 
 // start arms the chain at level t with the given R_t and ω̃_t seed.
 func (c *levelChain) start(env *chainEnv, t int, verts, degs []int64, omega float64) {
-	*c = levelChain{env: env, t: t, verts: verts, degs: degs, omega: omega, dgProd: 1, sProd: 1}
+	*c = levelChain{env: env, t: t, n: len(verts) / t, verts: verts, degs: degs, omega: omega, dgProd: 1, sProd: 1}
 }
 
 // size returns |R_t|.
-func (c *levelChain) size() int {
-	if c.t == 0 {
-		return 0
-	}
-	return len(c.verts) / c.t
-}
+func (c *levelChain) size() int { return c.n }
 
 // done reports whether the chain has reached R_r (or aborted / died out).
 func (c *levelChain) done() bool {
-	return c.aborted || c.t >= c.env.p.R || len(c.verts) == 0
+	return c.aborted || c.t >= c.env.p.R || c.n == 0
+}
+
+// lastVote reports whether the level being built is a vote-only chain's R_r.
+func (c *levelChain) lastVote() bool {
+	return c.env.voteOnly && c.t+1 == c.env.p.R
 }
 
 // nextSampleCount computes s_{t+1} = ⌈dg(R_t)·τ_{t+1}/ω̃_t · SampleC⌉.
@@ -138,7 +143,7 @@ func (c *levelChain) neighborQueries(dst []oracle.Query) []oracle.Query {
 	if c.done() {
 		return dst
 	}
-	env, t, n := c.env, c.t, c.size()
+	env, t, n := c.env, c.t, c.n
 	// Prefix sums of dg(⃗T), to sample tuples proportionally to it; the last
 	// one is dg(R_t) = Σ_⃗T dg(⃗T).
 	prefix := slices.Grow(env.prefix[:0], n+1)[:n+1]
@@ -149,7 +154,7 @@ func (c *levelChain) neighborQueries(dst []oracle.Query) []oracle.Query {
 	}
 	dgRt := prefix[n]
 	if dgRt == 0 {
-		c.verts, c.degs = nil, nil
+		c.n, c.verts, c.degs = 0, nil, nil
 		return dst
 	}
 	s := c.nextSampleCount(dgRt)
@@ -186,10 +191,14 @@ func (c *levelChain) neighborQueries(dst []oracle.Query) []oracle.Query {
 }
 
 // checkQueries consumes the neighbor answers and appends the clique-check
-// round: Adjacent(w, x) for every x ∈ ⃗T plus Degree(w), for every sample
-// whose answer w is a vertex outside its tuple.
+// round for every sample whose answer w is a vertex outside its tuple:
+// Adjacent(w, x) for every x ∈ ⃗T but the u_min w was drawn from — a
+// neighbor answer is adjacent to its vertex on every augmented runner — plus
+// Degree(w) unless the level is a vote-only chain's R_r. A kept sample asks
+// at least one query, as t >= 2.
 func (c *levelChain) checkQueries(nbrs []oracle.Answer, dst []oracle.Query) []oracle.Query {
 	t, kept := c.t, 0
+	wantDeg := !c.lastVote()
 	for ell, a := range nbrs {
 		i := c.pend[2*ell]
 		tu := c.verts[int(i)*t : (int(i)+1)*t]
@@ -201,29 +210,42 @@ func (c *levelChain) checkQueries(nbrs []oracle.Answer, dst []oracle.Query) []or
 		// compacted in place.
 		c.pend[2*kept], c.pend[2*kept+1] = i, w
 		kept++
-		for _, x := range tu {
-			dst = append(dst, oracle.Query{Type: oracle.Adjacent, U: w, V: x})
+		mp := minPos(c.degs[int(i)*t : (int(i)+1)*t])
+		for x, v := range tu {
+			if x != mp {
+				dst = append(dst, oracle.Query{Type: oracle.Adjacent, U: w, V: v})
+			}
 		}
-		dst = append(dst, oracle.Query{Type: oracle.Degree, U: w})
+		if wantDeg {
+			dst = append(dst, oracle.Query{Type: oracle.Degree, U: w})
+		}
 	}
 	c.pend = c.pend[:2*kept]
 	return dst
 }
 
 // finishLevel consumes the check answers and installs R_{t+1}: (⃗T, w) for
-// every kept sample whose w is adjacent to all of ⃗T.
+// every kept sample whose w is adjacent to all of ⃗T, read off the t-1
+// adjacency answers checkQueries asked for it. A vote-only chain's R_r is
+// only counted: nothing is built or cut from the arena.
 func (c *levelChain) finishLevel(checks []oracle.Answer) {
-	env, t := c.env, c.t
+	env, t, last := c.env, c.t, c.lastVote()
 	nextV, nextD := env.nextV[:0], env.nextD[:0]
-	pos := 0
+	n, pos := 0, 0
 	for k := 0; k < len(c.pend); k += 2 {
 		i, w := int(c.pend[k]), c.pend[k+1]
 		allAdj := true
-		for range t {
+		for range t - 1 {
 			if !checks[pos].Yes {
 				allAdj = false
 			}
 			pos++
+		}
+		if last {
+			if allAdj {
+				n++
+			}
+			continue
 		}
 		wdeg := checks[pos].Count
 		pos++
@@ -232,10 +254,15 @@ func (c *levelChain) finishLevel(checks []oracle.Answer) {
 			nextD = append(append(nextD, c.degs[i*t:(i+1)*t]...), wdeg)
 		}
 	}
-	env.nextV, env.nextD = nextV, nextD
-	c.verts, c.degs = env.arena.clone(nextV), env.arena.clone(nextD)
 	c.pend = nil
 	c.t++
+	if last {
+		c.n, c.verts, c.degs = n, nil, nil
+		return
+	}
+	env.nextV, env.nextD = nextV, nextD
+	c.n = len(nextV) / c.t
+	c.verts, c.degs = env.arena.clone(nextV), env.arena.clone(nextD)
 	if state := int64(2 * len(c.verts)); state > c.maxState {
 		c.maxState = state
 	}

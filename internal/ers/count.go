@@ -179,7 +179,7 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 	// Phase 2: build the assignment jobs for every invocation and run all
 	// their activeness chains in parallel rounds (StrIsAssigned/StrAct run
 	// under a single "parallel for" in the paper).
-	actEnv := &chainEnv{p: p, rng: rng, gamma: p.Eps / (8 * rf * factorial(p.R))}
+	actEnv := &chainEnv{p: p, rng: rng, gamma: p.Eps / (8 * rf * factorial(p.R)), voteOnly: true}
 	jobs := make([]*assignJob, p.Q)
 	nact := 0
 	for j := range invs {

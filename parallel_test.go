@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"streamcount"
+	"streamcount/internal/core"
+	"streamcount/internal/ers"
 	"streamcount/internal/gen"
+	"streamcount/internal/stream"
 )
 
 // estimateAt runs Estimate on st with the given trial budget and
@@ -129,7 +132,14 @@ func TestTurnstileEstimateGolden(t *testing.T) {
 // neighbour draw, a trial whose draw fails asks nothing in round 3, and a
 // surviving one asks only about the vertices its degree branch reads. The
 // values did not move because no trial's coins did — the trials ended early
-// are the ones postprocessing discarded on its first line.
+// are the ones postprocessing discarded on its first line. The ERS rows'
+// queries and space were re-pinned when the level chains stopped asking what
+// they already knew, from (403744, 556398) for K3, (2779991, 4224168) for K4,
+// (1181798, 1704003) for K5 and (234890, 321818) for the aborting K4: a level
+// chain no longer asks Adjacent(w, u_min), which the neighbour draw of w from
+// u_min answered, nor an activeness chain's last Degree(w), which its vote
+// never reads. Each skipped query was one word of space; the values did not
+// move.
 func TestInsertionEstimateGolden(t *testing.T) {
 	p, err := streamcount.PatternByName("triangle")
 	if err != nil {
@@ -162,7 +172,7 @@ func TestInsertionEstimateGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const wantValue, wantPasses, wantQueries, wantSpace = 155.25414744917524, 7, 403744, 556398
+		const wantValue, wantPasses, wantQueries, wantSpace = 155.25414744917524, 7, 248062, 400716
 		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
 			t.Errorf("K3 parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
 				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
@@ -183,9 +193,48 @@ func TestInsertionEstimateGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const wantValue, wantPasses, wantQueries, wantSpace = 5.437329317899849, 11, 2779991, 4224168
+		const wantValue, wantPasses, wantQueries, wantSpace = 5.437329317899849, 11, 2333567, 3777744
 		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
 			t.Errorf("K4 parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
+				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
+		}
+	}
+
+	// One K5 chain, recorded on the commit before a level chain stopped
+	// asking Adjacent(w, u_min) and an activeness chain's last Degree(w): it
+	// has activeness prefixes of length 2, 3 and 4, and chains that extend
+	// up to three times.
+	krng = rand.New(rand.NewSource(7))
+	k5 := gen.PlantCliques(krng, gen.BarabasiAlbert(krng, 60, 2), 5, 4)
+	lambda, _ = streamcount.Degeneracy(k5)
+	for _, par := range []int{1, 2, 3} {
+		got, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(k5), streamcount.CliqueQuery(5,
+			streamcount.WithLambda(lambda), streamcount.WithEpsilon(0.5), streamcount.WithLowerBound(200),
+			streamcount.WithSeed(6), streamcount.WithParallelism(par)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantValue, wantPasses, wantQueries, wantSpace = 15.993523098707248, 15, 976899, 1499104
+		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
+			t.Errorf("K5 parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
+				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
+		}
+	}
+
+	// The K4 graph under an understated λ, recorded on the same commit: the
+	// sample cap sits inside the spread of s_3, so two of the five
+	// invocations abort on their chain's first step (the abort the flat
+	// chain once lost) while three reach R_4 and run their activeness checks.
+	for _, par := range []int{1, 2, 3} {
+		got, err := core.EstimateCliques(stream.FromGraph(kg), core.CliqueConfig{
+			R: 4, Lambda: 2, Epsilon: 0.4, LowerBound: 6, Seed: 2, Parallelism: par,
+			Params: ers.Params{TauC: 2, SampleC: 4, MaxLevelSamples: 6075}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantValue, wantPasses, wantQueries, wantSpace = 5.411761413853101, 11, 175544, 262472
+		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
+			t.Errorf("K4 abort parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
 				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
 		}
 	}
