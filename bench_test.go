@@ -24,6 +24,7 @@ import (
 
 	"streamcount"
 	"streamcount/client"
+	"streamcount/internal/core"
 	"streamcount/internal/ers"
 	"streamcount/internal/exact"
 	"streamcount/internal/experiments"
@@ -248,7 +249,7 @@ func BenchmarkFGPTurnstilePassSequential(b *testing.B) { benchFGPTurnstile(b, 1)
 // triangle-counting jobs over one 50k-update stream replayed from disk —
 // the regime the session engine exists for, where every pass is real I/O
 // and parsing. K sequential jobs cost 3K file replays; one session costs 3.
-func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []streamcount.Config) {
+func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []core.Config) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	g := gen.ErdosRenyiGNM(rng, 2000, 50000)
@@ -265,9 +266,9 @@ func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []streamcount.Confi
 		b.Fatal(err)
 	}
 	const k = 8
-	cfgs := make([]streamcount.Config, k)
+	cfgs := make([]core.Config, k)
 	for i := range cfgs {
-		cfgs[i] = streamcount.Config{Pattern: p, Trials: 2000, Seed: int64(i + 1)}
+		cfgs[i] = core.Config{Pattern: p, Trials: 2000, Seed: int64(i + 1)}
 	}
 	return st, cfgs
 }
@@ -278,10 +279,10 @@ func BenchmarkSessionSharedReplay(b *testing.B) {
 	st, cfgs := sessionBenchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := streamcount.NewSession(st)
-		handles := make([]*streamcount.JobHandle, len(cfgs))
+		s := core.NewSession(st)
+		handles := make([]*core.JobHandle, len(cfgs))
 		for j, cfg := range cfgs {
-			handles[j] = s.Submit(streamcount.Job{Kind: streamcount.JobEstimate, Config: cfg})
+			handles[j] = s.Submit(core.Job{Kind: core.JobEstimate, Config: cfg})
 		}
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
@@ -299,10 +300,16 @@ func BenchmarkSessionSharedReplay(b *testing.B) {
 // stream privately.
 func BenchmarkSessionSequentialJobs(b *testing.B) {
 	st, cfgs := sessionBenchWorkload(b)
+	queries := make([]streamcount.TypedQuery[*streamcount.CountResult], len(cfgs))
+	for i, cfg := range cfgs {
+		queries[i] = streamcount.CountQuery(cfg.Pattern,
+			streamcount.WithTrials(cfg.Trials), streamcount.WithSeed(cfg.Seed))
+	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, cfg := range cfgs {
-			if _, err := streamcount.Estimate(st, cfg); err != nil {
+		for _, q := range queries {
+			if _, err := streamcount.Run(ctx, st, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -347,10 +354,10 @@ func BenchmarkEngineSessionRunBackToBack(b *testing.B) {
 	st, cfgs := sessionBenchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := streamcount.NewSession(st)
-		handles := make([]*streamcount.JobHandle, len(cfgs))
+		s := core.NewSession(st)
+		handles := make([]*core.JobHandle, len(cfgs))
 		for j, cfg := range cfgs {
-			handles[j] = s.Submit(streamcount.Job{Kind: streamcount.JobEstimate, Config: cfg})
+			handles[j] = s.Submit(core.Job{Kind: core.JobEstimate, Config: cfg})
 		}
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
@@ -451,10 +458,9 @@ func BenchmarkServerIngestAndQuery(b *testing.B) {
 			V int64 `json:"v"`
 		}
 		var ups []updateJSON
-		stream.FromGraph(g).ForEach(func(u stream.Update) error {
+		for _, u := range stream.FromGraph(g).Updates() {
 			ups = append(ups, updateJSON{U: u.Edge.U, V: u.Edge.V})
-			return nil
-		})
+		}
 		var err error
 		if updates, err = json.Marshal(map[string]any{"updates": ups}); err != nil {
 			b.Fatal(err)
@@ -528,10 +534,9 @@ func BenchmarkServerCachedQuery(b *testing.B) {
 			V int64 `json:"v"`
 		}
 		var ups []updateJSON
-		stream.FromGraph(g).ForEach(func(u stream.Update) error {
+		for _, u := range stream.FromGraph(g).Updates() {
 			ups = append(ups, updateJSON{U: u.Edge.U, V: u.Edge.V})
-			return nil
-		})
+		}
 		var err error
 		if updates, err = json.Marshal(map[string]any{"updates": ups}); err != nil {
 			b.Fatal(err)
@@ -685,22 +690,6 @@ func BenchmarkReservoirBankSweep(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accepts), "ns/accept")
 }
 
-// BenchmarkStreamPassPerUpdate is the legacy per-update replay path, kept
-// as the baseline the batched API is measured against.
-func BenchmarkStreamPassPerUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	g := gen.ErdosRenyiGNM(rng, 2000, 50000)
-	st := stream.FromGraph(g)
-	b.SetBytes(int64(st.Len()) * 17)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var cnt int64
-		if err := st.ForEach(func(stream.Update) error { cnt++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchClusterNodes starts n in-process cluster nodes over real HTTP
 // listeners and returns their seed URLs. The swap indirection exists
 // because peer addresses must be known before the servers can be built.
@@ -755,14 +744,7 @@ func benchClusterNodes(b *testing.B, n int) []string {
 func BenchmarkClusterRoutedIngestAndQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	g := gen.ErdosRenyiGNM(rng, 200, 3000)
-	var updates []streamcount.Update
-	stream.FromGraph(g).ForEach(func(u stream.Update) error {
-		updates = append(updates, streamcount.Update{
-			Edge: streamcount.Edge{U: u.Edge.U, V: u.Edge.V},
-			Op:   streamcount.Insert,
-		})
-		return nil
-	})
+	updates := stream.FromGraph(g).Updates()
 
 	seeds := benchClusterNodes(b, 3)
 	cl, err := client.NewCluster(seeds)

@@ -344,8 +344,8 @@ func (c *Client) StreamVersion(ctx context.Context, stream string) (int64, error
 
 // encodeQuery lowers a facade query to its wire form. Every query value the
 // facade constructs marshals itself into exactly the wire.Query shape, so
-// the round trip is the identity on fields; legacy and custom-pattern
-// queries report their encodability error here, before any request is made.
+// the round trip is the identity on fields; custom-pattern queries report
+// their encodability error here, before any request is made.
 func encodeQuery(stream string, q streamcount.Query) (wire.Query, error) {
 	data, err := json.Marshal(q)
 	if err != nil {

@@ -3,9 +3,6 @@
 // within the admission window while it is idle) are grouped into one
 // shared-replay generation: three patterns and a decision query ride the
 // same three passes instead of each privately replaying the stream.
-//
-// (This example used the one-shot Session API before the query redesign;
-// the Engine subsumes it — see the migration note in the package docs.)
 package main
 
 import (

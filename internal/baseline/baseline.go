@@ -38,17 +38,19 @@ func Doulion(st stream.Stream, p *pattern.Pattern, keep float64, seed uint64) (*
 	// overflow at keep = 1.
 	const two64 = 18446744073709551616.0
 	g := graph.New(st.N())
-	err := st.ForEach(func(u stream.Update) error {
-		e := u.Edge.Canon()
-		key := uint64(e.U)*uint64(st.N()) + uint64(e.V)
-		if float64(sketch.Hash64(seed, key)) >= keep*two64 {
-			return nil
-		}
-		switch u.Op {
-		case stream.Insert:
-			g.AddEdge(e.U, e.V)
-		case stream.Delete:
-			g.RemoveEdge(e.U, e.V)
+	err := st.ForEachBatch(func(batch []stream.Update) error {
+		for _, u := range batch {
+			e := u.Edge.Canon()
+			key := uint64(e.U)*uint64(st.N()) + uint64(e.V)
+			if float64(sketch.Hash64(seed, key)) >= keep*two64 {
+				continue
+			}
+			switch u.Op {
+			case stream.Insert:
+				g.AddEdge(e.U, e.V)
+			case stream.Delete:
+				g.RemoveEdge(e.U, e.V)
+			}
 		}
 		return nil
 	})
@@ -94,58 +96,60 @@ func Triest(st stream.Stream, reservoir int, rng *rand.Rand) (*Result, error) {
 	}
 	var estimate float64
 	var t int64
-	err := st.ForEach(func(u stream.Update) error {
-		if u.Op != stream.Insert {
-			return fmt.Errorf("baseline: deletion in insertion-only stream")
-		}
-		t++
-		e := u.Edge.Canon()
-		// Count triangles closed by e within the current sample.
-		var closed int64
-		small, large := e.U, e.V
-		if len(adj[small]) > len(adj[large]) {
-			small, large = large, small
-		}
-		for w := range adj[small] {
-			if _, ok := adj[large][w]; ok {
-				closed++
+	err := st.ForEachBatch(func(batch []stream.Update) error {
+		for _, u := range batch {
+			if u.Op != stream.Insert {
+				return fmt.Errorf("baseline: deletion in insertion-only stream")
 			}
-		}
-		if closed > 0 {
-			eta := 1.0
-			if t > int64(reservoir) {
-				num := float64(t-1) * float64(t-2)
-				den := float64(reservoir) * float64(reservoir-1)
-				if num > den {
-					eta = num / den
+			t++
+			e := u.Edge.Canon()
+			// Count triangles closed by e within the current sample.
+			var closed int64
+			small, large := e.U, e.V
+			if len(adj[small]) > len(adj[large]) {
+				small, large = large, small
+			}
+			for w := range adj[small] {
+				if _, ok := adj[large][w]; ok {
+					closed++
 				}
 			}
-			estimate += float64(closed) * eta
-		}
-		// Reservoir update.
-		if int64(len(sample)) < int64(reservoir) {
-			sample[e] = struct{}{}
-			addAdj(e.U, e.V)
-			addAdj(e.V, e.U)
-			return nil
-		}
-		if rng.Int63n(t) < int64(reservoir) {
-			// Evict a uniformly random edge.
-			k := rng.Intn(len(sample))
-			var victim edge
-			for se := range sample {
-				if k == 0 {
-					victim = se
-					break
+			if closed > 0 {
+				eta := 1.0
+				if t > int64(reservoir) {
+					num := float64(t-1) * float64(t-2)
+					den := float64(reservoir) * float64(reservoir-1)
+					if num > den {
+						eta = num / den
+					}
 				}
-				k--
+				estimate += float64(closed) * eta
 			}
-			delete(sample, victim)
-			delAdj(victim.U, victim.V)
-			delAdj(victim.V, victim.U)
-			sample[e] = struct{}{}
-			addAdj(e.U, e.V)
-			addAdj(e.V, e.U)
+			// Reservoir update.
+			if int64(len(sample)) < int64(reservoir) {
+				sample[e] = struct{}{}
+				addAdj(e.U, e.V)
+				addAdj(e.V, e.U)
+				continue
+			}
+			if rng.Int63n(t) < int64(reservoir) {
+				// Evict a uniformly random edge.
+				k := rng.Intn(len(sample))
+				var victim edge
+				for se := range sample {
+					if k == 0 {
+						victim = se
+						break
+					}
+					k--
+				}
+				delete(sample, victim)
+				delAdj(victim.U, victim.V)
+				delAdj(victim.V, victim.U)
+				sample[e] = struct{}{}
+				addAdj(e.U, e.V)
+				addAdj(e.V, e.U)
+			}
 		}
 		return nil
 	})

@@ -32,7 +32,7 @@ func fingerprint(r *CountResult) string {
 // stream then produces a bit-identical result to a never-canceled run.
 func TestSessionCancelMidReplay(t *testing.T) {
 	sl := sessionWorkload(t)
-	want, err := EstimateSubgraphs(sl, cancelRefJob().Config)
+	want, err := runCount(sl, cancelRefJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSessionCancelMidReplay(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := NewSession(g)
 	h1 := s.Submit(cancelRefJob())
-	h2 := s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 1000, Seed: 99})
+	h2 := s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 1000, Seed: 99}})
 	runErr := make(chan error, 1)
 	go func() { runErr <- s.RunContext(ctx) }()
 	<-g.Started // the shared pass is in flight
@@ -61,7 +61,7 @@ func TestSessionCancelMidReplay(t *testing.T) {
 
 	// The stream is left replayable: rerunning the identical query on a
 	// fresh session is bit-identical to the never-canceled reference.
-	again, err := EstimateSubgraphs(sl, cancelRefJob().Config)
+	again, err := runCount(sl, cancelRefJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSessionCancelMidReplay(t *testing.T) {
 // identical query bit-identically to an uncancelled run.
 func TestEngineCancelMidReplayStaysServiceable(t *testing.T) {
 	sl := sessionWorkload(t)
-	want, err := EstimateSubgraphs(sl, cancelRefJob().Config)
+	want, err := runCount(sl, cancelRefJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCancelDeterminismChild(t *testing.T) {
 		t.Skip("child mode only (driven by TestCancelDeterminismCrossProcess)")
 	}
 	sl := sessionWorkload(t)
-	est, err := EstimateSubgraphs(sl, cancelRefJob().Config)
+	est, err := runCount(sl, cancelRefJob())
 	if err != nil {
 		t.Fatal(err)
 	}

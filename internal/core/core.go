@@ -1,20 +1,21 @@
 // Package core is the library's high-level entry point: it wires a pattern,
-// a stream, and an accuracy budget to the paper's algorithms.
+// a stream, and an accuracy budget to the paper's algorithms. A Job names
+// one of them:
 //
-//   - EstimateSubgraphs runs the 3-pass FGP counting algorithm — Theorem 17
-//     on insertion-only streams, Theorem 1 on turnstile streams (the runner
-//     is selected from the stream's contents).
-//   - EstimateCliques runs the 5r-pass ERS clique counter for low-degeneracy
-//     graphs (Theorem 2) on insertion-only streams.
-//   - SampleSubgraph draws a uniformly random copy of H (Lemma 16/18).
+//   - JobEstimate runs the 3-pass FGP counting algorithm — Theorem 17 on
+//     insertion-only streams, Theorem 1 on turnstile streams (the runner is
+//     selected from the stream's contents);
+//   - JobCliques runs the 5r-pass ERS clique counter for low-degeneracy
+//     graphs (Theorem 2) on insertion-only streams;
+//   - JobSample draws a uniformly random copy of H (Lemma 16/18);
+//   - JobAuto and JobDistinguish are the lower-bound search and the
+//     decision variant built on JobEstimate.
 //
-// All of them are single-job sessions: a Session binds any number of jobs
-// to one stream and coalesces the rounds they are concurrently waiting on
-// into shared passes, so K jobs cost max-rounds passes instead of the sum
-// (DESIGN.md §2.5). The one-shot functions below submit one job and run it.
-//
-// All functions report passes, queries and emulation space so experiments
-// can verify the paper's complexity claims.
+// A Session binds any number of jobs to one stream and coalesces the rounds
+// they are concurrently waiting on into shared passes, so K jobs cost
+// max-rounds passes instead of the sum (DESIGN.md §2.5); RunJob is the
+// single-job session. Every result reports passes, queries and emulation
+// space so experiments can verify the paper's complexity claims.
 package core
 
 import (
@@ -28,21 +29,16 @@ import (
 	"streamcount/internal/stream"
 )
 
-// Config configures EstimateSubgraphs and SampleSubgraph.
+// Config configures the FGP-family jobs (JobEstimate, JobSample, JobAuto,
+// JobDistinguish).
 type Config struct {
 	// Pattern is the target subgraph H.
 	Pattern *pattern.Pattern
 	// Trials is the number of parallel sampler instances. If zero it is
 	// derived from Epsilon, LowerBound and EdgeBound via TrialsFor.
 	Trials int
-	// Epsilon is the target relative error, used when Trials is zero.
-	//
-	// Beware the legacy defaults: trial derivation and Distinguish fall back
-	// to 0.1 when Epsilon is unset, but the legacy EstimateSubgraphsAuto path
-	// falls back to 0.2. (The old docs claimed "default 0.1" across the
-	// board.) The query options layer (facade WithEpsilon) resolves an unset
-	// epsilon to 0.1 uniformly before the Config reaches this package, so new
-	// API callers never hit the mismatch.
+	// Epsilon is the target relative error, used when Trials is zero
+	// (default 0.1).
 	Epsilon float64
 	// LowerBound is a lower bound L on #H (the paper's parameterization);
 	// used only when Trials is zero.
@@ -74,10 +70,7 @@ type Config struct {
 // version, not from whatever length the stream had at submission time.
 const EdgeBoundStreamLen int64 = -1
 
-// CountResult is the outcome of a counting run. (It was exported from the
-// facade as the confusingly named Result alias before the query API; the
-// facade now exports it as CountResult and keeps Result as a deprecated
-// alias.)
+// CountResult is the outcome of a counting run.
 type CountResult struct {
 	// Value is the estimate of #H (or #K_r).
 	Value float64
@@ -146,69 +139,13 @@ func RunJob(ctx context.Context, st stream.Stream, j Job) (*JobHandle, error) {
 	return h, nil
 }
 
-// runOne is RunJob without cancellation (the legacy entry points).
-func runOne(st stream.Stream, j Job) (*JobHandle, error) {
-	return RunJob(context.Background(), st, j)
-}
-
-// EstimateSubgraphs estimates #H in the stream with the 3-pass FGP counting
-// algorithm. Insertion-only streams use the augmented-model emulation
-// (Theorem 9 + Theorem 17); turnstile streams use the relaxed-model
-// emulation with ℓ0-samplers (Theorem 11 + Theorem 1).
-func EstimateSubgraphs(st stream.Stream, cfg Config) (*CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobEstimate, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return h.res.Est, nil
-}
-
 // SampledCopy is a uniformly sampled copy of H.
 type SampledCopy struct {
 	Edges    []graph.Edge
 	Vertices []int64
 }
 
-// SampleSubgraph draws one uniformly random copy of H from the stream in 3
-// passes (Lemma 16 insertion-only / Lemma 18 turnstile). ok is false when no
-// trial witnessed a copy; callers wanting success probability ~1 should set
-// Trials ≈ 10·(2m)^ρ(H)/#H (Algorithm 10).
-func SampleSubgraph(st stream.Stream, cfg Config) (SampledCopy, bool, error) {
-	h, err := runOne(st, Job{Kind: JobSample, Config: cfg})
-	if err != nil {
-		return SampledCopy{}, false, err
-	}
-	return h.res.Copy, h.res.Found, nil
-}
-
-// EstimateSubgraphsAuto is EstimateSubgraphs without a known lower bound on
-// #H: it performs a geometric search over guesses L (the paper's standard
-// remedy, cf. Lemma 21), running the 3-pass counter with the trial budget
-// for each guess until the estimate validates the guess. Each guess costs 3
-// passes and the reported pass/query/space accounting is cumulative over
-// all guesses made.
-func EstimateSubgraphsAuto(st stream.Stream, cfg Config) (*CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobAuto, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return h.res.Est, nil
-}
-
-// Distinguish solves the paper's decision phrasing of the problem (§1.1):
-// report whether #H is at least (1+eps)·l (true) or at most l (false), with
-// the estimate as evidence. The 3-pass counter is run at the trial budget
-// for lower bound l, and the midpoint (1+eps/2)·l is the decision
-// threshold, so both cases are separated by eps/2-accuracy estimates.
-func Distinguish(st stream.Stream, cfg Config, l float64) (bool, *CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobDistinguish, Config: cfg, Threshold: l})
-	if err != nil {
-		return false, nil, err
-	}
-	return h.res.Above, h.res.Est, nil
-}
-
-// CliqueConfig configures EstimateCliques.
+// CliqueConfig configures JobCliques.
 type CliqueConfig struct {
 	// R is the clique size r >= 3.
 	R int
@@ -222,18 +159,4 @@ type CliqueConfig struct {
 	Params ers.Params
 	// Seed seeds the run's randomness.
 	Seed int64
-	// Parallelism is accepted as in Config.Parallelism and changes nothing
-	// here: the ERS chain is sequential and its passes, being insertion
-	// passes, have one worker.
-	Parallelism int
-}
-
-// EstimateCliques estimates #K_r on a low-degeneracy insertion-only stream
-// with the 5r-pass ERS algorithm (Theorem 2).
-func EstimateCliques(st stream.Stream, cfg CliqueConfig) (*CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobCliques, Clique: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return h.res.Est, nil
 }

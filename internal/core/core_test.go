@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,21 @@ import (
 	"streamcount/internal/stream"
 )
 
+// runJob runs j standalone, as a single-job session, through RunJob.
+func runJob(st stream.Stream, j Job) (JobResult, error) {
+	h, err := RunJob(context.Background(), st, j)
+	if err != nil {
+		return JobResult{}, err
+	}
+	return h.Result(), nil
+}
+
+// runCount is runJob for the counting job kinds.
+func runCount(st stream.Stream, j Job) (*CountResult, error) {
+	r, err := runJob(st, j)
+	return r.Est, err
+}
+
 func TestEstimateSubgraphsInsertion(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := gen.ErdosRenyiGNM(rng, 40, 250)
@@ -18,11 +34,11 @@ func TestEstimateSubgraphsInsertion(t *testing.T) {
 	if want < 10 {
 		t.Skipf("few triangles: %d", want)
 	}
-	est, err := EstimateSubgraphs(stream.FromGraph(g), Config{
+	est, err := runCount(stream.FromGraph(g), Job{Kind: JobEstimate, Config: Config{
 		Pattern: pattern.Triangle(),
 		Trials:  30000,
 		Seed:    2,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +67,11 @@ func TestEstimateSubgraphsTurnstileSelectsRelaxedModel(t *testing.T) {
 	if ts.InsertOnly() {
 		t.Fatal("precondition: turnstile stream")
 	}
-	est, err := EstimateSubgraphs(ts, Config{
+	est, err := runCount(ts, Job{Kind: JobEstimate, Config: Config{
 		Pattern: pattern.Triangle(),
 		Trials:  20000,
 		Seed:    4,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +85,16 @@ func TestEstimateSubgraphsTurnstileSelectsRelaxedModel(t *testing.T) {
 
 func TestEstimateSubgraphsConfigValidation(t *testing.T) {
 	st, _ := stream.NewSlice(3, nil)
-	if _, err := EstimateSubgraphs(st, Config{}); err == nil {
+	if _, err := runCount(st, Job{Kind: JobEstimate, Config: Config{}}); err == nil {
 		t.Error("nil pattern should error")
 	}
-	if _, err := EstimateSubgraphs(st, Config{Pattern: pattern.Triangle()}); err == nil {
+	if _, err := runCount(st, Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle()}}); err == nil {
 		t.Error("no trials derivation should error")
 	}
 	// Derivation path works when all inputs are present.
-	if _, err := EstimateSubgraphs(st, Config{
+	if _, err := runCount(st, Job{Kind: JobEstimate, Config: Config{
 		Pattern: pattern.Triangle(), Epsilon: 0.5, LowerBound: 1, EdgeBound: 10,
-	}); err != nil {
+	}}); err != nil {
 		t.Errorf("derived-trials config rejected: %v", err)
 	}
 }
@@ -122,12 +138,13 @@ func TestSampleSubgraph(t *testing.T) {
 	g := gen.Complete(6)
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
-		cp, ok, err := SampleSubgraph(stream.FromGraph(g), Config{
+		r, err := runJob(stream.FromGraph(g), Job{Kind: JobSample, Config: Config{
 			Pattern: pattern.Triangle(), Trials: 200, Seed: seed,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cp, ok := r.Copy, r.Found
 		if ok {
 			found = true
 			if len(cp.Edges) != 3 || len(cp.Vertices) != 3 {
@@ -145,7 +162,7 @@ func TestEstimateCliquesRejectsTurnstile(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := gen.Cycle(10)
 	ts := stream.WithDeletions(g, 0.5, rng)
-	_, err := EstimateCliques(ts, CliqueConfig{R: 3, Lambda: 2, Epsilon: 0.4, LowerBound: 1})
+	_, err := runCount(ts, Job{Kind: JobCliques, Clique: CliqueConfig{R: 3, Lambda: 2, Epsilon: 0.4, LowerBound: 1}})
 	if err == nil {
 		t.Error("turnstile stream should be rejected (Theorem 2 is insertion-only)")
 	}
@@ -158,9 +175,9 @@ func TestEstimateCliquesEndToEnd(t *testing.T) {
 	if want < 20 {
 		t.Skipf("few triangles: %d", want)
 	}
-	est, err := EstimateCliques(stream.FromGraph(g), CliqueConfig{
+	est, err := runCount(stream.FromGraph(g), Job{Kind: JobCliques, Clique: CliqueConfig{
 		R: 3, Lambda: 3, Epsilon: 0.4, LowerBound: float64(want) / 2, Seed: 8,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,30 +21,30 @@ func TestDistinguishSeparates(t *testing.T) {
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 40000, Epsilon: 0.4, Seed: 42}
 
 	// Threshold far below the truth: must answer "at least (1+eps)l".
-	above, est, err := Distinguish(st, cfg, want/4)
+	r, err := runJob(st, Job{Kind: JobDistinguish, Config: cfg, Threshold: want / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !above {
-		t.Errorf("l=%0.f (truth %.0f): want above=true, estimate %.1f", want/4, want, est.Value)
+	if !r.Above {
+		t.Errorf("l=%0.f (truth %.0f): want above=true, estimate %.1f", want/4, want, r.Est.Value)
 	}
 	// Threshold far above the truth: must answer "at most l".
-	above, est, err = Distinguish(st, cfg, want*4)
+	r, err = runJob(st, Job{Kind: JobDistinguish, Config: cfg, Threshold: want * 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if above {
-		t.Errorf("l=%0.f (truth %.0f): want above=false, estimate %.1f", want*4, want, est.Value)
+	if r.Above {
+		t.Errorf("l=%0.f (truth %.0f): want above=false, estimate %.1f", want*4, want, r.Est.Value)
 	}
 }
 
 func TestDistinguishValidation(t *testing.T) {
 	st, _ := stream.NewSlice(3, nil)
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 10}
-	if _, _, err := Distinguish(st, cfg, 0); err == nil {
+	if _, err := runJob(st, Job{Kind: JobDistinguish, Config: cfg}); err == nil {
 		t.Error("l=0 should be rejected")
 	}
-	if _, _, err := Distinguish(st, Config{Pattern: pattern.Triangle()}, 5); err == nil {
+	if _, err := runJob(st, Job{Kind: JobDistinguish, Config: Config{Pattern: pattern.Triangle()}, Threshold: 5}); err == nil {
 		t.Error("missing trials/edge bound should be rejected")
 	}
 }
@@ -57,13 +57,13 @@ func TestEstimateSubgraphsAuto(t *testing.T) {
 		t.Skipf("few triangles: %.0f", want)
 	}
 	st := stream.FromGraph(g)
-	est, err := EstimateSubgraphsAuto(st, Config{
+	est, err := runCount(st, Job{Kind: JobAuto, Config: Config{
 		Pattern:   pattern.Triangle(),
 		Epsilon:   0.4,
 		EdgeBound: g.M(),
 		MaxTrials: 200000,
 		Seed:      44,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEstimateAutoCumulativePasses(t *testing.T) {
 	}
 	cnt := stream.NewCounter(sl)
 	s := NewSession(cnt)
-	h := s.SubmitAuto(cfg)
+	h := s.Submit(Job{Kind: JobAuto, Config: cfg})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +115,19 @@ func TestEstimateAutoCumulativePasses(t *testing.T) {
 	if est.Passes <= 3 {
 		t.Errorf("passes=%d: cumulative accounting should cover all guesses (> 3)", est.Passes)
 	}
-	// And the whole thing must match the plain entry point bit-for-bit.
-	plain, err := EstimateSubgraphsAuto(sl, cfg)
+	// And the whole thing must match a standalone RunJob bit-for-bit.
+	plain, err := runCount(sl, Job{Kind: JobAuto, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *plain != *est {
-		t.Errorf("EstimateSubgraphsAuto %+v != session auto job %+v", *plain, *est)
+		t.Errorf("standalone auto job %+v != session auto job %+v", *plain, *est)
 	}
 }
 
 func TestEstimateSubgraphsAutoNeedsEdgeBound(t *testing.T) {
 	st, _ := stream.NewSlice(3, nil)
-	if _, err := EstimateSubgraphsAuto(st, Config{Pattern: pattern.Triangle()}); err == nil {
+	if _, err := runCount(st, Job{Kind: JobAuto, Config: Config{Pattern: pattern.Triangle()}}); err == nil {
 		t.Error("missing EdgeBound should be rejected")
 	}
 }

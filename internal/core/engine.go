@@ -98,11 +98,6 @@ type countingStream struct {
 	passes *atomic.Int64
 }
 
-func (c countingStream) ForEach(fn func(stream.Update) error) error {
-	c.passes.Add(1)
-	return c.Stream.ForEach(fn)
-}
-
 func (c countingStream) ForEachBatch(fn func([]stream.Update) error) error {
 	c.passes.Add(1)
 	return c.Stream.ForEachBatch(fn)

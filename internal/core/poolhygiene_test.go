@@ -51,12 +51,12 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 	}
 	for run := 0; run < 2; run++ {
 		for _, sc := range scenarios {
-			est, err := EstimateSubgraphs(sc.st, Config{
+			est, err := runCount(sc.st, Job{Kind: JobEstimate, Config: Config{
 				Pattern:     sc.p,
 				Trials:      sc.tr,
 				Seed:        9,
 				Parallelism: sc.par,
-			})
+			}})
 			if err != nil {
 				t.Fatalf("run %d %s: %v", run, sc.name, err)
 			}
@@ -67,16 +67,16 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 			add(pre+"queries", uint64(est.Queries))
 			add(pre+"space", uint64(est.SpaceWords))
 		}
-		cp, ok, err := SampleSubgraph(ins, Config{
+		r, err := runJob(ins, Job{Kind: JobSample, Config: Config{
 			Pattern:     pattern.Triangle(),
 			Trials:      400,
 			Seed:        13,
 			Parallelism: 2,
-		})
+		}})
 		if err != nil {
 			t.Fatalf("run %d sample: %v", run, err)
 		}
-		cl, err := EstimateCliques(ins, CliqueConfig{R: 3, Lambda: 8, Epsilon: 0.5, LowerBound: 20, Seed: 17, Parallelism: 2})
+		cl, err := runCount(ins, Job{Kind: JobCliques, Clique: CliqueConfig{R: 3, Lambda: 8, Epsilon: 0.5, LowerBound: 20, Seed: 17}})
 		if err != nil {
 			t.Fatalf("run %d cliques: %v", run, err)
 		}
@@ -86,14 +86,14 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 		add(pre+"queries", uint64(cl.Queries))
 		add(pre+"space", uint64(cl.SpaceWords))
 		pre = fmt.Sprintf("run%d/sample/", run)
-		if !ok {
+		if !r.Found {
 			add(pre+"found", 0)
 		} else {
 			add(pre+"found", 1)
-			for i, e := range cp.Edges {
+			for i, e := range r.Copy.Edges {
 				add(fmt.Sprintf("%sedge%d", pre, i), uint64(e.U)<<32|uint64(e.V))
 			}
-			for i, v := range cp.Vertices {
+			for i, v := range r.Copy.Vertices {
 				add(fmt.Sprintf("%svert%d", pre, i), uint64(v))
 			}
 		}

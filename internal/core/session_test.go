@@ -43,23 +43,23 @@ func TestSessionBitIdenticalToStandalone(t *testing.T) {
 
 	// Standalone references (each of these is itself a single-job session,
 	// so this also pins the pre-session behavior preserved by the rewrite).
-	wantEst, err := EstimateSubgraphs(sl, estCfg)
+	wantEst, err := runCount(sl, Job{Kind: JobEstimate, Config: estCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC5, err := EstimateSubgraphs(sl, c5Cfg)
+	wantC5, err := runCount(sl, Job{Kind: JobEstimate, Config: c5Cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCopy, wantFound, err := SampleSubgraph(sl, smpCfg)
+	wantSmp, err := runJob(sl, Job{Kind: JobSample, Config: smpCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantClq, err := EstimateCliques(sl, clqCfg)
+	wantClq, err := runCount(sl, Job{Kind: JobCliques, Clique: clqCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAbove, wantDis, err := Distinguish(sl, disCfg, 10)
+	wantDis, err := runJob(sl, Job{Kind: JobDistinguish, Config: disCfg, Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestSessionBitIdenticalToStandalone(t *testing.T) {
 	// observes the true shared I/O.
 	cnt := stream.NewCounter(sl)
 	s := NewSession(cnt)
-	hEst := s.SubmitEstimate(estCfg)
-	hC5 := s.SubmitEstimate(c5Cfg)
-	hSmp := s.SubmitSample(smpCfg)
-	hClq := s.SubmitCliques(clqCfg)
-	hDis := s.SubmitDistinguish(disCfg, 10)
+	hEst := s.Submit(Job{Kind: JobEstimate, Config: estCfg})
+	hC5 := s.Submit(Job{Kind: JobEstimate, Config: c5Cfg})
+	hSmp := s.Submit(Job{Kind: JobSample, Config: smpCfg})
+	hClq := s.Submit(Job{Kind: JobCliques, Clique: clqCfg})
+	hDis := s.Submit(Job{Kind: JobDistinguish, Config: disCfg, Threshold: 10})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSessionBitIdenticalToStandalone(t *testing.T) {
 		{"estimate", hEst.res.Est, wantEst},
 		{"estimate-C5", hC5.res.Est, wantC5},
 		{"cliques", hClq.res.Est, wantClq},
-		{"distinguish", hDis.res.Est, wantDis},
+		{"distinguish", hDis.res.Est, wantDis.Est},
 	} {
 		if c.got == nil {
 			t.Fatalf("%s: nil estimate", c.name)
@@ -93,19 +93,19 @@ func TestSessionBitIdenticalToStandalone(t *testing.T) {
 			t.Errorf("%s: session result %+v != standalone %+v", c.name, *c.got, *c.want)
 		}
 	}
-	if hSmp.res.Found != wantFound {
-		t.Errorf("sample: found=%v, want %v", hSmp.res.Found, wantFound)
+	if hSmp.res.Found != wantSmp.Found {
+		t.Errorf("sample: found=%v, want %v", hSmp.res.Found, wantSmp.Found)
 	}
-	if hDis.res.Above != wantAbove {
-		t.Errorf("distinguish: above=%v, want %v", hDis.res.Above, wantAbove)
+	if hDis.res.Above != wantDis.Above {
+		t.Errorf("distinguish: above=%v, want %v", hDis.res.Above, wantDis.Above)
 	}
-	if wantFound {
-		if len(hSmp.res.Copy.Edges) != len(wantCopy.Edges) {
-			t.Fatalf("sample: %d edges, want %d", len(hSmp.res.Copy.Edges), len(wantCopy.Edges))
+	if wantSmp.Found {
+		if len(hSmp.res.Copy.Edges) != len(wantSmp.Copy.Edges) {
+			t.Fatalf("sample: %d edges, want %d", len(hSmp.res.Copy.Edges), len(wantSmp.Copy.Edges))
 		}
-		for i := range wantCopy.Edges {
-			if hSmp.res.Copy.Edges[i] != wantCopy.Edges[i] {
-				t.Errorf("sample edge %d: %v != %v", i, hSmp.res.Copy.Edges[i], wantCopy.Edges[i])
+		for i := range wantSmp.Copy.Edges {
+			if hSmp.res.Copy.Edges[i] != wantSmp.Copy.Edges[i] {
+				t.Errorf("sample edge %d: %v != %v", i, hSmp.res.Copy.Edges[i], wantSmp.Copy.Edges[i])
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func TestSessionSharedPassCountExact(t *testing.T) {
 	const k = 5
 	handles := make([]*JobHandle, k)
 	for i := range handles {
-		handles[i] = s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 2000, Seed: int64(i)})
+		handles[i] = s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 2000, Seed: int64(i)}})
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -168,15 +168,15 @@ func TestSessionTurnstile(t *testing.T) {
 		t.Fatal("precondition: turnstile stream")
 	}
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 1500, Seed: 3}
-	want, err := EstimateSubgraphs(ts, cfg)
+	want, err := runCount(ts, Job{Kind: JobEstimate, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cnt := stream.NewCounter(ts)
 	s := NewSession(cnt)
-	h1 := s.SubmitEstimate(cfg)
-	h2 := s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 1000, Seed: 4})
+	h1 := s.Submit(Job{Kind: JobEstimate, Config: cfg})
+	h2 := s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 1000, Seed: 4}})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSessionTurnstile(t *testing.T) {
 	// Cliques on a turnstile session must fail (Theorem 2 is insertion-only)
 	// without disturbing anything else.
 	s2 := NewSession(ts)
-	hc := s2.SubmitCliques(CliqueConfig{R: 3, Lambda: 4, Epsilon: 0.4, LowerBound: 1})
+	hc := s2.Submit(Job{Kind: JobCliques, Clique: CliqueConfig{R: 3, Lambda: 4, Epsilon: 0.4, LowerBound: 1}})
 	if err := s2.Run(); err == nil || hc.res.Err == nil {
 		t.Error("cliques job on turnstile stream should error")
 	}
@@ -203,13 +203,13 @@ func TestSessionTurnstile(t *testing.T) {
 func TestSessionJobErrorIsIsolated(t *testing.T) {
 	sl := sessionWorkload(t)
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 2000, Seed: 11}
-	want, err := EstimateSubgraphs(sl, cfg)
+	want, err := runCount(sl, Job{Kind: JobEstimate, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSession(sl)
-	bad := s.SubmitEstimate(Config{}) // nil pattern
-	good := s.SubmitEstimate(cfg)
+	bad := s.Submit(Job{Kind: JobEstimate, Config: Config{}}) // nil pattern
+	good := s.Submit(Job{Kind: JobEstimate, Config: cfg})
 	if err := s.Run(); err == nil {
 		t.Error("Run should surface the failing job's error")
 	}
@@ -234,7 +234,7 @@ func TestSessionLifecycleGuards(t *testing.T) {
 	if err := s.Run(); err == nil {
 		t.Error("second Run should error")
 	}
-	h := s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 10, Seed: 1})
+	h := s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 10, Seed: 1}})
 	if h.res.Err == nil {
 		t.Error("Submit after Run should carry an error")
 	}
@@ -257,7 +257,7 @@ func TestSharedReplayWithEarlyFinisher(t *testing.T) {
 	cfgFor := func(passes int64) (Config, *CountResult) {
 		for seed := int64(0); seed < 64; seed++ {
 			cfg := Config{Pattern: pattern.Triangle(), Trials: 1, Seed: seed}
-			est, err := EstimateSubgraphs(sl, cfg)
+			est, err := runCount(sl, Job{Kind: JobEstimate, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestSharedReplayWithEarlyFinisher(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cnt := stream.NewCounter(sl)
 	s := NewSession(cnt)
-	hEarly, hFull := s.SubmitEstimate(earlyCfg), s.SubmitEstimate(fullCfg)
+	hEarly, hFull := s.Submit(Job{Kind: JobEstimate, Config: earlyCfg}), s.Submit(Job{Kind: JobEstimate, Config: fullCfg})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

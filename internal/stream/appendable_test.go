@@ -202,14 +202,12 @@ func TestAppendableConcurrentAppendAndReplay(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
 				v := a.Snapshot()
-				var got []Update
-				if err := v.ForEach(func(u Update) error {
-					got = append(got, u)
-					return nil
-				}); err != nil {
+				sl, err := Collect(v)
+				if err != nil {
 					t.Errorf("replay: %v", err)
 					return
 				}
+				got := sl.Updates()
 				if int64(len(got)) != v.Version() {
 					t.Errorf("view at %d replayed %d updates", v.Version(), len(got))
 					return
@@ -236,7 +234,7 @@ func TestAppendableAsStreamPinsPerPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := a.ForEach(func(Update) error { count++; return nil }); err != nil {
+	if err := a.ForEachBatch(func(b []Update) error { count += len(b); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {

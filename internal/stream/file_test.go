@@ -33,11 +33,13 @@ func TestFileStreamRoundTrip(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		i := 0
 		orig := ts.Updates()
-		err := fs.ForEach(func(u Update) error {
-			if u != orig[i] {
-				t.Fatalf("pass %d update %d: %v != %v", pass, i, u, orig[i])
+		err := fs.ForEachBatch(func(batch []Update) error {
+			for _, u := range batch {
+				if u != orig[i] {
+					t.Fatalf("pass %d update %d: %v != %v", pass, i, u, orig[i])
+				}
+				i++
 			}
-			i++
 			return nil
 		})
 		if err != nil {

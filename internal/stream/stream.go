@@ -46,21 +46,18 @@ type Update struct {
 const DefaultBatchSize = 4096
 
 // Stream is a replayable edge stream over a graph on N vertices. A call to
-// ForEach or ForEachBatch is one full pass in arbitrary order; multi-pass
-// algorithms call it repeatedly. Implementations replay the same sequence on
-// every pass.
+// ForEachBatch is one full pass in arbitrary order; multi-pass algorithms
+// call it repeatedly. Implementations replay the same sequence on every
+// pass.
 type Stream interface {
 	// N returns the number of vertices (known to the algorithm upfront, as
 	// in the paper's model).
 	N() int64
-	// ForEach performs one pass, invoking fn for every update in order.
-	// It stops early and returns fn's error if non-nil.
-	ForEach(fn func(Update) error) error
 	// ForEachBatch performs one pass, invoking fn with consecutive chunks of
-	// updates (at most DefaultBatchSize each, in order). It is the pass
-	// engine's hot path: one dynamic call per ~4096 updates instead of one
-	// per update. The batch slice is only valid during the callback —
-	// implementations may reuse its backing array.
+	// updates (at most DefaultBatchSize each, in order): one dynamic call per
+	// ~4096 updates instead of one per update. It stops early and returns
+	// fn's error if non-nil. The batch slice is only valid during the
+	// callback — implementations may reuse its backing array.
 	ForEachBatch(fn func([]Update) error) error
 	// Len returns the stream length (number of updates).
 	Len() int64
@@ -104,18 +101,6 @@ func (s *Slice) Len() int64 { return int64(len(s.updates)) }
 
 // InsertOnly implements Stream.
 func (s *Slice) InsertOnly() bool { return s.inserts }
-
-// ForEach implements Stream as a thin wrapper over ForEachBatch.
-func (s *Slice) ForEach(fn func(Update) error) error {
-	return s.ForEachBatch(func(batch []Update) error {
-		for _, u := range batch {
-			if err := fn(u); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
 
 // ForEachBatch implements Stream, serving zero-copy subslices of the backing
 // array.
@@ -251,17 +236,19 @@ func Collect(s Stream) (*Slice, error) {
 func Materialize(s Stream) (*graph.Graph, error) {
 	g := graph.New(s.N())
 	var idx int64
-	err := s.ForEach(func(u Update) error {
-		defer func() { idx++ }()
-		switch u.Op {
-		case Insert:
-			if !g.AddEdge(u.Edge.U, u.Edge.V) {
-				return fmt.Errorf("stream: update %d inserts existing edge %v", idx, u.Edge)
+	err := s.ForEachBatch(func(batch []Update) error {
+		for _, u := range batch {
+			switch u.Op {
+			case Insert:
+				if !g.AddEdge(u.Edge.U, u.Edge.V) {
+					return fmt.Errorf("stream: update %d inserts existing edge %v", idx, u.Edge)
+				}
+			case Delete:
+				if !g.RemoveEdge(u.Edge.U, u.Edge.V) {
+					return fmt.Errorf("stream: update %d deletes absent edge %v", idx, u.Edge)
+				}
 			}
-		case Delete:
-			if !g.RemoveEdge(u.Edge.U, u.Edge.V) {
-				return fmt.Errorf("stream: update %d deletes absent edge %v", idx, u.Edge)
-			}
+			idx++
 		}
 		return nil
 	})
@@ -345,17 +332,11 @@ type Counter struct {
 // NewCounter wraps s.
 func NewCounter(s Stream) *Counter { return &Counter{Stream: s} }
 
-// ForEach counts the pass and delegates.
-func (c *Counter) ForEach(fn func(Update) error) error {
-	c.passes++
-	return c.Stream.ForEach(fn)
-}
-
 // ForEachBatch counts the pass and delegates.
 func (c *Counter) ForEachBatch(fn func([]Update) error) error {
 	c.passes++
 	return c.Stream.ForEachBatch(fn)
 }
 
-// Passes returns the number of completed ForEach calls.
+// Passes returns the number of ForEachBatch calls.
 func (c *Counter) Passes() int64 { return c.passes }

@@ -145,7 +145,7 @@ func TestCounterCountsPasses(t *testing.T) {
 	g := gen.Cycle(4)
 	c := NewCounter(FromGraph(g))
 	for i := 0; i < 3; i++ {
-		if err := c.ForEach(func(Update) error { return nil }); err != nil {
+		if err := c.ForEachBatch(func([]Update) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,18 +155,18 @@ func TestCounterCountsPasses(t *testing.T) {
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	g := gen.Cycle(10)
+	g := gen.Cycle(3 * DefaultBatchSize)
 	s := FromGraph(g)
 	seen := 0
-	errStop := s.ForEach(func(Update) error {
+	errStop := s.ForEachBatch(func([]Update) error {
 		seen++
-		if seen == 3 {
+		if seen == 2 {
 			return errSentinel
 		}
 		return nil
 	})
-	if errStop != errSentinel || seen != 3 {
-		t.Errorf("early stop: err=%v seen=%d", errStop, seen)
+	if errStop != errSentinel || seen != 2 {
+		t.Errorf("early stop: err=%v batches seen=%d", errStop, seen)
 	}
 }
 

@@ -106,15 +106,6 @@ func (s rawStream) N() int64         { return s.n }
 func (s rawStream) Len() int64       { return int64(len(s.ups)) }
 func (s rawStream) InsertOnly() bool { return true }
 
-func (s rawStream) ForEach(fn func(stream.Update) error) error {
-	for _, u := range s.ups {
-		if err := fn(u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (s rawStream) ForEachBatch(fn func([]stream.Update) error) error {
 	for lo := 0; lo < len(s.ups); lo += stream.DefaultBatchSize {
 		if err := fn(s.ups[lo:min(lo+stream.DefaultBatchSize, len(s.ups))]); err != nil {

@@ -15,7 +15,7 @@ import (
 	"streamcount/internal/stream"
 )
 
-// estimateAt runs Estimate on st with the given trial budget and
+// estimateAt runs a CountQuery on st with the given trial budget and
 // parallelism at a fixed seed. (Turnstile runs use a smaller budget: each
 // RandomEdge query materializes an ℓ0-sampler, so trials dominate memory
 // and time there.)
@@ -225,17 +225,18 @@ func TestInsertionEstimateGolden(t *testing.T) {
 	// sample cap sits inside the spread of s_3, so two of the five
 	// invocations abort on their chain's first step (the abort the flat
 	// chain once lost) while three reach R_4 and run their activeness checks.
-	for _, par := range []int{1, 2, 3} {
-		got, err := core.EstimateCliques(stream.FromGraph(kg), core.CliqueConfig{
-			R: 4, Lambda: 2, Epsilon: 0.4, LowerBound: 6, Seed: 2, Parallelism: par,
-			Params: ers.Params{TauC: 2, SampleC: 4, MaxLevelSamples: 6075}})
+	{
+		h, err := core.RunJob(context.Background(), stream.FromGraph(kg), core.Job{Kind: core.JobCliques, Clique: core.CliqueConfig{
+			R: 4, Lambda: 2, Epsilon: 0.4, LowerBound: 6, Seed: 2,
+			Params: ers.Params{TauC: 2, SampleC: 4, MaxLevelSamples: 6075}}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := h.Result().Est
 		const wantValue, wantPasses, wantQueries, wantSpace = 5.411761413853101, 11, 175544, 262472
 		if got.Value != wantValue || got.Passes != wantPasses || got.Queries != wantQueries || got.SpaceWords != wantSpace {
-			t.Errorf("K4 abort parallelism %d: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
-				par, got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
+			t.Errorf("K4 abort: (value %v, passes %d, queries %d, space %d), want (%v, %d, %d, %d)",
+				got.Value, got.Passes, got.Queries, got.SpaceWords, wantValue, wantPasses, wantQueries, wantSpace)
 		}
 	}
 }
@@ -277,13 +278,12 @@ func TestSampleDeterministicAcrossParallelism(t *testing.T) {
 	}
 	st := streamcount.StreamFromGraph(g)
 	run := func(parallelism int) (streamcount.SampledCopy, bool) {
-		cp, ok, err := streamcount.Sample(st, streamcount.Config{
-			Pattern: p, Trials: 2000, Seed: 9, Parallelism: parallelism,
-		})
+		r, err := streamcount.Run(context.Background(), st, streamcount.SampleQuery(p,
+			streamcount.WithTrials(2000), streamcount.WithSeed(9), streamcount.WithParallelism(parallelism)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cp, ok
+		return r.Copy, r.Found
 	}
 	base, okBase := run(1)
 	for _, par := range []int{2, 8} {
@@ -326,7 +326,7 @@ func TestShuffledStreamFileBacked(t *testing.T) {
 		t.Errorf("shuffled stream: len=%d n=%d, want 4, 4", sh.Len(), sh.N())
 	}
 	seen := 0
-	if err := sh.ForEach(func(streamcount.Update) error { seen++; return nil }); err != nil {
+	if err := sh.ForEachBatch(func(b []streamcount.Update) error { seen += len(b); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 4 {

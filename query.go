@@ -97,11 +97,6 @@ type queryOpts struct {
 	seed        int64
 	parallelism int
 	lambda      int64
-
-	// legacy marks a query built from a legacy Config by the deprecated
-	// wrappers: no ε default, no stream-length edge-bound default, so the
-	// wrappers behave exactly as the pre-query API did.
-	legacy bool
 }
 
 // QueryOption configures a query constructor. Options are evaluated in
@@ -109,8 +104,7 @@ type queryOpts struct {
 type QueryOption func(*queryOpts)
 
 // WithEpsilon sets the target relative error ε (default 0.1 for every query
-// kind — unlike the legacy Config path, where the Auto search defaulted to
-// 0.2). It matters when the trial budget is derived, i.e. when WithTrials is
+// kind). It matters when the trial budget is derived, i.e. when WithTrials is
 // not given.
 func WithEpsilon(eps float64) QueryOption { return func(o *queryOpts) { o.epsilon = eps } }
 
@@ -164,7 +158,7 @@ func resolve(opts []QueryOption) queryOpts {
 // generation's pinned version, not from the length at submission time.
 func (o queryOpts) config(p *Pattern, defaultEdgeBound int64) core.Config {
 	eb := o.edgeBound
-	if eb == 0 && o.trials == 0 && !o.legacy {
+	if eb == 0 && o.trials == 0 {
 		eb = defaultEdgeBound
 	}
 	return core.Config{
@@ -263,10 +257,6 @@ func (q sampleQuery) MarshalJSON() ([]byte, error) { return marshalWireQuery(q.K
 type cliqueQuery struct {
 	r int
 	o queryOpts
-
-	// legacyCfg carries a full legacy CliqueConfig (including the raw ERS
-	// Params escape hatch) for the deprecated EstimateCliques wrapper.
-	legacyCfg *CliqueConfig
 }
 
 // CliqueQuery builds the K_r counting query for low-degeneracy
@@ -279,9 +269,6 @@ func CliqueQuery(r int, opts ...QueryOption) TypedQuery[*CountResult] {
 
 func (q cliqueQuery) Kind() string { return "cliques" }
 func (q cliqueQuery) job(int64) (core.Job, error) {
-	if q.legacyCfg != nil {
-		return core.Job{Kind: core.JobCliques, Clique: *q.legacyCfg}, nil
-	}
 	if q.r < 3 {
 		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: clique size %d < 3: %w", q.r, ErrBadConfig)
 	}
@@ -292,12 +279,11 @@ func (q cliqueQuery) job(int64) (core.Job, error) {
 		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: WithLowerBound is required: %w", ErrBadConfig)
 	}
 	return core.Job{Kind: core.JobCliques, Clique: core.CliqueConfig{
-		R:           q.r,
-		Lambda:      q.o.lambda,
-		Epsilon:     q.o.epsilon,
-		LowerBound:  q.o.lowerBound,
-		Seed:        q.o.seed,
-		Parallelism: q.o.parallelism,
+		R:          q.r,
+		Lambda:     q.o.lambda,
+		Epsilon:    q.o.epsilon,
+		LowerBound: q.o.lowerBound,
+		Seed:       q.o.seed,
 	}}, nil
 }
 func (q cliqueQuery) result(h *core.JobHandle) *CountResult { return countResultOf(h) }
@@ -306,9 +292,6 @@ func (q cliqueQuery) outcome(h *core.JobHandle) Outcome {
 }
 func (q cliqueQuery) fromOutcome(o Outcome) (*CountResult, error) { return countFromOutcome(o) }
 func (q cliqueQuery) MarshalJSON() ([]byte, error) {
-	if q.legacyCfg != nil {
-		return nil, fmt.Errorf("streamcount: legacy clique config is not wire-encodable: %w", ErrBadConfig)
-	}
 	return marshalWireQuery(q.Kind(), nil, q.r, 0, q.o)
 }
 
@@ -322,7 +305,7 @@ type autoQuery struct {
 // AutoQuery builds the counting query for callers without a lower bound on
 // #H: a geometric search over guesses (cf. Lemma 21) at up to 3 passes per
 // guess, with cumulative pass/space accounting. ε defaults to 0.1 like every
-// other query (the legacy EstimateAuto defaulted to 0.2).
+// other query.
 func AutoQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 	return autoQuery{p: p, o: resolve(opts)}
 }
@@ -336,7 +319,7 @@ func (q autoQuery) job(eb int64) (core.Job, error) {
 	// The geometric search starts from the AGM bound m^ρ, so it needs an
 	// edge bound even when the trial budget is fixed via WithTrials (where
 	// config skips the stream-length default).
-	if cfg.EdgeBound == 0 && !q.o.legacy {
+	if cfg.EdgeBound == 0 {
 		cfg.EdgeBound = eb
 	}
 	if cfg.EdgeBound <= 0 && cfg.EdgeBound != core.EdgeBoundStreamLen {
@@ -398,8 +381,7 @@ func (q distinguishQuery) MarshalJSON() ([]byte, error) {
 // Every query value is a json.Marshaler through it, which is how the client
 // SDK sends the same immutable query values over the wire that the local
 // Engine executes in-process. Only catalog patterns are encodable — the
-// wire names patterns, it does not carry edge lists — and the legacy
-// deprecated wrappers are not (their defaulting predates the wire's).
+// wire names patterns, it does not carry edge lists.
 func marshalWireQuery(kind string, p *Pattern, r int, threshold float64, o queryOpts) ([]byte, error) {
 	w, err := wireQueryForm(kind, p, r, threshold, o)
 	if err != nil {
@@ -414,9 +396,6 @@ func marshalWireQuery(kind string, p *Pattern, r int, threshold float64, o query
 // query fingerprints identically whether it was submitted in-process or
 // decoded off the wire.
 func wireQueryForm(kind string, p *Pattern, r int, threshold float64, o queryOpts) (wire.Query, error) {
-	if o.legacy {
-		return wire.Query{}, fmt.Errorf("streamcount: legacy %s query is not wire-encodable: %w", kind, ErrBadConfig)
-	}
 	w := wire.Query{
 		Kind:        kind,
 		R:           r,
@@ -445,9 +424,9 @@ func wireQueryForm(kind string, p *Pattern, r int, threshold float64, o queryOpt
 // fingerprintOf computes q's canonical result-cache fingerprint:
 // rcache.Fingerprint over the query's wire form (which excludes seed,
 // stream and parallelism — they are separate key components or
-// contract-irrelevant). Queries with no canonical wire form — legacy
-// wrappers, custom non-catalog patterns — return 0, the uncacheable
-// sentinel: they still execute, they just never memoize.
+// contract-irrelevant). Queries with no canonical wire form — custom
+// non-catalog patterns — return 0, the uncacheable sentinel: they still
+// execute, they just never memoize.
 func fingerprintOf(q Query) uint64 {
 	var w wire.Query
 	var err error
@@ -461,9 +440,6 @@ func fingerprintOf(q Query) uint64 {
 	case distinguishQuery:
 		w, err = wireQueryForm(t.Kind(), t.p, 0, t.l, t.o)
 	case cliqueQuery:
-		if t.legacyCfg != nil {
-			return 0
-		}
 		w, err = wireQueryForm(t.Kind(), nil, t.r, 0, t.o)
 	default:
 		return 0

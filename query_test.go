@@ -10,8 +10,6 @@ import (
 	"streamcount"
 )
 
-//lint:file-ignore SA1019 the new-API tests pin the deprecated wrappers as references on purpose.
-
 func queryWorkload(t testing.TB) (*streamcount.Graph, streamcount.Stream) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -19,15 +17,12 @@ func queryWorkload(t testing.TB) (*streamcount.Graph, streamcount.Stream) {
 	return g, streamcount.StreamFromGraph(g)
 }
 
-// TestRunCountQueryMatchesLegacyEstimate: the typed query path is the same
-// computation as the legacy wrapper — bit-identical at a fixed seed.
+// TestRunCountQueryMatchesLegacyEstimate: the typed query path returns,
+// bit for bit, what the removed pre-query-API Estimate(Config{Trials: 5000,
+// Seed: 21}) returned on this workload.
 func TestRunCountQueryMatchesLegacyEstimate(t *testing.T) {
 	_, st := queryWorkload(t)
 	p, err := streamcount.PatternByName("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := streamcount.Estimate(st, streamcount.Config{Pattern: p, Trials: 5000, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +31,9 @@ func TestRunCountQueryMatchesLegacyEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *want {
-		t.Errorf("CountQuery %+v != legacy Estimate %+v", *got, *want)
+	want := streamcount.CountResult{Value: 835.9200000000001, M: 900, Passes: 3, Queries: 30723, SpaceWords: 45723, Trials: 5000}
+	if *got != want {
+		t.Errorf("CountQuery %+v != legacy Estimate %+v", *got, want)
 	}
 }
 
@@ -75,48 +71,26 @@ func TestCountQueryDefaultsEdgeBoundToStreamLength(t *testing.T) {
 	if *got != *explicit {
 		t.Errorf("default edge bound %+v != explicit stream length %+v", *got, *explicit)
 	}
-	// The legacy wrapper, by contrast, rejects the underivable config.
-	_, err = streamcount.Estimate(st, streamcount.Config{Pattern: p, Epsilon: 0.3, LowerBound: float64(want)})
-	if !errors.Is(err, streamcount.ErrBadConfig) {
-		t.Errorf("legacy underivable config error = %v, want ErrBadConfig", err)
-	}
 }
 
-// TestAutoQueryEpsilonDefaultFixed pins the satellite fix: AutoQuery
-// defaults ε to 0.1 (like everything else), while the legacy wrapper keeps
-// its historical 0.2 default.
+// TestAutoQueryEpsilonDefaultFixed: AutoQuery defaults ε to 0.1 like every
+// other query kind. The pin is what the removed pre-query-API EstimateAuto
+// returned at an explicit ε = 0.1 on this workload.
 func TestAutoQueryEpsilonDefaultFixed(t *testing.T) {
 	_, st := queryWorkload(t)
 	p, _ := streamcount.PatternByName("triangle")
-
-	got, err := streamcount.Run(context.Background(), st,
-		streamcount.AutoQuery(p, streamcount.WithSeed(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := streamcount.EstimateAuto(st, streamcount.Config{
-		Pattern: p, Epsilon: 0.1, EdgeBound: st.Len(), Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("AutoQuery default ε: %+v != legacy at explicit ε=0.1 %+v", *got, *want)
-	}
-	legacyDefault, err := streamcount.EstimateAuto(st, streamcount.Config{
-		Pattern: p, EdgeBound: st.Len(), Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want02, err := streamcount.EstimateAuto(st, streamcount.Config{
-		Pattern: p, Epsilon: 0.2, EdgeBound: st.Len(), Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *legacyDefault != *want02 {
-		t.Errorf("legacy unset-ε auto %+v != legacy ε=0.2 %+v", *legacyDefault, *want02)
+	want := streamcount.CountResult{Value: 977.7622274602239, M: 900, Passes: 18, Queries: 328402, SpaceWords: 488767, Trials: 27152}
+	for _, q := range []streamcount.TypedQuery[*streamcount.CountResult]{
+		streamcount.AutoQuery(p, streamcount.WithSeed(4)),
+		streamcount.AutoQuery(p, streamcount.WithEpsilon(0.1), streamcount.WithSeed(4)),
+	} {
+		got, err := streamcount.Run(context.Background(), st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Errorf("AutoQuery: %+v != legacy at explicit ε=0.1 %+v", *got, want)
+		}
 	}
 
 	// The stream-length edge-bound default applies to Auto even when a trial

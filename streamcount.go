@@ -1,7 +1,6 @@
 package streamcount
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -49,79 +48,6 @@ type (
 	// SampledCopy is a uniformly sampled copy of H.
 	SampledCopy = core.SampledCopy
 )
-
-// Legacy pre-query-API types, kept so existing callers keep compiling while
-// they migrate to the typed constructors (CountQuery, SampleQuery, ...) and
-// functional options.
-type (
-	// Config configures the deprecated Estimate and Sample wrappers.
-	//
-	// Deprecated: build queries with CountQuery / SampleQuery / AutoQuery /
-	// DistinguishQuery and options (WithTrials, WithEpsilon, WithSeed, ...).
-	Config = core.Config
-	// CliqueConfig configures the deprecated EstimateCliques wrapper.
-	//
-	// Deprecated: use CliqueQuery with WithLambda / WithLowerBound /
-	// WithEpsilon.
-	CliqueConfig = core.CliqueConfig
-	// Result is the old name of CountResult.
-	//
-	// Deprecated: use CountResult.
-	Result = core.CountResult
-	// Session binds many jobs to one stream and serves all rounds they are
-	// concurrently waiting on with shared passes (DESIGN.md §2.5).
-	//
-	// Deprecated: use an Engine — it serves the same shared replays
-	// continuously (queries may be submitted at any time, with contexts)
-	// instead of in one pre-declared single-shot batch.
-	Session = core.Session
-	// Job describes one unit of work submitted to a Session.
-	//
-	// Deprecated: build a typed Query with the constructors and submit it to
-	// an Engine.
-	Job = core.Job
-	// JobKind selects which algorithm a Job runs.
-	//
-	// Deprecated: the query constructors carry the kind; JobKind only exists
-	// for the legacy Session path.
-	JobKind = core.JobKind
-	// JobHandle tracks a submitted job; read its result after Session.Run.
-	//
-	// Deprecated: Engine.Submit and Do return results directly.
-	JobHandle = core.JobHandle
-	// JobResult is the outcome of one session job.
-	//
-	// Deprecated: the typed results (CountResult, SampleResult,
-	// DistinguishResult) replace the one-of JobResult.
-	JobResult = core.JobResult
-)
-
-// Session job kinds.
-//
-// Deprecated: only meaningful with the legacy Session path; the query
-// constructors replace them.
-const (
-	// JobEstimate runs the 3-pass FGP counter (Estimate).
-	JobEstimate = core.JobEstimate
-	// JobSample draws one uniform copy of H (Sample).
-	JobSample = core.JobSample
-	// JobCliques runs the 5r-pass ERS clique counter (EstimateCliques).
-	JobCliques = core.JobCliques
-	// JobAuto runs the geometric lower-bound search (EstimateAuto).
-	JobAuto = core.JobAuto
-	// JobDistinguish runs the decision variant (Distinguish).
-	JobDistinguish = core.JobDistinguish
-)
-
-// NewSession creates a single-shot session over st: submit any mix of jobs,
-// call Run once, then read each handle's result. Every job's answer is
-// bit-identical to the same job run standalone, while a session of K jobs
-// costs only max-rounds shared passes over the stream instead of the sum.
-//
-// Deprecated: use NewEngine — the Engine serves the same shared replays as
-// a long-lived service (Submit at any time, contexts and cancellation,
-// admission batching) instead of a one-shot batch.
-func NewSession(st Stream) *Session { return core.NewSession(st) }
 
 // Stream update operations.
 const (
@@ -192,74 +118,6 @@ func NewGraph(n int64) *Graph { return graph.New(n) }
 
 // ReadGraph parses the "n m" + edge-list format.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
-
-// legacyOpts lowers a legacy Config to query options with the exact
-// pre-query-API defaulting (no ε or edge-bound defaults at this layer).
-func legacyOpts(cfg Config) queryOpts {
-	return queryOpts{
-		trials:      cfg.Trials,
-		maxTrials:   cfg.MaxTrials,
-		epsilon:     cfg.Epsilon,
-		lowerBound:  cfg.LowerBound,
-		edgeBound:   cfg.EdgeBound,
-		seed:        cfg.Seed,
-		parallelism: cfg.Parallelism,
-		legacy:      true,
-	}
-}
-
-// Estimate runs the paper's 3-pass subgraph counting algorithm (Theorem 17
-// on insertion-only streams, Theorem 1 on turnstile streams): at most 3
-// passes, 3 whenever a trial survives round 2.
-//
-// Deprecated: use Run with CountQuery — it adds context cancellation and
-// uniform option defaults:
-//
-//	streamcount.Run(ctx, st, streamcount.CountQuery(p, streamcount.WithTrials(n)))
-func Estimate(st Stream, cfg Config) (*Result, error) {
-	return Run(context.Background(), st, countQuery{p: cfg.Pattern, o: legacyOpts(cfg)})
-}
-
-// Sample draws one uniformly random copy of H in at most 3 passes (Lemma
-// 16/18).
-//
-// Deprecated: use Run with SampleQuery.
-func Sample(st Stream, cfg Config) (SampledCopy, bool, error) {
-	r, err := Run(context.Background(), st, sampleQuery{p: cfg.Pattern, o: legacyOpts(cfg)})
-	if err != nil {
-		return SampledCopy{}, false, err
-	}
-	return r.Copy, r.Found, nil
-}
-
-// EstimateCliques runs the 5r-pass low-degeneracy clique counter
-// (Theorem 2).
-//
-// Deprecated: use Run with CliqueQuery (WithLambda, WithLowerBound).
-func EstimateCliques(st Stream, cfg CliqueConfig) (*Result, error) {
-	return Run(context.Background(), st, cliqueQuery{legacyCfg: &cfg})
-}
-
-// EstimateAuto is Estimate without a known lower bound on #H: it performs a
-// geometric search over guesses (cf. Lemma 21), at up to 3 passes per guess.
-//
-// Deprecated: use Run with AutoQuery. Note AutoQuery defaults ε to 0.1 like
-// every other query; this legacy path defaults it to 0.2.
-func EstimateAuto(st Stream, cfg Config) (*Result, error) {
-	return Run(context.Background(), st, autoQuery{p: cfg.Pattern, o: legacyOpts(cfg)})
-}
-
-// Distinguish reports whether #H >= (1+eps)·l rather than <= l — the
-// paper's decision phrasing of the problem (§1.1).
-//
-// Deprecated: use Run with DistinguishQuery.
-func Distinguish(st Stream, cfg Config, l float64) (bool, *Result, error) {
-	r, err := Run(context.Background(), st, distinguishQuery{p: cfg.Pattern, l: l, o: legacyOpts(cfg)})
-	if err != nil {
-		return false, nil, err
-	}
-	return r.Above, r.Estimate, nil
-}
 
 // OpenStreamFile opens a file-backed update stream ("n" header, then
 // "+ u v"/"- u v" lines) replayed from disk on each pass.

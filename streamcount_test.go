@@ -1,20 +1,20 @@
-// The tests in this file exercise the DEPRECATED pre-query-API surface
-// (Estimate/Sample/..., Config, Session) on purpose: the wrappers are thin
-// shims over the query API and must keep behaving exactly as before so
-// downstream callers can migrate incrementally. New-API coverage lives in
-// query_test.go.
 package streamcount_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"streamcount"
 )
 
-//lint:file-ignore SA1019 this file pins the deprecated legacy wrappers on purpose.
+// The four TestFacade* value pins below hold the query path to the values
+// the pre-query-API wrappers (Estimate, Sample, EstimateCliques) returned
+// for the same knobs before those wrappers were removed.
 
 func TestFacadeQuickstart(t *testing.T) {
 	p, err := streamcount.PatternByName("triangle")
@@ -24,19 +24,14 @@ func TestFacadeQuickstart(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := streamcount.ErdosRenyi(rng, 30, 150)
 	want := streamcount.ExactCount(g, p)
-	if want == 0 {
-		t.Skip("no triangles in workload")
-	}
-	est, err := streamcount.Estimate(streamcount.StreamFromGraph(g), streamcount.Config{
-		Pattern: p,
-		Trials:  40000,
-		Seed:    7,
-	})
+	est, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g),
+		streamcount.CountQuery(p, streamcount.WithTrials(40000), streamcount.WithSeed(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Passes != 3 {
-		t.Errorf("passes=%d, want 3", est.Passes)
+	pin := streamcount.CountResult{Value: 174.28499999999997, M: 150, Passes: 3, Queries: 272258, SpaceWords: 392258, Trials: 40000}
+	if *est != pin {
+		t.Errorf("estimate %+v, want pinned %+v", *est, pin)
 	}
 	if e := math.Abs(est.Value-float64(want)) / float64(want); e > 0.3 {
 		t.Errorf("estimate %.1f vs %d: rel err %.3f", est.Value, want, e)
@@ -48,22 +43,18 @@ func TestFacadeDerivedTrials(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := streamcount.ErdosRenyi(rng, 25, 120)
 	want := streamcount.ExactCount(g, p)
-	if want < 10 {
-		t.Skip("too few triangles")
-	}
-	st := streamcount.StreamFromGraph(g)
-	est, err := streamcount.Estimate(st, streamcount.Config{
-		Pattern:    p,
-		Epsilon:    0.3,
-		LowerBound: float64(want),
-		EdgeBound:  g.M(),
-		Seed:       3,
-	})
+	est, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g), streamcount.CountQuery(p,
+		streamcount.WithEpsilon(0.3),
+		streamcount.WithLowerBound(float64(want)),
+		streamcount.WithEdgeBound(g.M()),
+		streamcount.WithSeed(3),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Trials < 1 {
-		t.Errorf("derived trials=%d", est.Trials)
+	pin := streamcount.CountResult{Value: 90.74113856068743, M: 120, Passes: 3, Queries: 6463, SpaceWords: 9256, Trials: 931}
+	if *est != pin {
+		t.Errorf("estimate %+v, want pinned %+v", *est, pin)
 	}
 	if e := math.Abs(est.Value-float64(want)) / float64(want); e > 0.6 {
 		t.Errorf("estimate %.1f vs %d: rel err %.3f", est.Value, want, e)
@@ -71,13 +62,14 @@ func TestFacadeDerivedTrials(t *testing.T) {
 }
 
 func TestFacadeConfigErrors(t *testing.T) {
+	ctx := context.Background()
 	st, _ := streamcount.NewStream(3, nil)
-	if _, err := streamcount.Estimate(st, streamcount.Config{}); err == nil {
-		t.Error("missing pattern should error")
+	if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(nil, streamcount.WithTrials(10))); !errors.Is(err, streamcount.ErrBadPattern) {
+		t.Errorf("missing pattern: %v, want ErrBadPattern", err)
 	}
 	p, _ := streamcount.PatternByName("triangle")
-	if _, err := streamcount.Estimate(st, streamcount.Config{Pattern: p}); err == nil {
-		t.Error("missing trials derivation inputs should error")
+	if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(p)); !errors.Is(err, streamcount.ErrBadConfig) {
+		t.Errorf("missing trials derivation inputs: %v, want ErrBadConfig", err)
 	}
 }
 
@@ -85,31 +77,26 @@ func TestFacadeSample(t *testing.T) {
 	p, _ := streamcount.PatternByName("triangle")
 	rng := rand.New(rand.NewSource(4))
 	g := streamcount.ErdosRenyi(rng, 20, 80)
-	if streamcount.ExactCount(g, p) == 0 {
-		t.Skip("no triangles")
+	r, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g),
+		streamcount.SampleQuery(p, streamcount.WithTrials(500), streamcount.WithSeed(0)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for seed := int64(0); seed < 20 && !found; seed++ {
-		cp, ok, err := streamcount.Sample(streamcount.StreamFromGraph(g), streamcount.Config{
-			Pattern: p, Trials: 500, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			found = true
-			if len(cp.Edges) != 3 {
-				t.Errorf("sampled copy has %d edges", len(cp.Edges))
-			}
-			for _, e := range cp.Edges {
-				if !g.HasEdge(e.U, e.V) {
-					t.Errorf("edge %v not in graph", e)
-				}
-			}
-		}
+	if !r.Found || r.Passes != 3 {
+		t.Fatalf("found=%v passes=%d, want a copy in 3 passes", r.Found, r.Passes)
 	}
-	if !found {
-		t.Error("no sample in 20 attempts")
+	wantEdges := []streamcount.Edge{{U: 6, V: 18}, {U: 6, V: 11}, {U: 11, V: 18}}
+	wantVertices := []int64{6, 11, 18}
+	if len(r.Copy.Edges) != len(wantEdges) || len(r.Copy.Vertices) != len(wantVertices) {
+		t.Fatalf("sampled copy %+v, want pinned edges %v vertices %v", r.Copy, wantEdges, wantVertices)
+	}
+	for i, e := range r.Copy.Edges {
+		if e != wantEdges[i] || r.Copy.Vertices[i] != wantVertices[i] {
+			t.Errorf("sampled copy %+v, want pinned edges %v vertices %v", r.Copy, wantEdges, wantVertices)
+		}
+		if !g.HasEdge(e.U, e.V) {
+			t.Errorf("edge %v not in graph", e)
+		}
 	}
 }
 
@@ -118,19 +105,19 @@ func TestFacadeEstimateCliques(t *testing.T) {
 	g := streamcount.BarabasiAlbert(rng, 200, 3)
 	p, _ := streamcount.PatternByName("K3")
 	want := streamcount.ExactCount(g, p)
-	if want < 20 {
-		t.Skipf("too few triangles: %d", want)
-	}
 	lambda, _ := streamcount.Degeneracy(g)
-	est, err := streamcount.EstimateCliques(streamcount.StreamFromGraph(g), streamcount.CliqueConfig{
-		R:          3,
-		Lambda:     lambda,
-		Epsilon:    0.4,
-		LowerBound: float64(want) / 2,
-		Seed:       6,
-	})
+	est, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g), streamcount.CliqueQuery(3,
+		streamcount.WithLambda(lambda),
+		streamcount.WithEpsilon(0.4),
+		streamcount.WithLowerBound(float64(want)/2),
+		streamcount.WithSeed(6),
+	))
 	if err != nil {
 		t.Fatal(err)
+	}
+	pin := streamcount.CountResult{Value: 135.1585365637635, M: 594, Passes: 7, Queries: 190404, SpaceWords: 302826}
+	if *est != pin {
+		t.Errorf("estimate %+v, want pinned %+v", *est, pin)
 	}
 	if est.Passes > 15 {
 		t.Errorf("passes=%d exceeds 5r=15", est.Passes)
@@ -150,53 +137,63 @@ func TestFacadeEstimateCliquesRejectsTurnstile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = streamcount.EstimateCliques(st, streamcount.CliqueConfig{R: 3, Lambda: 1, Epsilon: 0.4, LowerBound: 1})
+	_, err = streamcount.Run(context.Background(), st, streamcount.CliqueQuery(3,
+		streamcount.WithLambda(1), streamcount.WithEpsilon(0.4), streamcount.WithLowerBound(1)))
 	if err == nil || !strings.Contains(err.Error(), "insertion-only") {
 		t.Errorf("want insertion-only error, got %v", err)
 	}
 }
 
-// TestFacadeSession exercises the session API end to end: several patterns
-// served by one shared replay, each bit-identical to its standalone run.
-func TestFacadeSession(t *testing.T) {
+// TestFacadeEngineSharedReplay: several patterns admitted into one Engine
+// generation are served by one shared replay, each bit-identical to its
+// standalone Run.
+func TestFacadeEngineSharedReplay(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(8))
 	g := streamcount.ErdosRenyi(rng, 80, 600)
 	st := streamcount.StreamFromGraph(g)
 
 	names := []string{"triangle", "C5", "paw"}
-	configs := make([]streamcount.Config, len(names))
-	standalone := make([]*streamcount.Result, len(names))
+	queries := make([]streamcount.TypedQuery[*streamcount.CountResult], len(names))
+	standalone := make([]*streamcount.CountResult, len(names))
 	for i, name := range names {
 		p, err := streamcount.PatternByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		configs[i] = streamcount.Config{Pattern: p, Trials: 3000, Seed: int64(20 + i)}
-		standalone[i], err = streamcount.Estimate(st, configs[i])
+		queries[i] = streamcount.CountQuery(p, streamcount.WithTrials(3000), streamcount.WithSeed(int64(20+i)))
+		standalone[i], err = streamcount.Run(ctx, st, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	s := streamcount.NewSession(st)
-	handles := make([]*streamcount.JobHandle, len(names))
-	for i := range configs {
-		handles[i] = s.Submit(streamcount.Job{Kind: streamcount.JobEstimate, Config: configs[i]})
+	// The window outlasts the three goroutine launches, so all three
+	// queries join the generation the first one opens.
+	e := streamcount.NewEngine(st, streamcount.WithAdmissionWindow(500*time.Millisecond))
+	defer e.Close()
+	got := make([]*streamcount.CountResult, len(names))
+	errs := make(chan error, len(names))
+	for i := range queries {
+		go func(i int) {
+			var err error
+			got[i], err = streamcount.Do(ctx, e, queries[i])
+			errs <- err
+		}(i)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range handles {
-		got, err := h.Estimate()
-		if err != nil {
-			t.Fatalf("%s: %v", names[i], err)
+	for range queries {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
-		if *got != *standalone[i] {
-			t.Errorf("%s: session %+v != standalone %+v", names[i], *got, *standalone[i])
+	}
+	for i := range names {
+		if *got[i] != *standalone[i] {
+			t.Errorf("%s: engine %+v != standalone %+v", names[i], *got[i], *standalone[i])
 		}
 	}
-	if s.Passes() != 3 {
-		t.Errorf("shared passes=%d, want 3 for %d jobs", s.Passes(), len(names))
+	if e.Generations() != 1 || e.Passes() != 3 {
+		t.Errorf("generations=%d shared passes=%d, want 1 generation of 3 passes for %d queries",
+			e.Generations(), e.Passes(), len(names))
 	}
 }
 
