@@ -361,3 +361,9 @@ func (s *L0Sampler) sampleRep(rep int) (uint64, bool) {
 func (s *L0Sampler) SpaceWords() int64 {
 	return int64(len(s.cells))*3 + 8
 }
+
+// SpaceWords returns what SpaceWords reports for a sampler of this geometry.
+func (c L0Config) SpaceWords() int64 {
+	c = c.withDefaults()
+	return int64(c.Reps*c.Levels*c.Buckets)*3 + 8
+}

@@ -235,4 +235,11 @@ func TestL0SpaceWords(t *testing.T) {
 	if s.SpaceWords() <= 0 || s.SpaceWords() > 10*4*2*3+8 {
 		t.Errorf("space=%d out of expected range", s.SpaceWords())
 	}
+	// A round charges a sampler's words from its configuration before the
+	// sampler exists.
+	for _, cfg := range []L0Config{{}, {Levels: 10, Buckets: 4, Reps: 2}, {Levels: 30, Buckets: 5, Reps: 3}} {
+		if got, want := cfg.SpaceWords(), NewL0Sampler(1, cfg).SpaceWords(); got != want {
+			t.Errorf("%+v: config says %d words, sampler %d", cfg, got, want)
+		}
+	}
 }

@@ -2,8 +2,10 @@ package transform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"unsafe"
 
 	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
@@ -16,8 +18,8 @@ import (
 // incidence lists and first-seen positions of every update consumed so far.
 // Because insertion-only state is append-only, the index at extent E can
 // answer queries pinned at ANY version v <= E — a degree at v is the count
-// of incidence entries with position < v, the i-th neighbor at v is the
-// (i-1)-th entry if it arrived before v, and so on. One index per stream
+// of incidence positions below v, the i-th neighbor at v is the far
+// endpoint of the key logged at the i-th of them, and so on. One index per stream
 // lane therefore serves every watch event without replaying the prefix:
 // each event extends the index by the Δ new updates (via
 // View.ForEachBatchFrom) and evaluates at its pinned version (DESIGN.md
@@ -27,17 +29,13 @@ import (
 // against evaluation (the watch scheduler's checkpoint cache holds one
 // entry lock across both).
 type PrefixIndex struct {
-	n     int64
-	keys  []uint64             // edgeKey per update, in stream order
-	nbr   map[int64][]nbrEntry // vertex -> incident updates, position-ascending
-	first map[uint64]int64     // canonical edge key -> first position seen
-}
-
-// nbrEntry is one incidence-list entry: the update's stream position and
-// the far endpoint.
-type nbrEntry struct {
-	pos   int64
-	other int64
+	n        int64
+	keys     []uint64  // edgeKey per update, in stream order
+	verts    keyTable  // vertex -> index into nbr
+	nbr      [][]int64 // per vertex, the positions of its incident updates, ascending
+	nbrBytes int64     // what the lists in nbr hold, in bytes of capacity
+	edges    keyTable  // canonical edge key -> index into first
+	first    []int64   // per distinct edge, the position it was first seen at
 }
 
 // NewPrefixIndex returns an empty index over a vertex universe of size n,
@@ -46,11 +44,10 @@ func NewPrefixIndex(n int64) (*PrefixIndex, error) {
 	if err := checkUniverse(n); err != nil {
 		return nil, err
 	}
-	return &PrefixIndex{
-		n:     n,
-		nbr:   make(map[int64][]nbrEntry),
-		first: make(map[uint64]int64),
-	}, nil
+	ix := &PrefixIndex{n: n}
+	ix.verts.resetFor(0) // find needs slots
+	ix.edges.resetFor(0)
+	return ix, nil
 }
 
 // Extent returns the number of updates indexed so far.
@@ -59,42 +56,76 @@ func (ix *PrefixIndex) Extent() int64 { return int64(len(ix.keys)) }
 // N returns the vertex-universe size the index was built over.
 func (ix *PrefixIndex) N() int64 { return ix.n }
 
-// Bytes approximates the index's resident size, for cache accounting:
-// 8 bytes per key-log entry, two 16-byte incidence entries per update plus
-// map overhead, and a first-seen map entry per distinct edge.
+// Bytes returns the index's resident size, for cache accounting, computed
+// from the capacities of the arrays it holds: the key log, the incidence
+// lists and their headers, both key tables and the first positions.
 func (ix *PrefixIndex) Bytes() int64 {
-	return int64(len(ix.keys))*(8+2*16+8) + int64(len(ix.first))*48 + int64(len(ix.nbr))*48
+	return ix.nbrBytes + int64(cap(ix.keys))*8 + int64(cap(ix.nbr))*int64(unsafe.Sizeof([]int64(nil))) +
+		int64(cap(ix.verts.slots)+cap(ix.edges.slots))*int64(unsafe.Sizeof(keySlot{})) + int64(cap(ix.first))*8
 }
 
-// Extend consumes one update batch, exactly as InsertionRunner.ConsumeBatch
-// canonicalizes it. Deletions are rejected: the index's "state at v is a
-// prefix of state at v+Δ" property only holds insertion-only.
+// Extend consumes one update batch, canonicalizing it as the insertion
+// runner's front end does. Deletions are rejected: the index's "state at v
+// is a prefix of state at v+Δ" property only holds insertion-only.
 func (ix *PrefixIndex) Extend(batch []stream.Update) error {
 	for _, u := range batch {
 		if u.Op != stream.Insert {
-			return fmt.Errorf("transform: deletion in insertion-only stream")
+			return errDeletion
 		}
 		e := u.Edge.Canon()
-		key := edgeKey(e, ix.n)
-		pos := int64(len(ix.keys))
-		// Both incidence entries are appended even for a self-loop,
-		// mirroring the streaming pass (InsertionRunner.process touches U
-		// then V unconditionally), so degrees and neighbor order match.
-		ix.keys = append(ix.keys, key)
-		ix.nbr[e.U] = append(ix.nbr[e.U], nbrEntry{pos: pos, other: e.V})
-		ix.nbr[e.V] = append(ix.nbr[e.V], nbrEntry{pos: pos, other: e.U})
-		if _, ok := ix.first[key]; !ok {
-			ix.first[key] = pos
+		if err := ix.extendKey(e, edgeKey(e, ix.n)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// degreeAt returns the number of updates incident to u with position < v:
-// incidence lists are position-ascending, so it is a binary search.
-func (ix *PrefixIndex) degreeAt(u, v int64) int64 {
-	ws := ix.nbr[u]
-	return int64(sort.Search(len(ws), func(i int) bool { return ws[i].pos >= v }))
+// extendKey appends canonical edge e, packed as key, at the next position:
+// to the key log, to both endpoints' incidence lists — both even for a
+// self-loop, as the streaming pass touches U then V, so degrees and
+// neighbor order match — and, when the edge is new, as its first position.
+// Dense indices are int32, so an index stops at 2³¹−1 distinct vertices or
+// edges.
+func (ix *PrefixIndex) extendKey(e graph.Edge, key uint64) error {
+	if ix.verts.n > math.MaxInt32-2 || ix.edges.n == math.MaxInt32 {
+		return fmt.Errorf("transform: prefix index full at %d distinct vertices and %d distinct edges", ix.verts.n, ix.edges.n)
+	}
+	pos := int64(len(ix.keys))
+	ix.keys = append(ix.keys, key)
+	ix.incident(e.U, pos)
+	ix.incident(e.V, pos)
+	if k := ix.edges.insert(key); int(k) == len(ix.first) {
+		ix.first = append(ix.first, pos)
+	}
+	return nil
+}
+
+// incident appends pos to u's incidence list.
+func (ix *PrefixIndex) incident(u, pos int64) {
+	k := ix.verts.insert(uint64(u))
+	if int(k) == len(ix.nbr) {
+		ix.nbr = append(ix.nbr, nil)
+	}
+	c := cap(ix.nbr[k])
+	ix.nbr[k] = append(ix.nbr[k], pos)
+	ix.nbrBytes += int64(cap(ix.nbr[k])-c) * 8
+}
+
+// incidentAt returns the positions below v of the updates incident to u: a
+// binary search, since they ascend.
+func (ix *PrefixIndex) incidentAt(u, v int64) []int64 {
+	k := ix.verts.find(uint64(u))
+	if k < 0 {
+		return nil
+	}
+	ps := ix.nbr[k]
+	return ps[:sort.Search(len(ps), func(i int) bool { return ps[i] >= v })]
+}
+
+// seenBefore reports whether the edge packed as key arrived before position v.
+func (ix *PrefixIndex) seenBefore(key uint64, v int64) bool {
+	k := ix.edges.find(key)
+	return k >= 0 && ix.first[k] < v
 }
 
 // IndexedRunner answers query rounds at a pinned version v over a
@@ -106,14 +137,10 @@ func (ix *PrefixIndex) degreeAt(u, v int64) int64 {
 // RandomEdge — this is what makes a standing query's event cost O(Δ)
 // instead of O(v).
 type IndexedRunner struct {
+	round
 	ix      *PrefixIndex
 	v       int64
-	rng     *rand.Rand
-	rounds  int64
-	queries int64
-	space   int64
-	scratch *sketch.Reservoir // reused across RandomEdge answers, re-armed by Reset
-	answers []oracle.Answer   // Round's result, the caller's until the next round
+	scratch sketch.Reservoir // every RandomEdge answer's, re-armed by Reset
 }
 
 // IndexedRunner answers rounds directly; it has no pass lifecycle.
@@ -125,81 +152,49 @@ func NewIndexedRunner(ix *PrefixIndex, v int64, rng *rand.Rand) (*IndexedRunner,
 	if v < 0 || v > ix.Extent() {
 		return nil, fmt.Errorf("transform: IndexedRunner version %d out of indexed range [0,%d]", v, ix.Extent())
 	}
-	return &IndexedRunner{ix: ix, v: v, rng: rng}, nil
+	r := &IndexedRunner{round: round{model: oracle.Augmented, sampleWords: 2}, ix: ix, v: v}
+	r.bind(ix.n, rng)
+	return r, nil
 }
 
-// Model implements oracle.Runner.
-func (r *IndexedRunner) Model() oracle.Model { return oracle.Augmented }
-
-// Rounds implements oracle.Runner.
-func (r *IndexedRunner) Rounds() int64 { return r.rounds }
-
-// Queries implements oracle.Runner.
-func (r *IndexedRunner) Queries() int64 { return r.queries }
-
-// SpaceWords implements oracle.Runner. It reports the space the equivalent
-// streaming pass would have used, so results carry the same budget
-// accounting whichever path served them.
-func (r *IndexedRunner) SpaceWords() int64 { return r.space }
-
-// NumVertices implements oracle.Runner.
-func (r *IndexedRunner) NumVertices() int64 { return r.ix.n }
-
-// Round implements oracle.Runner. Queries are answered in order; the only
-// RNG consumer is RandomEdge, which draws its reservoir seed exactly where
-// InsertionRunner.BeginRound would, so answer sequences are bit-identical.
+// Round implements oracle.Runner. The front end admits and charges the
+// queries as it does for InsertionRunner; they are then answered in order,
+// and the only RNG consumer is RandomEdge, which draws its reservoir seed
+// exactly where InsertionRunner.BeginRound would, so answer sequences are
+// bit-identical.
 func (r *IndexedRunner) Round(queries []oracle.Query) ([]oracle.Answer, error) {
-	r.rounds++
-	r.queries += int64(len(queries))
-	v := r.v
-	expireAnswers(r.answers)
-	answers := answerBuffer(r.answers, len(queries))
-	r.answers = answers
+	if err := r.admit(queries); err != nil {
+		return nil, err
+	}
+	ix, v := r.ix, r.v
+	r.m = v // the edge count CountEdges answers
+	answers := r.answerBuf()
 	for i, q := range queries {
 		switch q.Type {
-		case oracle.CountEdges:
-			answers[i] = oracle.Answer{OK: true, Count: v}
-			r.space++
 		case oracle.RandomEdge:
-			// One scratch reservoir serves every RandomEdge answer: Reset
-			// re-arms it bit-identically to NewReservoirSeeded with the
-			// same draw, so a hot watch loop stops allocating reservoirs.
-			seed := r.rng.Uint64()
-			if r.scratch == nil {
-				r.scratch = sketch.NewReservoirSeeded(seed)
-			} else {
-				r.scratch.Reset(seed)
-			}
-			rs := r.scratch
-			rs.OfferKeys(r.ix.keys[:v])
-			if key, ok := rs.Sample(); ok {
-				answers[i] = oracle.Answer{OK: true, Edge: keyEdge(key, r.ix.n)}
+			// Reset re-arms the one scratch reservoir bit-identically to
+			// NewReservoirSeeded with the same draw, so a hot watch loop
+			// allocates no reservoirs.
+			r.scratch.Reset(r.rng.Uint64())
+			r.scratch.OfferKeys(ix.keys[:v])
+			if key, ok := r.scratch.Sample(); ok {
+				answers[i] = oracle.Answer{OK: true, Edge: keyEdge(key, ix.n)}
 			} else {
 				answers[i] = oracle.Answer{OK: false}
 			}
-			r.space += 2
 		case oracle.Degree:
-			answers[i] = oracle.Answer{OK: true, Count: r.ix.degreeAt(q.U, v)}
-			r.space++
+			answers[i] = oracle.Answer{OK: true, Count: int64(len(ix.incidentAt(q.U, v)))}
 		case oracle.Neighbor:
-			if q.I < 1 {
-				return nil, fmt.Errorf("transform: Neighbor index %d < 1", q.I)
-			}
-			if ws := r.ix.nbr[q.U]; q.I <= r.ix.degreeAt(q.U, v) {
-				answers[i] = oracle.Answer{OK: true, Count: ws[q.I-1].other}
+			if ps := ix.incidentAt(q.U, v); q.I <= int64(len(ps)) {
+				e := keyEdge(ix.keys[ps[q.I-1]], ix.n)
+				answers[i] = oracle.Answer{OK: true, Count: e.U + e.V - q.U} // the far endpoint
 			} else {
 				answers[i] = oracle.Answer{OK: false}
 			}
-			r.space += 2
-		case oracle.RandomNeighbor:
-			return nil, fmt.Errorf("transform: RandomNeighbor is a relaxed-model query; the insertion-only runner emulates the augmented model (use Neighbor)")
 		case oracle.Adjacent:
-			pos, ok := r.ix.first[edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), r.ix.n)]
-			answers[i] = oracle.Answer{OK: true, Yes: ok && pos < v}
-			r.space++
-		default:
-			return nil, fmt.Errorf("transform: unknown query type %d", q.Type)
+			answers[i] = oracle.Answer{OK: true, Yes: ix.seenBefore(edgeKey(graph.Edge{U: q.U, V: q.V}, ix.n), v)}
 		}
 	}
+	r.cur = nil
 	return answers, nil
 }

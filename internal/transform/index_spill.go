@@ -10,11 +10,11 @@ import (
 // Spill codec for PrefixIndex: the WATCHIDX file written next to a
 // stream's segments when the checkpoint cache evicts (or deliberately
 // flushes) a lane's index. Only the key log is persisted — the incidence
-// lists and first-seen map are pure functions of it, so decoding rebuilds
+// lists and first positions are pure functions of it, so decoding rebuilds
 // them with the exact appends Extend would have performed and the restored
 // index is bit-identical to the evicted one. The whole file is covered by
-// a trailing CRC32C; a torn or corrupt spill decodes to an error and the
-// caller falls back to a cold rebuild, never to wrong answers.
+// a trailing CRC32C; a torn or corrupt spill, or one Extend could not have
+// written, decodes to an error and the caller rebuilds cold.
 //
 // Layout (little-endian): 8-byte magic "WATCHIDX", uint32 format version,
 // uint64 vertex-universe size n, uint64 extent, extent*8 bytes of edge
@@ -68,28 +68,24 @@ func DecodeSpill(data []byte) (*PrefixIndex, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: vertex universe %d", ErrSpillCorrupt, n)
 	}
-	if uint64(len(body)-spillHeaderSize) != extent*8 {
-		return nil, fmt.Errorf("%w: extent %d does not match %d key bytes", ErrSpillCorrupt, extent, len(body)-spillHeaderSize)
+	if rest := len(body) - spillHeaderSize; rest%8 != 0 || extent != uint64(rest/8) {
+		return nil, fmt.Errorf("%w: extent %d does not match %d key bytes", ErrSpillCorrupt, extent, rest)
 	}
 	ix, err := NewPrefixIndex(n)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpillCorrupt, err)
 	}
 	for off := spillHeaderSize; off < len(body); off += 8 {
-		ix.extendKey(binary.LittleEndian.Uint64(body[off : off+8]))
+		// Extend writes only canonical edges (u ≤ v < n): key u·n + v with
+		// u ≥ n, or u > v, is none.
+		key := binary.LittleEndian.Uint64(body[off : off+8])
+		e := keyEdge(key, n)
+		if e.U > e.V {
+			return nil, fmt.Errorf("%w: key %d is no canonical edge over %d vertices", ErrSpillCorrupt, key, n)
+		}
+		if err := ix.extendKey(e, key); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrSpillCorrupt, err)
+		}
 	}
 	return ix, nil
-}
-
-// extendKey replays one already-canonical edge key, performing exactly the
-// appends Extend does for the corresponding update.
-func (ix *PrefixIndex) extendKey(key uint64) {
-	e := keyEdge(key, ix.n)
-	pos := int64(len(ix.keys))
-	ix.keys = append(ix.keys, key)
-	ix.nbr[e.U] = append(ix.nbr[e.U], nbrEntry{pos: pos, other: e.V})
-	ix.nbr[e.V] = append(ix.nbr[e.V], nbrEntry{pos: pos, other: e.U})
-	if _, ok := ix.first[key]; !ok {
-		ix.first[key] = pos
-	}
 }

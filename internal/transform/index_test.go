@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -59,56 +60,86 @@ func countersOf(r oracle.Runner) passCounters {
 	return passCounters{rounds: r.Rounds(), queries: r.Queries(), space: r.SpaceWords()}
 }
 
+// prefixQueries asks Degree, Neighbor and Adjacent about every edge of
+// ups — both endpoints, both orientations, the first few neighbor ranks —
+// behind the fixed mix of insQueries.
+func prefixQueries(ups []stream.Update) []oracle.Query {
+	qs := insQueries()
+	for k, u := range ups {
+		e := u.Edge
+		qs = append(qs,
+			q(oracle.Degree, e.U), q(oracle.Degree, e.V),
+			q(oracle.Neighbor, e.U, 0, int64(k%3+1)), q(oracle.Neighbor, e.V, 0, 1),
+			q(oracle.Adjacent, e.U, e.V), q(oracle.Adjacent, e.V, e.U))
+	}
+	return qs
+}
+
 // TestIndexedRunnerMatchesInsertionRunner pins the fast path's core claim:
 // at EVERY version v, an IndexedRunner over the shared prefix index answers
 // bit-identically — answers, budgets, RNG consumption — to a standalone
-// InsertionRunner replaying the v-prefix with the same seed. Three
+// InsertionRunner replaying the v-prefix with the same seed. It does so
+// both over an index grown to exactly v, and pinned at v over one index
+// already extended past it: an index at extent E answers every v ≤ E. Three
 // back-to-back rounds per version mirror the FGP schedule and prove the
-// runners stay in seed lockstep.
+// runners stay in seed lockstep. The second workload repeats an edge right
+// after its first insertion, so an index that remembered a repeat's
+// position as the edge's first would answer Adjacent wrongly in between.
 func TestIndexedRunnerMatchesInsertionRunner(t *testing.T) {
-	ups := checkpointWorkload(t, 25, 50)
 	const n = 25
-	ix, _ := NewPrefixIndex(n)
-
-	for v := 0; v <= len(ups); v++ {
-		// Grow the index incrementally, as the watch scheduler would.
-		if v > 0 {
-			if err := ix.Extend(ups[v-1 : v]); err != nil {
-				t.Fatal(err)
+	base := checkpointWorkload(t, n, 50)
+	repeats := append([]stream.Update{base[0], base[0], base[1]}, base[2:]...)
+	repeats = append(repeats[:10], append([]stream.Update{repeats[9]}, repeats[10:]...)...)
+	for name, ups := range map[string][]stream.Update{"duplicates": base, "repeat right after": repeats} {
+		full, _ := NewPrefixIndex(n)
+		if err := full.Extend(ups); err != nil {
+			t.Fatal(err)
+		}
+		ix, _ := NewPrefixIndex(n)
+		for v := 0; v <= len(ups); v++ {
+			// Grow the index incrementally, as the watch scheduler would.
+			if v > 0 {
+				if err := ix.Extend(ups[v-1 : v]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if ix.Extent() != int64(v) {
-			t.Fatalf("extent=%d, want %d", ix.Extent(), v)
-		}
-		for _, seed := range []int64{1, 17} {
+			if ix.Extent() != int64(v) {
+				t.Fatalf("extent=%d, want %d", ix.Extent(), v)
+			}
 			prefix, err := stream.NewSlice(n, ups[:v])
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := NewInsertionRunner(prefix, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := NewIndexedRunner(ix, int64(v), rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cold.Model() != fast.Model() || cold.NumVertices() != fast.NumVertices() {
-				t.Fatalf("model/n mismatch")
-			}
-			for round := 0; round < 3; round++ {
-				want, err := cold.Round(insQueries())
-				if err != nil {
-					t.Fatal(err)
+			qs := prefixQueries(ups[:v])
+			for _, seed := range []int64{1, 17} {
+				for _, idx := range []*PrefixIndex{ix, full} {
+					cold, err := NewInsertionRunner(prefix, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					fast, err := NewIndexedRunner(idx, int64(v), rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cold.Model() != fast.Model() || cold.NumVertices() != fast.NumVertices() {
+						t.Fatalf("model/n mismatch")
+					}
+					label := fmt.Sprintf("%s v=%d seed=%d extent=%d", name, v, seed, idx.Extent())
+					for round := 0; round < 3; round++ {
+						want, err := cold.Round(qs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := fast.Round(qs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameAnswers(t, label, want, got)
+					}
+					if countersOf(cold) != countersOf(fast) {
+						t.Errorf("%s: counters %+v vs %+v", label, countersOf(fast), countersOf(cold))
+					}
 				}
-				got, err := fast.Round(insQueries())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameAnswers(t, "indexed round", want, got)
-			}
-			if countersOf(cold) != countersOf(fast) {
-				t.Errorf("v=%d seed=%d: counters %+v vs %+v", v, seed, countersOf(fast), countersOf(cold))
 			}
 		}
 	}
@@ -137,6 +168,38 @@ func TestIndexedRunnerErrorPaths(t *testing.T) {
 	}
 	if _, err := r.Round([]oracle.Query{q(oracle.RandomNeighbor, 1)}); err == nil {
 		t.Error("RandomNeighbor accepted by augmented-model runner")
+	}
+
+	// A refused query after an accepted one is charged alike: the round
+	// and both queries count, the accepted query's words do, the refused
+	// one's do not.
+	st, err := stream.NewSlice(10, []stream.Update{{Edge: graph.Edge{U: 1, V: 2}, Op: stream.Insert}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, refused := range []oracle.Query{q(oracle.Neighbor, 1, 0, 0), q(oracle.RandomNeighbor, 1), {Type: 99}} {
+		ins, err := NewInsertionRunner(st, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ind, err := NewIndexedRunner(ix, 1, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []oracle.Runner{ins, ind} {
+			if _, err := r.Round([]oracle.Query{q(oracle.RandomEdge), refused}); err == nil {
+				t.Errorf("%T: %+v accepted", r, refused)
+			}
+		}
+		if countersOf(ins) != countersOf(ind) {
+			t.Errorf("after refusing %+v: indexed counters %+v, insertion %+v", refused, countersOf(ind), countersOf(ins))
+		}
+	}
+	tr := NewTurnstileRunner(st, rand.New(rand.NewSource(1)))
+	for _, refused := range []oracle.Query{q(oracle.Neighbor, 1, 0, 1), {Type: 99}} {
+		if _, err := tr.Round([]oracle.Query{q(oracle.Degree, 1), refused}); err == nil {
+			t.Errorf("turnstile runner accepted %+v", refused)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
 	"streamcount/internal/par"
 	"streamcount/internal/pool"
@@ -42,48 +41,31 @@ import (
 // updates however long the stream is. Sampler seeds are drawn sequentially at
 // setup, so answers are bit-identical at any parallelism.
 //
-// The round's query state has InsertionRunner's shape — key tables filled at
-// setup with flat state arrays beside them — plus the round's samplers as
+// The round's query state has InsertionRunner's shape — the front end's key
+// tables with flat state arrays beside them — plus the round's samplers as
 // one list in query order. They are drawn from the runner's freelist and
 // re-armed with Reseed — bit-identical to fresh construction — so
 // steady-state rounds allocate no sampler cells; runners themselves recycle
 // across engine generations through AcquireTurnstileRunner / Release.
 type TurnstileRunner struct {
-	st      stream.Stream
-	rng     *rand.Rand
-	l0cfg   sketch.L0Config
-	paral   int
-	rounds  int64
-	queries int64
-	space   int64
+	round
+	st    stream.Stream
+	l0cfg sketch.L0Config
+	paral int
 
 	// In-flight round state (BeginRound .. EndRound).
-	curQueries  []oracle.Query
-	curM        int64 // net edge count (insertions minus deletions)
-	curBuffered int   // updates consumed since the feeds were last flushed
+	curBuffered int // updates consumed since the feeds were last flushed
 	curBase     uint64
-	edgeSampled bool // some sampler of the round reads edgeFeed
 
 	// Scratch reused across rounds (and, via the runner pool, across
 	// engine generations).
-	samplers     []roundSampler // the round's samplers, in query order
-	refs         []int32        // query index -> dense index of its vertex or pair
-	verts        keyTable       // queried vertex -> index into vs
-	vs           []turnVertex
-	pairs        keyTable            // queried packed edge key -> index into mult
-	mult         []int64             // signed multiplicity of each queried pair
+	samplers     []roundSampler      // the round's samplers, in query order
+	vs           []turnVertex        // per queried vertex, beside verts
 	net          keyTable            // netFeed's key -> position in the netted feed
 	freeSamplers []*sketch.L0Sampler // retired samplers awaiting Reseed
-	batchEdges   []graph.Edge
-	batchKeys    []uint64
-	batchDelta   []int64
 	edgeFeed     []sketch.FeedEntry
 	scratch      []sketch.L0Scratch // UpdateFeed working memory, one per worker
-	answers      []oracle.Answer    // EndRound's result, the caller's until the next round
 }
-
-// TurnstileRunner implements the session engine's round lifecycle.
-var _ oracle.PassRunner = (*TurnstileRunner)(nil)
 
 // feedBlock is how many updates a round buffers before it flushes the
 // sampler feeds, so no feed holds more entries than this (a feed takes at
@@ -112,18 +94,6 @@ type turnVertex struct {
 	sampled bool
 }
 
-// vertex returns the dense index of queried vertex u, registering it on first
-// sight with a zero degree and whatever emptied feed buffer an earlier round
-// left at that index.
-func (r *TurnstileRunner) vertex(u int64) int32 {
-	k := r.verts.insert(uint64(u))
-	if int(k) == len(r.vs) {
-		r.vs = slices.Grow(r.vs, 1)[:k+1]
-		r.vs[k] = turnVertex{feed: r.vs[k].feed[:0]}
-	}
-	return k
-}
-
 // incident is stage 1 for one update at a queried vertex.
 func (v *turnVertex) incident(other, delta int64) {
 	v.deg += delta
@@ -132,24 +102,28 @@ func (v *turnVertex) incident(other, delta int64) {
 	}
 }
 
-// process is the round's stage 1 over one canonicalized batch: counters move,
-// neighbor feeds grow.
-func (r *TurnstileRunner) process(edges []graph.Edge, keys []uint64, deltas []int64) {
+// process is the round's stage 1 over the batch the front end canonicalized:
+// degrees move, neighbor feeds and the edge feed grow.
+func (r *TurnstileRunner) process() {
 	if len(r.vs) > 0 {
-		for i, e := range edges {
+		for i, e := range r.edges {
 			if v := r.verts.find(uint64(e.U)); v >= 0 {
-				r.vs[v].incident(e.V, deltas[i])
+				r.vs[v].incident(e.V, r.deltas[i])
 			}
 			if v := r.verts.find(uint64(e.V)); v >= 0 {
-				r.vs[v].incident(e.U, deltas[i])
+				r.vs[v].incident(e.U, r.deltas[i])
 			}
 		}
 	}
-	if len(r.mult) > 0 {
-		for i, key := range keys {
-			if k := r.pairs.find(key); k >= 0 {
-				r.mult[k] += deltas[i]
-			}
+	// The edge-matrix feed buffer doubles as it grows, but never past the
+	// one block it can be asked to hold.
+	if r.kinds[oracle.RandomEdge] > 0 {
+		if need := len(r.edgeFeed) + len(r.keys); need > cap(r.edgeFeed) {
+			grown := make([]sketch.FeedEntry, 0, min(max(need, 2*cap(r.edgeFeed)), feedBlock))
+			r.edgeFeed = append(grown, r.edgeFeed...)
+		}
+		for i, key := range r.keys {
+			r.edgeFeed = append(r.edgeFeed, sketch.FeedEntry{Key: key, Delta: r.deltas[i]})
 		}
 	}
 }
@@ -179,32 +153,25 @@ func (r *TurnstileRunner) netFeed(feed []sketch.FeedEntry) []sketch.FeedEntry {
 // turnRunnerPool recycles released runners — the sampler freelist, key
 // tables, feed and batch buffers — across engine generations, under the same
 // reset ≡ fresh obligation as the insertion pool (DESIGN.md §12).
-var turnRunnerPool = pool.New(
-	func() *TurnstileRunner { return &TurnstileRunner{} },
-	func(r *TurnstileRunner) {},
-	dirtyTurnRunner,
-)
+var turnRunnerPool = pool.New(newTurnstileRunner, func(*TurnstileRunner) {}, dirtyTurnRunner)
+
+func newTurnstileRunner() *TurnstileRunner {
+	return &TurnstileRunner{round: round{model: oracle.Relaxed, keyed: true}}
+}
 
 func dirtyTurnRunner(r *TurnstileRunner) {
+	r.round.dirty()
 	for _, s := range r.freeSamplers {
 		s.Dirty()
 	}
 	smearFeed(r.edgeFeed)
 	pool.Dirty(r.samplers, roundSampler{query: 0x5a5a5a, vert: 0x5a5a5a})
-	pool.Dirty(r.refs, 0x5a5a5a)
-	r.verts.dirty()
-	r.pairs.dirty()
 	r.net.dirty()
 	for i := range r.vs[:cap(r.vs)] {
 		v := &r.vs[:cap(r.vs)][i]
 		smearFeed(v.feed)
 		v.deg, v.sampled = -0x5a5a5a, true
 	}
-	pool.DirtyInt64(r.mult)
-	pool.Dirty(r.batchEdges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
-	pool.DirtyUint64(r.batchKeys)
-	pool.DirtyInt64(r.batchDelta)
-	smearAnswers(r.answers)
 }
 
 func smearFeed(feed []sketch.FeedEntry) {
@@ -230,7 +197,7 @@ func NewTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
 // sampler failure probability, which biases estimators downward (failed
 // trials contribute zero); the E12 ablation quantifies the trade-off.
 func NewTurnstileRunnerConfig(st stream.Stream, rng *rand.Rand, cfg sketch.L0Config) *TurnstileRunner {
-	return &TurnstileRunner{st: st, rng: rng, l0cfg: cfg}
+	return newTurnstileRunner().bindTo(st, rng, cfg)
 }
 
 // AcquireTurnstileRunner is NewTurnstileRunner over a process-wide runner
@@ -239,16 +206,20 @@ func NewTurnstileRunnerConfig(st stream.Stream, rng *rand.Rand, cfg sketch.L0Con
 // survives the rebind if the sampler geometry is unchanged; otherwise the
 // freelist is dropped and rounds rebuild it at the new shape.
 func AcquireTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
-	cfg := defaultL0Config(st.N())
-	r := turnRunnerPool.Get()
+	return turnRunnerPool.Get().bindTo(st, rng, defaultL0Config(st.N()))
+}
+
+// bindTo rebinds the runner to st, rng and a sampler geometry with fresh
+// accounting, keeping its scratch and — if the geometry is unchanged — its
+// sampler freelist.
+func (r *TurnstileRunner) bindTo(st stream.Stream, rng *rand.Rand, cfg sketch.L0Config) *TurnstileRunner {
 	if r.l0cfg != cfg {
 		r.freeSamplers = nil
 	}
-	r.st, r.rng, r.l0cfg = st, rng, cfg
-	r.paral = 0
-	r.rounds, r.queries, r.space = 0, 0, 0
-	r.curQueries = nil
-	r.curM, r.curBuffered, r.curBase = 0, 0, 0
+	r.st, r.l0cfg, r.paral = st, cfg, 0
+	r.sampleWords = cfg.SpaceWords()
+	r.bind(st.N(), rng)
+	r.curBuffered, r.curBase = 0, 0
 	return r
 }
 
@@ -264,21 +235,6 @@ func (r *TurnstileRunner) Release() {
 // p <= 0 selects GOMAXPROCS, 1 forces the sequential path. Answers do not
 // depend on p.
 func (r *TurnstileRunner) SetParallelism(p int) { r.paral = p }
-
-// Model implements oracle.Runner.
-func (r *TurnstileRunner) Model() oracle.Model { return oracle.Relaxed }
-
-// Rounds implements oracle.Runner.
-func (r *TurnstileRunner) Rounds() int64 { return r.rounds }
-
-// Queries implements oracle.Runner.
-func (r *TurnstileRunner) Queries() int64 { return r.queries }
-
-// SpaceWords implements oracle.Runner.
-func (r *TurnstileRunner) SpaceWords() int64 { return r.space }
-
-// NumVertices implements oracle.Runner.
-func (r *TurnstileRunner) NumVertices() int64 { return r.st.N() }
 
 // newSampler returns a sampler armed like NewL0SamplerWithBase(seed, base,
 // r.l0cfg), reusing a freelist entry when one is available. Freelist
@@ -346,87 +302,44 @@ func (r *TurnstileRunner) flushFeeds() {
 // BeginRound + one private replay + EndRound, so a standalone runner and a
 // session-scheduled one answer identically.
 func (r *TurnstileRunner) Round(queries []oracle.Query) ([]oracle.Answer, error) {
-	return r.RoundContext(context.Background(), queries)
+	return replay(context.Background(), r, r.st, queries)
 }
 
 // RoundContext is Round with cancellation checked between the update batches
 // of the private replay: when ctx is done the pass aborts with the context's
-// error before the next batch is consumed. Cancellation never changes
-// answers — a round that completes is bit-identical to an uncancellable one.
+// error before the next batch is consumed.
 func (r *TurnstileRunner) RoundContext(ctx context.Context, queries []oracle.Query) ([]oracle.Answer, error) {
-	if err := r.BeginRound(queries); err != nil {
-		r.AbortRound()
-		return nil, err
-	}
-	err := r.st.ForEachBatch(func(batch []stream.Update) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return r.ConsumeBatch(batch)
-	})
-	if err != nil {
-		r.AbortRound()
-		return nil, err
-	}
-	return r.EndRound()
+	return replay(ctx, r, r.st, queries)
 }
 
-// BeginRound implements oracle.PassRunner: it registers the round's queries,
-// counters and ℓ0-samplers, drawing sampler seeds in query order.
+// BeginRound implements oracle.PassRunner: it admits the round's queries and
+// arms its ℓ0-samplers, drawing the fingerprint base and then the sampler
+// seeds in query order.
 func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
-	n := r.st.N()
-	if err := checkUniverse(n); err != nil {
+	if r.n > maxTurnstileVertices { // which is below maxVertices
+		return fmt.Errorf("transform: %d vertices exceed the %d whose packed edge keys an ℓ0-sampler can recover (keys below 2^63)", r.n, int64(maxTurnstileVertices))
+	}
+	r.AbortRound() // a round left open has no one to answer to
+	if err := r.admit(queries); err != nil {
 		return err
 	}
-	if n > maxTurnstileVertices {
-		return fmt.Errorf("transform: %d vertices exceed the %d whose packed edge keys an ℓ0-sampler can recover (keys below 2^63)", n, int64(maxTurnstileVertices))
-	}
-	if len(queries) > math.MaxInt32 {
-		return fmt.Errorf("transform: %d queries in one round exceed the int32 query index", len(queries))
-	}
-	expireAnswers(r.answers)
-	r.AbortRound() // a round left open has no one to answer to
-	r.rounds++
-	r.queries += int64(len(queries))
-	r.curQueries = queries
-	r.curM = 0
 	r.curBuffered = 0
-	r.edgeSampled = false
-	r.verts.reset()
-	r.vs = r.vs[:0]
-	r.pairs.reset()
-	r.mult = r.mult[:0]
-	r.refs = slices.Grow(r.refs[:0], len(queries))[:len(queries)] // written for Degree, Adjacent
-	base := sketch.RandomFieldBase(r.rng.Uint64())
-	r.curBase = base
+	r.vs = slices.Grow(r.vs[:0], r.verts.n)[:r.verts.n]
+	for i := range r.vs {
+		r.vs[i] = turnVertex{feed: r.vs[i].feed[:0]} // the feed buffer an earlier round left here
+	}
+	r.curBase = sketch.RandomFieldBase(r.rng.Uint64())
 	r.edgeFeed = r.edgeFeed[:0]
-
 	for i, q := range queries {
-		switch q.Type {
-		case oracle.CountEdges:
-			r.space++
-		case oracle.RandomEdge, oracle.RandomNeighbor:
-			s := r.newSampler(r.rng.Uint64(), base)
-			vert := int32(-1)
-			if q.Type == oracle.RandomNeighbor {
-				vert = r.vertex(q.U)
-				r.vs[vert].sampled = true
-			} else {
-				r.edgeSampled = true
-			}
-			r.samplers = append(r.samplers, roundSampler{s: s, query: int32(i), vert: vert})
-			r.space += s.SpaceWords()
-		case oracle.Degree:
-			r.refs[i] = r.vertex(q.U)
-			r.space++
-		case oracle.Neighbor:
-			return fmt.Errorf("transform: Neighbor is an augmented-model query; the turnstile runner emulates the relaxed model (use RandomNeighbor)")
-		case oracle.Adjacent:
-			r.refs[i] = register(&r.pairs, edgeKey(graph.Edge{U: q.U, V: q.V}.Canon(), n), &r.mult)
-			r.space++
-		default:
-			return fmt.Errorf("transform: unknown query type %d", q.Type)
+		if q.Type != oracle.RandomEdge && q.Type != oracle.RandomNeighbor {
+			continue
 		}
+		vert := int32(-1) // RandomEdge reads edgeFeed
+		if q.Type == oracle.RandomNeighbor {
+			vert = r.refs[i]
+			r.vs[vert].sampled = true
+		}
+		r.samplers = append(r.samplers, roundSampler{s: r.newSampler(r.rng.Uint64(), r.curBase), query: int32(i), vert: vert})
 	}
 	return nil
 }
@@ -440,7 +353,7 @@ func (r *TurnstileRunner) AbortRound() {
 		r.freeSamplers = append(r.freeSamplers, t.s)
 	}
 	r.samplers = r.samplers[:0]
-	r.curQueries = nil
+	r.cur = nil
 }
 
 // ConsumeBatch implements oracle.PassRunner (the round's stage 1): counters
@@ -453,67 +366,28 @@ func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 		if r.curBuffered == feedBlock {
 			r.flushFeeds()
 		}
-		k := min(len(batch), feedBlock-r.curBuffered)
-		r.buffer(batch[:k])
+		k := min(len(batch), feedBlock-r.curBuffered) // what fits the block
+		if err := r.canon(batch[:k]); err != nil {
+			return err
+		}
+		r.curBuffered += k
+		r.process()
 		batch = batch[k:]
 	}
 	return nil
-}
-
-// buffer consumes updates that fit into the current feed block.
-func (r *TurnstileRunner) buffer(batch []stream.Update) {
-	n := r.st.N()
-	edges := r.batchEdges[:0]
-	keys := r.batchKeys[:0]
-	deltas := r.batchDelta[:0]
-	for _, u := range batch {
-		delta := int64(1)
-		if u.Op == stream.Delete {
-			delta = -1
-		}
-		e := u.Edge.Canon()
-		r.curM += delta
-		edges = append(edges, e)
-		keys = append(keys, edgeKey(e, n))
-		deltas = append(deltas, delta)
-	}
-	r.batchEdges, r.batchKeys, r.batchDelta = edges, keys, deltas
-	r.curBuffered += len(batch)
-	r.process(edges, keys, deltas)
-	// The edge-matrix feed buffer doubles as it grows, but never past the
-	// one block it can be asked to hold.
-	if r.edgeSampled {
-		if need := len(r.edgeFeed) + len(keys); need > cap(r.edgeFeed) {
-			grown := make([]sketch.FeedEntry, 0, min(max(need, 2*cap(r.edgeFeed)), feedBlock))
-			r.edgeFeed = append(grown, r.edgeFeed...)
-		}
-		for i, key := range keys {
-			r.edgeFeed = append(r.edgeFeed, sketch.FeedEntry{Key: key, Delta: deltas[i]})
-		}
-	}
 }
 
 // EndRound implements oracle.PassRunner: the sampler stages over what is
 // still buffered, then answers read off the round's state through the
 // references BeginRound recorded.
 func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
-	queries := r.curQueries
-	n := r.st.N()
-	m := r.curM
 	r.flushFeeds()
 
-	// ---- Merge (sequential, in query order). Every query assigns its
-	// answer, so the buffer is not cleared first. ----
-	answers := answerBuffer(r.answers, len(queries))
-	r.answers = answers
-	for i, q := range queries {
-		switch q.Type {
-		case oracle.CountEdges:
-			answers[i] = oracle.Answer{OK: true, Count: m}
-		case oracle.Degree:
+	// ---- Merge (sequential, in query order). ----
+	answers := r.answerBuf()
+	for i, q := range r.cur {
+		if q.Type == oracle.Degree {
 			answers[i] = oracle.Answer{OK: true, Count: r.vs[r.refs[i]].deg}
-		case oracle.Adjacent:
-			answers[i] = oracle.Answer{OK: true, Yes: r.mult[r.refs[i]] > 0}
 		}
 	}
 	for _, t := range r.samplers {
@@ -521,7 +395,7 @@ func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
 		case !ok:
 			answers[t.query] = oracle.Answer{OK: false}
 		case t.vert < 0:
-			answers[t.query] = oracle.Answer{OK: true, Edge: keyEdge(key, n)}
+			answers[t.query] = oracle.Answer{OK: true, Edge: keyEdge(key, r.n)}
 		default:
 			answers[t.query] = oracle.Answer{OK: true, Count: int64(key)}
 		}
