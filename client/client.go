@@ -508,6 +508,12 @@ func (c *Client) openWatch(ctx context.Context, req wire.WatchRequest) (*watchCo
 // reconnect exhausts the retry policy, or the server reports a
 // non-retryable end.
 func (c *Client) WatchQuery(ctx context.Context, stream string, q streamcount.Query, opts ...streamcount.WatchOption) (*streamcount.Subscription[streamcount.Outcome], error) {
+	return watchQuery(ctx, stream, q, opts, c.openWatch)
+}
+
+// watchQuery is the self-healing subscription behind Client.WatchQuery and
+// Cluster.WatchQuery, which differ only in how dial reaches a node.
+func watchQuery(ctx context.Context, stream string, q streamcount.Query, opts []streamcount.WatchOption, dial func(context.Context, wire.WatchRequest) (*watchConn, error)) (*streamcount.Subscription[streamcount.Outcome], error) {
 	cfg := streamcount.NewWatchConfig(opts...)
 	wq, err := encodeQuery(stream, q)
 	if err != nil {
@@ -524,7 +530,7 @@ func (c *Client) WatchQuery(ctx context.Context, stream string, q streamcount.Qu
 	// The first connection is established synchronously, so misconfigured
 	// watches (bad pattern, unknown stream) fail the call itself, exactly
 	// like the local engine's WatchQuery.
-	conn, err := c.openWatch(ctx, req)
+	conn, err := dial(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -536,18 +542,18 @@ func (c *Client) WatchQuery(ctx context.Context, stream string, q streamcount.Qu
 			// Closing the subscription severs the live connection, which
 			// unblocks the blocking reads below.
 			stop := context.AfterFunc(sctx, conn.cancel)
-			done, err := c.consumeWatch(ctx, sctx, conn.r, emit, &last, &gen)
+			done, err := consumeWatch(ctx, sctx, conn.r, emit, &last, &gen)
 			stop()
 			conn.close()
 			if done {
 				return err
 			}
 			// Retryable interruption: reconnect and resume past the last
-			// delivered version. openWatch waits out restarts; if it cannot
+			// delivered version. The dial waits out restarts; if it cannot
 			// get a connection, the watch ends with the dial error.
 			rreq := req
 			rreq.After = last
-			if conn, err = c.openWatch(ctx, rreq); err != nil {
+			if conn, err = dial(ctx, rreq); err != nil {
 				if sctx.Err() != nil {
 					return streamcount.ErrWatchClosed
 				}
@@ -578,7 +584,7 @@ func retryableEndCode(code string) bool {
 // generation counter in *gen. It returns done=true with the subscription's
 // terminal error, or done=false when the connection was lost (or ended) in
 // a way a resuming reconnect heals.
-func (c *Client) consumeWatch(ctx, sctx context.Context, r *bufio.Reader, emit func(streamcount.WatchEvent[streamcount.Outcome]) bool, last, gen *int64) (bool, error) {
+func consumeWatch(ctx, sctx context.Context, r *bufio.Reader, emit func(streamcount.WatchEvent[streamcount.Outcome]) bool, last, gen *int64) (bool, error) {
 	closedErr := func() error {
 		switch {
 		case sctx.Err() != nil: // consumer Close

@@ -327,58 +327,6 @@ func (cl *Cluster) SubmitOn(ctx context.Context, stream string, q streamcount.Qu
 	return out, err
 }
 
-// openRoutedWatch dials a watch against the stream's current owner,
-// chasing wrong_node redirects the same way routed does. Each hop's dial
-// goes through the per-node client's openWatch, which already waits out
-// retryable conditions — in particular a stream mid-transfer (503
-// transferring): either the transfer aborts and the dial succeeds here, or
-// it completes and the next attempt is redirected to the new owner.
-func (cl *Cluster) openRoutedWatch(ctx context.Context, stream string, req wire.WatchRequest) (*Client, *watchConn, error) {
-	var nextAddr string
-	var err error
-	rejections := 0
-	for hop := 0; hop < maxRouteHops; hop++ {
-		var c *Client
-		if nextAddr != "" {
-			c, err = cl.clientFor(nextAddr)
-		} else {
-			c, err = cl.ownerClient(ctx, stream)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		var conn *watchConn
-		if conn, err = c.openWatch(ctx, req); err == nil {
-			return c, conn, nil
-		}
-		redirect, isWrongNode := wrongNode(err)
-		if !isWrongNode {
-			return nil, nil, err
-		}
-		rejections++
-		if rejections >= 2 {
-			// See routed: a second consecutive wrong_node means the cached
-			// map and the rejecting nodes' maps are all stale. Refetch from
-			// the seeds instead of chasing the circle.
-			cl.clearMap()
-			m, merr := cl.ensureMap(ctx)
-			if merr != nil {
-				return nil, nil, err
-			}
-			nextAddr = m.Owner(stream).Addr
-			continue
-		}
-		nextAddr = redirect.OwnerAddr
-		if m, rerr := cl.refreshFrom(ctx, c); rerr == nil && nextAddr == "" {
-			nextAddr = m.Owner(stream).Addr
-		}
-		if nextAddr == "" {
-			return nil, nil, err
-		}
-	}
-	return nil, nil, err
-}
-
 // WatchQuery registers q as a standing query on the named stream's owner,
 // implementing streamcount.Watcher with the same self-healing contract as
 // Client.WatchQuery — plus re-routing: when the owning node ends the watch
@@ -388,51 +336,20 @@ func (cl *Cluster) openRoutedWatch(ctx context.Context, stream string, req wire.
 // delivered version. The combined transcript across a live transfer is
 // identical to an uninterrupted watch's.
 func (cl *Cluster) WatchQuery(ctx context.Context, stream string, q streamcount.Query, opts ...streamcount.WatchOption) (*streamcount.Subscription[streamcount.Outcome], error) {
-	cfg := streamcount.NewWatchConfig(opts...)
-	wq, err := encodeQuery(stream, q)
-	if err != nil {
-		return nil, err
-	}
-	req := wire.WatchRequest{Query: wq, Policy: wire.PolicyLatest}
-	if cfg.EveryVersion {
-		req.Policy = wire.PolicyEvery
-	}
-	if cfg.AfterVersion > 0 {
-		req.After = cfg.AfterVersion
-	}
-
-	// As with Client.WatchQuery, the first connection is synchronous so
-	// misconfigured watches fail the call itself.
-	c, conn, err := cl.openRoutedWatch(ctx, stream, req)
-	if err != nil {
-		return nil, err
-	}
-
-	sub := streamcount.NewSubscription(cfg.Buffer, func(sctx context.Context, emit func(streamcount.WatchEvent[streamcount.Outcome]) bool) error {
-		last := req.After
-		var gen int64
-		for {
-			stop := context.AfterFunc(sctx, conn.cancel)
-			done, err := c.consumeWatch(ctx, sctx, conn.r, emit, &last, &gen)
-			stop()
-			conn.close()
-			if done {
-				return err
-			}
-			// Retryable interruption — including a transfer's terminal
-			// event: re-resolve the owner and resume past the last
-			// delivered version.
-			rreq := req
-			rreq.After = last
-			if c, conn, err = cl.openRoutedWatch(ctx, stream, rreq); err != nil {
-				if sctx.Err() != nil {
-					return streamcount.ErrWatchClosed
-				}
-				return fmt.Errorf("client: watch could not reconnect: %w", err)
-			}
-		}
+	// Every dial, the first and each resume, goes to the stream's current
+	// owner through routed. A hop's openWatch already waits out retryable
+	// conditions — in particular a stream mid-transfer (503 transferring):
+	// either the transfer aborts and the dial succeeds there, or it
+	// completes and the next attempt is redirected to the new owner.
+	return watchQuery(ctx, stream, q, opts, func(ctx context.Context, req wire.WatchRequest) (*watchConn, error) {
+		var conn *watchConn
+		err := cl.routed(ctx, stream, func(c *Client) error {
+			var e error
+			conn, e = c.openWatch(ctx, req)
+			return e
+		})
+		return conn, err
 	})
-	return sub, nil
 }
 
 // Transfer asks the stream's current owner to ship the stream to the

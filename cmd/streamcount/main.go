@@ -14,6 +14,11 @@
 // bad pattern; a result table with an error column is printed and the exit
 // status is nonzero if any query failed.
 //
+// Without -trials and -lower, a pattern count and a -cliques count both
+// search over lower-bound guesses L = m^ρ(H), m^ρ(H)/2, … (cf. Lemma 21),
+// stopping at the first estimate that reaches its guess; the reported
+// passes, queries and space cover every guess.
+//
 // The process cancels cleanly: -timeout bounds the total run, and a SIGINT
 // (Ctrl-C) or SIGTERM aborts in-flight replays between update batches; both
 // surface as "canceled" errors in the result table.
@@ -34,6 +39,7 @@
 //	streamcount -input graph.txt -pattern triangle,C5,K4 -trials 100000
 //	streamcount -input updates.txt -updates -pattern C5 -trials 500000
 //	streamcount -input graph.txt -cliques 4 -eps 0.3 -lower 50
+//	streamcount -input graph.txt -cliques 3 -eps 0.4
 //	streamcount -input huge.txt -updates -pattern C5 -timeout 30s
 //	streamcount -watch -input graph.txt -pattern triangle -trials 20000
 //	tail -f updates.txt | streamcount -watch -input - -pattern triangle -trials 20000
@@ -88,9 +94,9 @@ func main() {
 	flag.StringVar(&o.input, "input", "", "input file (required)")
 	flag.BoolVar(&o.updates, "updates", false, "input is a turnstile update list, not an edge list")
 	flag.StringVar(&o.pat, "pattern", "triangle", "pattern name or comma-separated list: triangle, C<k>, K<r>, S<k>, P<k>, paw, diamond")
-	flag.IntVar(&o.trials, "trials", 0, "parallel sampler instances (0: derive from -eps/-lower)")
+	flag.IntVar(&o.trials, "trials", 0, "parallel sampler instances (0: derive from -eps/-lower, or search over lower bounds without -lower)")
 	flag.Float64Var(&o.eps, "eps", 0.1, "target relative error (used when -trials is 0)")
-	flag.Float64Var(&o.lower, "lower", 0, "lower bound on #H (used when -trials is 0)")
+	flag.Float64Var(&o.lower, "lower", 0, "lower bound on #H (used when -trials is 0; 0: search over lower bounds)")
 	flag.IntVar(&o.cliques, "cliques", 0, "if r >= 3: use the Theorem 2 low-degeneracy K_r counter")
 	flag.Int64Var(&o.lambda, "lambda", 0, "degeneracy bound for -cliques (0: compute exactly)")
 	flag.BoolVar(&o.exactF, "exact", false, "also print the exact count (loads the graph into memory)")
@@ -152,7 +158,7 @@ func run(o options) int {
 	}
 
 	if o.cliques >= 3 {
-		if !runCliques(ctx, st, o.cliques, o.lambda, o.eps, o.lower, o.seed, o.paral, o.exactF) {
+		if !runCliques(ctx, st, o) {
 			return 1
 		}
 		return 0
@@ -163,7 +169,7 @@ func run(o options) int {
 		log.Print("no pattern given")
 		return 1
 	}
-	if !runPatterns(ctx, st, names, o.trials, o.eps, o.lower, o.seed, o.paral, o.exactF) {
+	if !runPatterns(ctx, st, names, o) {
 		return 1
 	}
 	return 0
@@ -211,14 +217,7 @@ func runCluster(ctx context.Context, o options) int {
 		}
 		rows[i].p = p
 		go func(i int, p *streamcount.Pattern) {
-			opts := []streamcount.QueryOption{
-				streamcount.WithTrials(o.trials),
-				streamcount.WithEpsilon(o.eps),
-				streamcount.WithLowerBound(o.lower),
-				streamcount.WithSeed(o.seed + int64(i)),
-				streamcount.WithParallelism(o.paral),
-			}
-			rows[i].est, rows[i].err = streamcount.DoOn(ctx, cl, o.stream, streamcount.CountQuery(p, opts...))
+			rows[i].est, rows[i].err = streamcount.DoOn(ctx, cl, o.stream, o.countQuery(p, i))
 			done <- i
 		}(i, p)
 	}
@@ -285,6 +284,23 @@ func listCluster(ctx context.Context, cl *client.Cluster) int {
 	return 0
 }
 
+// countQuery is the query for the i-th named pattern: the 3-pass counter,
+// or, given neither -trials nor -lower, the same counter under the search
+// over lower-bound guesses (AutoQuery).
+func (o options) countQuery(p *streamcount.Pattern, i int) streamcount.TypedQuery[*streamcount.CountResult] {
+	opts := []streamcount.QueryOption{
+		streamcount.WithTrials(o.trials),
+		streamcount.WithEpsilon(o.eps),
+		streamcount.WithLowerBound(o.lower),
+		streamcount.WithSeed(o.seed + int64(i)),
+		streamcount.WithParallelism(o.paral),
+	}
+	if o.trials == 0 && o.lower == 0 {
+		return streamcount.AutoQuery(p, opts...)
+	}
+	return streamcount.CountQuery(p, opts...)
+}
+
 func splitPatterns(s string) []string {
 	var names []string
 	for _, name := range strings.Split(s, ",") {
@@ -307,7 +323,7 @@ type row struct {
 // — concurrent queries share replays — and prints a result table. Failures
 // (unknown pattern, bad budget, cancellation) become per-query error rows
 // instead of aborting the run; it returns false if any query failed.
-func runPatterns(ctx context.Context, st streamcount.Stream, names []string, trials int, eps, lower float64, seed int64, paral int, exactF bool) bool {
+func runPatterns(ctx context.Context, st streamcount.Stream, names []string, o options) bool {
 	e := streamcount.NewEngine(st, streamcount.WithAdmissionWindow(50*time.Millisecond))
 	defer e.Close()
 
@@ -323,14 +339,7 @@ func runPatterns(ctx context.Context, st streamcount.Stream, names []string, tri
 		}
 		rows[i].p = p
 		go func(i int, p *streamcount.Pattern) {
-			opts := []streamcount.QueryOption{
-				streamcount.WithTrials(trials),
-				streamcount.WithEpsilon(eps),
-				streamcount.WithLowerBound(lower),
-				streamcount.WithSeed(seed + int64(i)),
-				streamcount.WithParallelism(paral),
-			}
-			rows[i].est, rows[i].err = streamcount.Do(ctx, e, streamcount.CountQuery(p, opts...))
+			rows[i].est, rows[i].err = streamcount.Do(ctx, e, o.countQuery(p, i))
 			done <- i
 		}(i, p)
 	}
@@ -338,6 +347,7 @@ func runPatterns(ctx context.Context, st streamcount.Stream, names []string, tri
 		<-done
 	}
 
+	exactF := o.exactF
 	var g *graph.Graph
 	if exactF {
 		var err error
@@ -396,9 +406,13 @@ func errLabel(err error) string {
 	}
 }
 
-func runCliques(ctx context.Context, st streamcount.Stream, r int, lambda int64, eps, lower float64, seed int64, paral int, exactF bool) bool {
+// runCliques runs the Theorem 2 K_r counter. Without -lower it searches
+// over lower-bound guesses; the graph is loaded into memory only to compute
+// the degeneracy (-lambda 0) or the exact count (-exact).
+func runCliques(ctx context.Context, st streamcount.Stream, o options) bool {
+	r, lambda := o.cliques, o.lambda
 	var g *graph.Graph
-	if lambda == 0 || exactF || lower == 0 {
+	if lambda == 0 || o.exactF {
 		var err error
 		g, err = stream.Materialize(st)
 		if err != nil {
@@ -409,22 +423,12 @@ func runCliques(ctx context.Context, st streamcount.Stream, r int, lambda int64,
 	if lambda == 0 {
 		lambda, _ = streamcount.Degeneracy(g)
 	}
-	if lower == 0 {
-		p, _ := streamcount.PatternByName(fmt.Sprintf("K%d", r))
-		exact := streamcount.ExactCount(g, p)
-		if exact == 0 {
-			fmt.Println("graph contains no such cliques")
-			return true
-		}
-		lower = float64(exact) / 2
-		fmt.Printf("(no -lower given: using exact/2 = %.1f)\n", lower)
-	}
 	est, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(r,
 		streamcount.WithLambda(lambda),
-		streamcount.WithEpsilon(eps),
-		streamcount.WithLowerBound(lower),
-		streamcount.WithSeed(seed),
-		streamcount.WithParallelism(paral),
+		streamcount.WithEpsilon(o.eps),
+		streamcount.WithLowerBound(o.lower),
+		streamcount.WithSeed(o.seed),
+		streamcount.WithParallelism(o.paral),
 	))
 	if err != nil {
 		log.Printf("K%d: %s", r, errLabel(err))
@@ -432,9 +436,9 @@ func runCliques(ctx context.Context, st streamcount.Stream, r int, lambda int64,
 	}
 	fmt.Printf("pattern    K%d (degeneracy λ=%d)\n", r, lambda)
 	fmt.Printf("estimate   %.1f\n", est.Value)
-	fmt.Printf("passes     %d (bound 5r = %d)\n", est.Passes, 5*r)
+	fmt.Printf("passes     %d (bound 5r = %d per lower-bound guess)\n", est.Passes, 5*r)
 	fmt.Printf("space      %d words\n", est.SpaceWords)
-	if exactF {
+	if o.exactF {
 		p, _ := streamcount.PatternByName(fmt.Sprintf("K%d", r))
 		fmt.Printf("exact      %d\n", streamcount.ExactCount(g, p))
 	}

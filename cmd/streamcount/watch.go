@@ -165,14 +165,7 @@ func runWatch(ctx context.Context, o options) int {
 			log.Print(err)
 			return 1
 		}
-		q := streamcount.CountQuery(p,
-			streamcount.WithTrials(o.trials),
-			streamcount.WithEpsilon(o.eps),
-			streamcount.WithLowerBound(o.lower),
-			streamcount.WithSeed(o.seed+int64(i)),
-			streamcount.WithParallelism(o.paral),
-		)
-		sub, err := streamcount.Watch(ctx, e, "", q, wopts...)
+		sub, err := streamcount.Watch(ctx, e, "", o.countQuery(p, i), wopts...)
 		if err != nil {
 			log.Print(err)
 			return 1

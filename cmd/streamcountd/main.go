@@ -43,7 +43,7 @@
 // by (stream, version, query fingerprint, seed): resubmitting a query a
 // pinned generation already answered returns the identical bytes with zero
 // stream passes. Appends never invalidate anything — entries are
-// version-pinned — so the cache is purely size/TTL-bounded (LRU).
+// version-pinned — so the cache is purely size-bounded (LRU).
 // With -tenant-config, requests are attributed to the tenant named by their
 // X-Tenant header and admitted through per-tenant token buckets; a tenant
 // at quota gets a typed 429 quota_exhausted with Retry-After, and tenant
@@ -103,7 +103,6 @@ func main() {
 		clusterNode  = flag.String("cluster-node", "", "this node's cluster member ID; enables cluster mode (requires -cluster-peers)")
 		clusterPeers = flag.String("cluster-peers", "", "comma-separated cluster members as id=addr pairs (bare addr doubles as the ID); must be identical on every node and include this node")
 		rcacheMB     = flag.Int("result-cache-mb", 0, "cross-generation result cache bound in MiB: repeated version-pinned queries are served memoized with zero stream passes (0: disabled)")
-		rcacheTTL    = flag.Duration("result-cache-ttl", 0, "TTL on memoized results (0: no TTL, entries live until evicted by the size bound)")
 		tenantConfig = flag.String("tenant-config", "", "JSON file of per-tenant quotas and priorities (see internal/tenant); empty admits everything")
 	)
 	flag.Parse()
@@ -130,7 +129,6 @@ func main() {
 		ClusterNode:       *clusterNode,
 		ClusterPeers:      peers,
 		ResultCacheMB:     *rcacheMB,
-		ResultCacheTTL:    *rcacheTTL,
 		Tenants:           tenants,
 	}
 	if err := run(*addr, *readTimeout, *drainTimeout, opts); err != nil {

@@ -66,7 +66,7 @@ func WithWatchCheckpointMB(mb int) EngineOption {
 // with zero stream passes, and is byte-identical to the cold result by
 // the determinism contract. Entries are pinned to the stream version they
 // were computed at, so appends never invalidate anything; eviction is
-// purely size-LRU plus the TTL.
+// purely size-LRU.
 func WithResultCacheMB(mb int) EngineOption {
 	return func(o *core.EngineOptions) {
 		if mb <= 0 {
@@ -75,12 +75,6 @@ func WithResultCacheMB(mb int) EngineOption {
 			o.ResultCacheBytes = int64(mb) << 20
 		}
 	}
-}
-
-// WithResultCacheTTL sets the per-entry lifetime of memoized results (0,
-// the default: entries never expire; the capacity bound still evicts).
-func WithResultCacheTTL(d time.Duration) EngineOption {
-	return func(o *core.EngineOptions) { o.ResultCacheTTL = d }
 }
 
 // ResultCacheStats is the engine-wide health of the cross-generation
@@ -94,8 +88,6 @@ type ResultCacheStats struct {
 	Misses int64
 	// Evictions counts entries dropped by the capacity bound.
 	Evictions int64
-	// Expirations counts entries dropped by the TTL.
-	Expirations int64
 	// ResidentBytes is the accounted size of all memoized results.
 	ResidentBytes int64
 	// CapacityBytes is the configured bound; 0 when the cache is disabled.
@@ -112,7 +104,6 @@ func (e *Engine) ResultCacheStats() ResultCacheStats {
 		Hits:          s.Hits,
 		Misses:        s.Misses,
 		Evictions:     s.Evictions,
-		Expirations:   s.Expirations,
 		ResidentBytes: s.ResidentBytes,
 		CapacityBytes: s.CapacityBytes,
 		Entries:       s.Entries,

@@ -40,6 +40,7 @@ func assertEventMatchesStandalone(t *testing.T, app *stream.Appendable, j Job, e
 		t.Fatal(err)
 	}
 	j.Config.Seed = WatchSeedAt(j.Config.Seed, ev.Version)
+	j.Clique.Seed = WatchSeedAt(j.Clique.Seed, ev.Version)
 	ref, err := runCount(view, j)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,8 @@
 //     insertion-only streams, Theorem 1 on turnstile streams (the runner is
 //     selected from the stream's contents);
 //   - JobCliques runs the 5r-pass ERS clique counter for low-degeneracy
-//     graphs (Theorem 2) on insertion-only streams;
+//     graphs (Theorem 2) on insertion-only streams, under the lower-bound
+//     search when no lower bound is given;
 //   - JobSample draws a uniformly random copy of H (Lemma 16/18);
 //   - JobAuto and JobDistinguish are the lower-bound search and the
 //     decision variant built on JobEstimate.
@@ -153,7 +154,8 @@ type CliqueConfig struct {
 	Lambda int64
 	// Epsilon is the target relative error.
 	Epsilon float64
-	// LowerBound is a lower bound on #K_r.
+	// LowerBound is a lower bound on #K_r; 0 runs the geometric search
+	// over guesses (cf. Lemma 21) instead.
 	LowerBound float64
 	// Params exposes the remaining ERS knobs; zero values take defaults.
 	Params ers.Params

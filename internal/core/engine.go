@@ -35,9 +35,6 @@ type EngineOptions struct {
 	// (DESIGN.md §13). 0 — the default — disables it: submissions always
 	// admit generations, exactly as before the cache existed.
 	ResultCacheBytes int64
-	// ResultCacheTTL is the per-entry lifetime of cached results (0: cache
-	// entries never expire; capacity LRU still bounds them).
-	ResultCacheTTL time.Duration
 }
 
 // engineJob is one queued unit of work: the job, the submitter's context,
@@ -221,7 +218,7 @@ func NewEngine(st stream.Stream, opts EngineOptions) *Engine {
 	}
 	e := &Engine{opts: opts, root: root, cancel: cancel, lanes: make(map[string]*lane),
 		ckpt: newWatchCheckpoints(capacity),
-		rc:   rcache.New(opts.ResultCacheBytes, opts.ResultCacheTTL)}
+		rc:   rcache.New(opts.ResultCacheBytes)}
 	if err := e.Register(DefaultStream, st); err != nil {
 		panic(err) // unreachable: the engine is empty and open
 	}

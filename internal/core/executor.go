@@ -57,7 +57,15 @@ func (x *executor) execute(h *JobHandle) JobResult {
 		cp, found, err := x.runSample(h, h.job.Config)
 		return JobResult{Copy: cp, Found: found, Err: err}
 	case JobCliques:
-		est, err := x.runCliques(h, h.job.Clique)
+		cfg := h.job.Clique
+		if cfg.LowerBound > 0 {
+			est, err := x.runCliques(h, cfg)
+			return JobResult{Est: est, Err: err}
+		}
+		est, err := x.search(x.length, float64(cfg.R)/2, func(l float64) (*CountResult, error) {
+			cfg.LowerBound = l
+			return x.runCliques(h, cfg)
+		})
 		return JobResult{Est: est, Err: err}
 	case JobAuto:
 		est, err := x.runAuto(h, h.job.Config)
@@ -96,7 +104,7 @@ func (x *executor) runEstimate(h *JobHandle, cfg Config) (*CountResult, error) {
 	out := &CountResult{
 		Value:      res.Estimate,
 		M:          res.M,
-		Passes:     h.rounds, // cumulative: Auto guesses reuse the handle
+		Passes:     h.rounds, // cumulative: search guesses reuse the handle
 		Queries:    r.Queries(),
 		SpaceWords: r.SpaceWords(),
 		Trials:     trials,
@@ -134,11 +142,15 @@ func (x *executor) runSample(h *JobHandle, cfg Config) (SampledCopy, bool, error
 	return SampledCopy{Edges: sr.Edges, Vertices: sr.Vertices}, true, nil
 }
 
-// runCliques is the 5r-pass ERS clique counting job (Theorem 2).
+// runCliques is the 5r-pass ERS clique counting job (Theorem 2) at the
+// lower bound cfg.LowerBound.
 func (x *executor) runCliques(h *JobHandle, cfg CliqueConfig) (*CountResult, error) {
 	if !x.insertOnly {
 		return nil, fmt.Errorf("core: EstimateCliques requires an insertion-only stream (Theorem 2): %w", ErrBadConfig)
 	}
+	// The pass bound holds per run: a search's earlier guesses have already
+	// ticked the handle.
+	before := h.rounds
 	p := cfg.Params
 	p.R = cfg.R
 	p.Lambda = cfg.Lambda
@@ -154,13 +166,13 @@ func (x *executor) runCliques(h *JobHandle, cfg CliqueConfig) (*CountResult, err
 	if err != nil {
 		return nil, err
 	}
-	if h.rounds > int64(5*cfg.R) {
-		return nil, fmt.Errorf("core: internal error: %d passes exceeds Theorem 2's 5r = %d", h.rounds, 5*cfg.R)
+	if n := h.rounds - before; n > int64(5*cfg.R) {
+		return nil, fmt.Errorf("core: internal error: %d passes exceeds Theorem 2's 5r = %d", n, 5*cfg.R)
 	}
 	out := &CountResult{
 		Value:      res.Estimate,
 		M:          res.M,
-		Passes:     h.rounds,
+		Passes:     h.rounds, // cumulative: search guesses reuse the handle
 		Queries:    r.Queries(),
 		SpaceWords: r.SpaceWords(),
 	}
@@ -168,13 +180,8 @@ func (x *executor) runCliques(h *JobHandle, cfg CliqueConfig) (*CountResult, err
 	return out, nil
 }
 
-// runAuto is the geometric search over lower-bound guesses (cf. Lemma 21):
-// the 3-pass counter runs at the trial budget for each guess until the
-// estimate validates the guess. Every guess re-seeds from cfg.Seed (so each
-// guess is the exact run a standalone JobEstimate at that lower bound would
-// produce), and pass/query/space accounting is cumulative across
-// guesses — the handle's round count ticks once per served round, so Passes
-// reports the total the search consumed, not the final guess's share.
+// runAuto is the 3-pass counter under the lower-bound search: every guess
+// derives its trial budget from its L, so a fixed Trials is dropped.
 func (x *executor) runAuto(h *JobHandle, cfg Config) (*CountResult, error) {
 	if cfg.Pattern == nil {
 		return nil, fmt.Errorf("core: Pattern must be set: %w", ErrBadPattern)
@@ -182,15 +189,27 @@ func (x *executor) runAuto(h *JobHandle, cfg Config) (*CountResult, error) {
 	if cfg.EdgeBound <= 0 {
 		return nil, fmt.Errorf("core: EdgeBound must be set for the geometric search: %w", ErrBadConfig)
 	}
-	rho := cfg.Pattern.Rho()
-	// Start from the AGM upper bound #H <= m^ρ and halve.
-	start := math.Pow(float64(cfg.EdgeBound), rho)
+	cfg.Trials = 0
+	return x.search(cfg.EdgeBound, cfg.Pattern.Rho(), func(l float64) (*CountResult, error) {
+		cfg.LowerBound = l
+		return x.runEstimate(h, cfg)
+	})
+}
+
+// search is Lemma 21's geometric search for callers without a lower bound
+// L on #H. count runs at L = m^ρ — the AGM bound #H ≤ m^ρ(H) — then m^ρ/2,
+// m^ρ/4, … while L ≥ 0.5, and the first estimate that reaches its guess is
+// accepted: when L ≤ #H the counter concentrates, and when L > #H its
+// output falls below L w.h.p. When no guess is accepted, as on a graph
+// with no copy, the last guess's result stands; an empty prefix (m = 0)
+// still gets one guess, at 0.5. Every guess re-seeds from the job's seed,
+// so it is the exact run a job given that L would produce, and Queries and
+// SpaceWords are summed over the guesses. Passes needs no sum: each guess
+// reports the handle's cumulative round count.
+func (x *executor) search(m int64, rho float64, count func(l float64) (*CountResult, error)) (*CountResult, error) {
 	var last *CountResult
-	for l := start; l >= 0.5; l /= 2 {
-		sub := cfg
-		sub.LowerBound = l
-		sub.Trials = 0
-		est, err := x.runEstimate(h, sub)
+	for l := math.Max(math.Pow(float64(m), rho), 0.5); l >= 0.5; l /= 2 {
+		est, err := count(l)
 		if err != nil {
 			return nil, err
 		}

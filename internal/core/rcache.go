@@ -148,6 +148,12 @@ func (e *Engine) submitCached(ctx context.Context, l *lane, j Job, pin int64) (*
 	if cv, ok := e.rc.Get(k); ok {
 		return cv.(*cachedResult).handle(ctx), nil
 	}
+	return e.submitMissed(ctx, l, j, pin, k)
+}
+
+// submitMissed is submitCached after its lookup of k missed, for callers
+// that made that one counted lookup themselves.
+func (e *Engine) submitMissed(ctx context.Context, l *lane, j Job, pin int64, k rcache.Key) (*JobHandle, error) {
 	f, leader := e.rc.Join(k)
 	if !leader {
 		select {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamcount/internal/pattern"
+	"streamcount/internal/stream"
 )
 
 // fingerprinted returns the engine test job tagged cacheable, as the facade
@@ -256,5 +257,42 @@ func TestEngineResultCacheCloneIsolation(t *testing.T) {
 	if ares.Copy.Vertices[0] != want.Copy.Vertices[0] || ares.Copy.Edges[0] != want.Copy.Edges[0] {
 		t.Errorf("cached sample drifted: got v0=%d e0=%+v, want v0=%d e0=%+v",
 			ares.Copy.Vertices[0], ares.Copy.Edges[0], want.Copy.Vertices[0], want.Copy.Edges[0])
+	}
+}
+
+// TestWatchColdEvaluationCountsOneMiss: a watch evaluation the checkpoint
+// cannot serve — the lane is turnstile — looks its cache key up once, so N
+// events count N misses, not 2N.
+func TestWatchColdEvaluationCountsOneMiss(t *testing.T) {
+	ups := watchWorkload(t)
+	app, err := stream.NewAppendable(200, stream.AppendableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(app, EngineOptions{ResultCacheBytes: 1 << 20})
+	defer e.Close()
+	j := watchRefJob()
+	j.Fingerprint = 99
+	w, err := e.Watch(context.Background(), DefaultStream, j, WatchOptions{EveryVersion: true, Buffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	batches := [][]stream.Update{
+		append([]stream.Update{ups[0], {Edge: ups[0].Edge, Op: stream.Delete}}, ups[:300]...),
+		ups[300:600],
+		ups[600:],
+	}
+	for _, b := range batches {
+		if _, err := e.Append(DefaultStream, b); err != nil {
+			t.Fatal(err)
+		}
+		collectEvent(t, w)
+	}
+	if st := e.ResultCacheStats(); st.Misses != int64(len(batches)) || st.Hits != 0 {
+		t.Errorf("cache stats hits=%d misses=%d, want 0/%d", st.Hits, st.Misses, len(batches))
+	}
+	if st := w.CheckpointStats(); st.ColdReplays != int64(len(batches)) {
+		t.Errorf("cold replays = %d, want %d", st.ColdReplays, len(batches))
 	}
 }

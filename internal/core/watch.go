@@ -325,8 +325,10 @@ func (e *Engine) watchLoop(wctx, callerCtx context.Context, l *lane, j Job, lw *
 		var h *JobHandle
 		var err error
 		served := false
-		if e.rc != nil && jj.Fingerprint != 0 {
-			if cv, ok := e.rc.Get(cacheKey(l, jj, v)); ok {
+		cached := e.rc != nil && jj.Fingerprint != 0
+		k := cacheKey(l, jj, v)
+		if cached {
+			if cv, ok := e.rc.Get(k); ok {
 				h, served = cv.(*cachedResult).handle(wctx), true
 			}
 		}
@@ -337,16 +339,19 @@ func (e *Engine) watchLoop(wctx, callerCtx context.Context, l *lane, j Job, lw *
 			// bit-identical to a cold pinned submission, so which path
 			// served an event is unobservable in the transcript.
 			h, err, served = e.evaluateIndexed(wctx, l, jj, v, w)
-			if served && err == nil && e.rc != nil && jj.Fingerprint != 0 && h.res.Err == nil {
-				e.cachePut(cacheKey(l, jj, v), h)
+			if served && err == nil && cached && h.res.Err == nil {
+				e.cachePut(k, h)
 			}
 		}
 		if !served {
 			w.ckptCold.Add(1)
-			// The pinned submission takes the memoizing submit path itself
-			// when the cache is enabled, so cold watch evaluations populate
-			// it too.
-			h, err = e.submitPinned(wctx, l.name, jj, v)
+			// A cold evaluation populates the cache too; the lookup above
+			// was its one counted miss.
+			if cached {
+				h, err = e.submitMissed(wctx, l, jj, v, k)
+			} else {
+				h, err = e.submitPinned(wctx, l.name, jj, v)
+			}
 		}
 		if err != nil {
 			if wctx.Err() != nil {

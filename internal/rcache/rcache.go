@@ -1,12 +1,13 @@
 // Package rcache is the cross-generation result cache: a bounded,
-// size/TTL-accounted memo of completed query results keyed by
+// size-accounted memo of completed query results keyed by
 // (stream name, stream version, canonical query fingerprint, resolved
 // seed). The determinism contract makes the cache safe by construction —
 // every result is a pure function of its key, bit-identical at any
 // parallelism — so a hit is indistinguishable from a recomputation and
 // appends invalidate nothing: entries are pinned to the version they were
 // computed at, and a new version is simply a new key. Eviction is purely
-// capacity LRU plus lazy TTL expiry.
+// capacity LRU: since no entry can go stale, expiring one would only
+// recompute the same bits.
 //
 // The package also carries the singleflight layer: N concurrent identical
 // misses elect one leader to run the job; the followers wait and share its
@@ -18,7 +19,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streamcount/internal/wire"
 )
@@ -39,11 +39,10 @@ type Key struct {
 }
 
 type entry struct {
-	key   Key
-	val   any
-	size  int64
-	added time.Time
-	elem  *list.Element
+	key  Key
+	val  any
+	size int64
+	elem *list.Element
 }
 
 // Flight is one in-progress singleflight computation. The leader runs the
@@ -65,7 +64,6 @@ type Stats struct {
 	Hits          int64
 	Misses        int64
 	Evictions     int64
-	Expirations   int64
 	ResidentBytes int64
 	CapacityBytes int64
 	Entries       int
@@ -75,8 +73,6 @@ type Stats struct {
 // never-stores cache, so callers need no enabled checks beyond nil tests.
 type Cache struct {
 	capacity int64
-	ttl      time.Duration // 0: entries never expire
-	now      func() time.Time
 
 	mu      sync.Mutex
 	entries map[Key]*entry
@@ -84,40 +80,32 @@ type Cache struct {
 	bytes   int64
 	flights map[Key]*Flight
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
-	expirations atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
-// New builds a cache bounded at capacityBytes with per-entry lifetime ttl
-// (0: no expiry). A non-positive capacity returns nil: the disabled cache.
-func New(capacityBytes int64, ttl time.Duration) *Cache {
+// New builds a cache bounded at capacityBytes. A non-positive capacity
+// returns nil: the disabled cache.
+func New(capacityBytes int64) *Cache {
 	if capacityBytes <= 0 {
 		return nil
 	}
 	return &Cache{
 		capacity: capacityBytes,
-		ttl:      ttl,
-		now:      time.Now,
 		entries:  make(map[Key]*entry),
 		lru:      list.New(),
 		flights:  make(map[Key]*Flight),
 	}
 }
 
-// Get returns the memoized value for k, if resident and unexpired.
+// Get returns the memoized value for k, if resident.
 func (c *Cache) Get(k Key) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	e, ok := c.entries[k]
-	if ok && c.ttl > 0 && c.now().Sub(e.added) > c.ttl {
-		c.removeLocked(e)
-		c.expirations.Add(1)
-		ok = false
-	}
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)
@@ -144,11 +132,6 @@ func (c *Cache) Peek(k Key) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	if c.ttl > 0 && c.now().Sub(e.added) > c.ttl {
-		c.removeLocked(e)
-		c.expirations.Add(1)
-		return nil, false
-	}
 	c.lru.MoveToFront(e.elem)
 	return e.val, true
 }
@@ -168,7 +151,7 @@ func (c *Cache) Put(k Key, v any, size int64) {
 	if old, ok := c.entries[k]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: k, val: v, size: size, added: c.now()}
+	e := &entry{key: k, val: v, size: size}
 	e.elem = c.lru.PushFront(e)
 	c.entries[k] = e
 	c.bytes += size
@@ -253,7 +236,6 @@ func (c *Cache) Stats() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
-		Expirations:   c.expirations.Load(),
 		ResidentBytes: bytes,
 		CapacityBytes: c.capacity,
 		Entries:       entries,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"streamcount/internal/wire"
 )
@@ -14,7 +13,7 @@ func k(stream string, version int64, fp uint64, seed int64) Key {
 }
 
 func TestCacheGetPutLRU(t *testing.T) {
-	c := New(3*(entryOverhead+1+100), 0) // room for exactly three entries of size 100
+	c := New(3 * (entryOverhead + 1 + 100)) // room for exactly three entries of size 100
 	for i := int64(0); i < 3; i++ {
 		c.Put(k("s", i, 7, 1), i, 100)
 	}
@@ -42,7 +41,7 @@ func TestCacheGetPutLRU(t *testing.T) {
 }
 
 func TestCacheKeyDiscriminates(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	c.Put(k("s", 5, 7, 1), "v", 10)
 	for _, miss := range []Key{
 		k("other", 5, 7, 1), // different stream
@@ -59,25 +58,8 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.Put(k("s", 1, 7, 1), "v", 10)
-	if _, ok := c.Get(k("s", 1, 7, 1)); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get(k("s", 1, 7, 1)); ok {
-		t.Fatal("expired entry hit")
-	}
-	if st := c.Stats(); st.Expirations != 1 || st.Entries != 0 {
-		t.Fatalf("want 1 expiration, 0 entries; got %+v", st)
-	}
-}
-
 func TestCacheOversizeValueNotStored(t *testing.T) {
-	c := New(256, 0)
+	c := New(256)
 	c.Put(k("s", 1, 7, 1), "v", 1<<20)
 	if st := c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 {
 		t.Fatalf("oversize value was stored: %+v", st)
@@ -85,7 +67,7 @@ func TestCacheOversizeValueNotStored(t *testing.T) {
 }
 
 func TestCacheDropStream(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	c.Put(k("a", 1, 7, 1), "v", 10)
 	c.Put(k("a", 2, 7, 1), "v", 10)
 	c.Put(k("b", 1, 7, 1), "v", 10)
@@ -100,7 +82,7 @@ func TestCacheDropStream(t *testing.T) {
 
 func TestNilCacheIsDisabled(t *testing.T) {
 	var c *Cache
-	if c != New(0, 0) || New(-1, time.Minute) != nil {
+	if c != New(0) || New(-1) != nil {
 		t.Fatal("non-positive capacity must build the nil cache")
 	}
 	c.Put(k("s", 1, 7, 1), "v", 10)
@@ -119,7 +101,7 @@ func TestNilCacheIsDisabled(t *testing.T) {
 }
 
 func TestSingleflightOneLeader(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	key := k("s", 1, 7, 1)
 	const n = 16
 	var leaders int
@@ -165,7 +147,7 @@ func TestSingleflightOneLeader(t *testing.T) {
 }
 
 func TestSingleflightLeaderError(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	key := k("s", 1, 7, 1)
 	f, isLeader := c.Join(key)
 	if !isLeader {

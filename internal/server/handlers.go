@@ -106,7 +106,6 @@ func (s *Server) resultCacheStats() wire.ResultCacheStats {
 		Hits:          rc.Hits,
 		Misses:        rc.Misses,
 		Evictions:     rc.Evictions,
-		Expirations:   rc.Expirations,
 		ResidentBytes: rc.ResidentBytes,
 		CapacityBytes: rc.CapacityBytes,
 		Entries:       rc.Entries,

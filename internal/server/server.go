@@ -134,10 +134,6 @@ type Options struct {
 	// engine with streamcount.WithResultCacheMB instead). New rejects
 	// negative or absurdly large values instead of clamping them.
 	ResultCacheMB int
-	// ResultCacheTTL bounds how long a memoized result stays servable
-	// (0: no TTL — entries live until evicted by the size bound). Ignored
-	// when Engine is supplied or the cache is disabled.
-	ResultCacheTTL time.Duration
 	// Tenants configures per-tenant admission control: token-bucket quotas
 	// and priority lanes keyed by the X-Tenant request header. The zero
 	// Config admits everything (counters are still kept per tenant).
@@ -269,9 +265,6 @@ func New(opts Options) (*Server, error) {
 	case opts.ResultCacheMB > maxResultCacheMB:
 		return nil, fmt.Errorf("server: ResultCacheMB %d exceeds the %d MiB (1 TiB) sanity bound", opts.ResultCacheMB, maxResultCacheMB)
 	}
-	if opts.ResultCacheTTL < 0 {
-		return nil, fmt.Errorf("server: ResultCacheTTL %v is negative (0 means no TTL)", opts.ResultCacheTTL)
-	}
 	clusterState, err := newCluster(opts)
 	if err != nil {
 		return nil, err
@@ -286,8 +279,7 @@ func New(opts Options) (*Server, error) {
 		eng = streamcount.NewEngine(def,
 			streamcount.WithAdmissionWindow(opts.Window),
 			streamcount.WithWatchCheckpointMB(ckptMB),
-			streamcount.WithResultCacheMB(opts.ResultCacheMB),
-			streamcount.WithResultCacheTTL(opts.ResultCacheTTL))
+			streamcount.WithResultCacheMB(opts.ResultCacheMB))
 		own = true
 	}
 	jobCtx, jobStop := context.WithCancel(context.Background())

@@ -821,48 +821,20 @@ func (v *View) Version() int64 { return v.version }
 // InsertOnly implements Stream for the pinned prefix.
 func (v *View) InsertOnly() bool { return v.insertOnly }
 
-// ForEachBatch implements Stream: in-memory segments are served as zero-copy
-// subslices, evicted segments are decoded from their files into a reusable
-// buffer.
-func (v *View) ForEachBatch(fn func([]Update) error) error {
-	fsys := v.fs
-	if fsys == nil {
-		fsys = osFS{}
-	}
-	var buf []Update
-	for _, s := range v.segs {
-		if s.mem != nil {
-			for i := 0; i < len(s.mem); i += DefaultBatchSize {
-				j := min(i+DefaultBatchSize, len(s.mem))
-				if err := fn(s.mem[i:j]); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if buf == nil {
-			buf = make([]Update, 0, DefaultBatchSize)
-		}
-		if err := readSegment(fsys, s.path, s.count, &buf, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// ForEachBatch implements Stream: the full replay, ForEachBatchFrom(0, fn).
+func (v *View) ForEachBatch(fn func([]Update) error) error { return v.ForEachBatchFrom(0, fn) }
 
-// ForEachBatchFrom replays only the suffix [lo, Len()) of the view, in the
-// same order and batch geometry a full replay would produce past lo.
-// In-memory segments are served as zero-copy subslices; evicted segments
-// seek past their skipped fixed-width records without decoding them. This
+// ForEachBatchFrom replays the suffix [lo, Len()) of the view, in the same
+// order and batch geometry a full replay would produce past lo; lo = 0 is
+// the full replay. In-memory segments are served as zero-copy subslices;
+// evicted segments are decoded from their files into a reusable buffer,
+// seeking past skipped fixed-width records without decoding them. This
 // is the primitive behind incremental watch evaluation: a consumer that
 // already holds state for the prefix [0, lo) pays only O(Len()-lo) to
 // catch up (DESIGN.md §10).
 func (v *View) ForEachBatchFrom(lo int64, fn func([]Update) error) error {
 	if lo < 0 || lo > v.version {
 		return fmt.Errorf("stream: ForEachBatchFrom(%d): offset out of range [0,%d]", lo, v.version)
-	}
-	if lo == 0 {
-		return v.ForEachBatch(fn)
 	}
 	fsys := v.fs
 	if fsys == nil {
@@ -981,17 +953,11 @@ func writeSegment(fsys FS, path string, ups []Update) error {
 	return fh.Close()
 }
 
-// readSegment streams the first count records of a segment file through fn
-// in DefaultBatchSize batches, reusing *buf as the batch buffer. Header or
-// checksum contradictions wrap ErrSegmentCorrupt: replayed segments were
-// sealed and fsynced, so a bad byte is corruption, not an in-flight write.
-func readSegment(fsys FS, path string, count int, buf *[]Update, fn func([]Update) error) error {
-	return readSegmentFrom(fsys, path, 0, count, buf, fn)
-}
-
-// readSegmentFrom is readSegment starting at record index from: the skipped
-// records are seeked over (fixed-width format, no decode), the rest stream
-// through fn as usual.
+// readSegmentFrom streams records [from, count) of a segment file through
+// fn in DefaultBatchSize batches, reusing *buf as the batch buffer; the
+// skipped records are seeked past, not decoded. Header or checksum
+// contradictions wrap ErrSegmentCorrupt: replayed segments were sealed and
+// fsynced, so a bad byte is corruption, not an in-flight write.
 func readSegmentFrom(fsys FS, path string, from, count int, buf *[]Update, fn func([]Update) error) error {
 	fh, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {

@@ -18,23 +18,16 @@ type Subscriber interface {
 // each Replay call is exactly one pass over the stream — the pass the
 // session engine charges once, no matter how many subscribers ride it —
 // with every batch fanned out to all subscribers in registration order
-// before the next batch is read. It keeps per-subscriber pass accounting so
-// each job's own pass count (its round-adaptivity) stays observable even
-// though the underlying I/O is shared.
+// before the next batch is read.
 type Broadcaster struct {
-	st        Stream
-	passes    int64
-	subPasses map[Subscriber]int64
+	st Stream
 }
 
 // NewBroadcaster wraps st. Wrap st in a Counter first (and hand the Counter
 // in) when the total shared pass count must be assertable from outside.
 func NewBroadcaster(st Stream) *Broadcaster {
-	return &Broadcaster{st: st, subPasses: make(map[Subscriber]int64)}
+	return &Broadcaster{st: st}
 }
-
-// Stream returns the underlying stream.
-func (b *Broadcaster) Stream() Stream { return b.st }
 
 // Replay performs one pass over the underlying stream, feeding every batch
 // to each subscriber in order. It stops at the first subscriber error. A
@@ -48,10 +41,6 @@ func (b *Broadcaster) Replay(ctx context.Context, subs ...Subscriber) error {
 	if len(subs) == 0 {
 		return nil
 	}
-	b.passes++
-	for _, s := range subs {
-		b.subPasses[s]++
-	}
 	return b.st.ForEachBatch(func(batch []Update) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -64,10 +53,3 @@ func (b *Broadcaster) Replay(ctx context.Context, subs ...Subscriber) error {
 		return nil
 	})
 }
-
-// Passes returns the number of shared passes performed.
-func (b *Broadcaster) Passes() int64 { return b.passes }
-
-// SubscriberPasses returns how many of the shared passes the given
-// subscriber rode.
-func (b *Broadcaster) SubscriberPasses(s Subscriber) int64 { return b.subPasses[s] }

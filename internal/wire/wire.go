@@ -190,8 +190,6 @@ type ResultCacheStats struct {
 	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped by the size bound (LRU order).
 	Evictions int64 `json:"evictions"`
-	// Expirations counts entries dropped because they outlived the TTL.
-	Expirations int64 `json:"expirations,omitempty"`
 	// ResidentBytes is the accounted size of all memoized results.
 	ResidentBytes int64 `json:"resident_bytes"`
 	// CapacityBytes is the configured cache bound; 0 means disabled.

@@ -261,8 +261,10 @@ type cliqueQuery struct {
 
 // CliqueQuery builds the K_r counting query for low-degeneracy
 // insertion-only streams — the paper's 5r-pass ERS algorithm (Theorem 2).
-// WithLambda (the degeneracy bound) and WithLowerBound are required;
-// WithEpsilon tunes accuracy.
+// WithLambda (the degeneracy bound) is required; WithEpsilon tunes
+// accuracy. Without WithLowerBound the query runs the geometric search over
+// lower-bound guesses (cf. Lemma 21) from m^{r/2} down, at up to 5r passes
+// per guess, with cumulative pass/query/space accounting.
 func CliqueQuery(r int, opts ...QueryOption) TypedQuery[*CountResult] {
 	return cliqueQuery{r: r, o: resolve(opts)}
 }
@@ -275,8 +277,8 @@ func (q cliqueQuery) job(int64) (core.Job, error) {
 	if q.o.lambda <= 0 {
 		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: WithLambda (degeneracy bound) is required: %w", ErrBadConfig)
 	}
-	if q.o.lowerBound <= 0 {
-		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: WithLowerBound is required: %w", ErrBadConfig)
+	if q.o.lowerBound < 0 {
+		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: negative lower bound %g: %w", q.o.lowerBound, ErrBadConfig)
 	}
 	return core.Job{Kind: core.JobCliques, Clique: core.CliqueConfig{
 		R:          q.r,

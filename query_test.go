@@ -188,6 +188,9 @@ func TestQueryValidationErrors(t *testing.T) {
 	if _, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(3, streamcount.WithLowerBound(1))); !errors.Is(err, streamcount.ErrBadConfig) {
 		t.Errorf("missing lambda: %v, want ErrBadConfig", err)
 	}
+	if _, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(3, streamcount.WithLambda(3), streamcount.WithLowerBound(-1))); !errors.Is(err, streamcount.ErrBadConfig) {
+		t.Errorf("negative lower bound: %v, want ErrBadConfig", err)
+	}
 	if _, err := streamcount.Run(ctx, st, streamcount.DistinguishQuery(p, 0, streamcount.WithTrials(10))); !errors.Is(err, streamcount.ErrBadConfig) {
 		t.Errorf("zero threshold: %v, want ErrBadConfig", err)
 	}

@@ -3,6 +3,7 @@ package streamcount_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -124,6 +125,68 @@ func TestFacadeEstimateCliques(t *testing.T) {
 	}
 	if e := math.Abs(est.Value-float64(want)) / float64(want); e > 0.6 {
 		t.Errorf("estimate %.1f vs %d: rel err %.3f", est.Value, want, e)
+	}
+}
+
+// TestCliqueQuerySearchesWithoutLowerBound: a CliqueQuery without
+// WithLowerBound runs the geometric search over L = m^{r/2}, m^{r/2}/2, …
+// (cf. Lemma 21). It answers bit-identically to the query given the
+// accepted guess, no larger than the true count, and its Passes, Queries
+// and SpaceWords sum every guess, each within Theorem 2's 5r passes.
+func TestCliqueQuerySearchesWithoutLowerBound(t *testing.T) {
+	ctx := context.Background()
+	g := streamcount.BarabasiAlbert(rand.New(rand.NewSource(7)), 80, 2)
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 6; i++ {
+		vs := rng.Perm(int(g.N()))[:4]
+		for a := range vs {
+			for b := a + 1; b < len(vs); b++ {
+				g.AddEdge(int64(vs[a]), int64(vs[b]))
+			}
+		}
+	}
+	st := streamcount.StreamFromGraph(g)
+	lambda, _ := streamcount.Degeneracy(g)
+	for _, r := range []int{3, 4} {
+		opts := []streamcount.QueryOption{streamcount.WithLambda(lambda), streamcount.WithEpsilon(0.5), streamcount.WithSeed(int64(r))}
+		got, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(r, opts...))
+		if err != nil {
+			t.Fatalf("K%d search: %v", r, err)
+		}
+		var want streamcount.CountResult
+		var accepted float64
+		var passes, queries, space int64
+		guesses := 0
+		for l := math.Pow(float64(g.M()), float64(r)/2); l >= 0.5; l /= 2 {
+			est, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(r, append(opts, streamcount.WithLowerBound(l))...))
+			if err != nil {
+				t.Fatalf("K%d at L=%g: %v", r, l, err)
+			}
+			if est.Passes > int64(5*r) {
+				t.Errorf("K%d at L=%g: %d passes exceeds 5r = %d", r, l, est.Passes, 5*r)
+			}
+			guesses++
+			passes, queries, space = passes+est.Passes, queries+est.Queries, space+est.SpaceWords
+			want, accepted = *est, l
+			if est.Value >= l {
+				break
+			}
+		}
+		want.Passes, want.Queries, want.SpaceWords = passes, queries, space
+		if guesses < 2 {
+			t.Errorf("K%d: the search accepted its first guess; the test needs a graph with fewer cliques", r)
+		}
+		if *got != want {
+			t.Errorf("K%d search %+v, want the accepted guess with summed accounting %+v", r, *got, want)
+		}
+		p, err := streamcount.PatternByName(fmt.Sprintf("K%d", r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := float64(streamcount.ExactCount(g, p))
+		if accepted > exact || math.Abs(got.Value-exact) > 0.6*exact {
+			t.Errorf("K%d: accepted L=%g, estimate %v; true count %v", r, accepted, got.Value, exact)
+		}
 	}
 }
 
