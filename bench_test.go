@@ -653,6 +653,43 @@ func BenchmarkStreamPassFile(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamPassSegments measures one replay of a durable log — the
+// same 100k edges in random order, appended to an Appendable with a segment
+// directory — through a pinned View: three sealed 32768-update segments read
+// from disk, their records checksummed and decoded, then the in-memory tail.
+// Segment replay borrows the file replay's pooled block and batch, so a pass
+// allocates only what opening the three segment files does.
+func BenchmarkStreamPassSegments(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	st := stream.Shuffled(stream.FromGraph(gen.ErdosRenyiGNM(rng, 2000, 100000)), rng)
+	app, err := stream.NewAppendable(st.N(), stream.AppendableOptions{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer app.Close()
+	if err := st.ForEachBatch(func(batch []stream.Update) error {
+		_, err := app.Append(batch)
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	view := app.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var cnt int64
+		if err := view.ForEachBatch(func(batch []stream.Update) error {
+			cnt += int64(len(batch))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if cnt != view.Len() {
+			b.Fatalf("replayed %d of %d updates", cnt, view.Len())
+		}
+	}
+}
+
 // BenchmarkReservoirBankSweep offers a 100k-key stream in DefaultBatchSize
 // batches to 20 000 bank slots — the reservoirs of one insert-count round —
 // and reports the cost per accept. Accepts are counted off to the side: a

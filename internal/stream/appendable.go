@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -824,14 +823,16 @@ func (v *View) InsertOnly() bool { return v.insertOnly }
 // ForEachBatch implements Stream: the full replay, ForEachBatchFrom(0, fn).
 func (v *View) ForEachBatch(fn func([]Update) error) error { return v.ForEachBatchFrom(0, fn) }
 
-// ForEachBatchFrom replays the suffix [lo, Len()) of the view, in the same
-// order and batch geometry a full replay would produce past lo; lo = 0 is
-// the full replay. In-memory segments are served as zero-copy subslices;
-// evicted segments are decoded from their files into a reusable buffer,
-// seeking past skipped fixed-width records without decoding them. This
-// is the primitive behind incremental watch evaluation: a consumer that
-// already holds state for the prefix [0, lo) pays only O(Len()-lo) to
-// catch up (DESIGN.md §10).
+// ForEachBatchFrom replays the suffix [lo, Len()) of the view, in order;
+// lo = 0 is the full replay. Batches hold at most DefaultBatchSize updates
+// and start at lo, so past lo they need not fall where a full replay's would:
+// no consumer depends on where a batch starts. In-memory segments are served
+// as zero-copy subslices. Evicted segments are read through a pooled block;
+// segments wholly before lo are not opened, the skipped records of the one lo
+// falls in are read but not decoded, and every replayed record's checksum is
+// verified. This is the primitive behind incremental watch evaluation: a
+// consumer that already holds state for the prefix [0, lo) decodes only the
+// Len()-lo updates it lacks to catch up (DESIGN.md §10).
 func (v *View) ForEachBatchFrom(lo int64, fn func([]Update) error) error {
 	if lo < 0 || lo > v.version {
 		return fmt.Errorf("stream: ForEachBatchFrom(%d): offset out of range [0,%d]", lo, v.version)
@@ -840,7 +841,6 @@ func (v *View) ForEachBatchFrom(lo int64, fn func([]Update) error) error {
 	if fsys == nil {
 		fsys = osFS{}
 	}
-	var buf []Update
 	skip := lo
 	for _, s := range v.segs {
 		count := int64(len(s.mem))
@@ -858,13 +858,8 @@ func (v *View) ForEachBatchFrom(lo int64, fn func([]Update) error) error {
 					return err
 				}
 			}
-		} else {
-			if buf == nil {
-				buf = make([]Update, 0, DefaultBatchSize)
-			}
-			if err := readSegmentFrom(fsys, s.path, int(skip), s.count, &buf, fn); err != nil {
-				return err
-			}
+		} else if err := readSegmentFrom(fsys, s.path, int(skip), s.count, fn); err != nil {
+			return err
 		}
 		skip = 0
 	}
@@ -887,14 +882,14 @@ const (
 // segFileHeader is the fixed segment file header: magic plus format version.
 var segFileHeader = [segHeaderSize]byte{'S', 'C', 'S', 'G', 1, 0, 0, 0}
 
-// appendRecord encodes one update (payload + CRC32C) onto buf.
+// appendRecord encodes one update (payload + CRC32C) onto buf. The payload
+// is checksummed where it lands in buf: a local record array would escape to
+// the heap through the checksum, one allocation per record.
 func appendRecord(buf []byte, u Update) []byte {
-	var rec [segRecordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:8], uint64(u.Edge.U))
-	binary.LittleEndian.PutUint64(rec[8:16], uint64(u.Edge.V))
-	rec[16] = byte(u.Op)
-	binary.LittleEndian.PutUint32(rec[segPayloadSize:], crc32.Checksum(rec[:segPayloadSize], crcTable))
-	return append(buf, rec[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Edge.U))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Edge.V))
+	buf = append(buf, byte(u.Op))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(buf)-segPayloadSize:], crcTable))
 }
 
 // decodeRecord decodes one record, reporting whether its checksum holds.
@@ -954,58 +949,59 @@ func writeSegment(fsys FS, path string, ups []Update) error {
 }
 
 // readSegmentFrom streams records [from, count) of a segment file through
-// fn in DefaultBatchSize batches, reusing *buf as the batch buffer; the
-// skipped records are seeked past, not decoded. Header or checksum
-// contradictions wrap ErrSegmentCorrupt: replayed segments were sealed and
+// fn in DefaultBatchSize batches. It borrows a scan from scanPool — File
+// replay's working memory — reads the file into the scan's block up to
+// len(block)/segRecordSize whole records at a time, checks each record's
+// CRC32C and decodes it straight into the scan's batch. The skipped records
+// [0, from) go through the same block undecoded. Header, length or checksum
+// contradictions wrap ErrSegmentCorrupt and name the first bad record, with
+// no update at or after it delivered: replayed segments were sealed and
 // fsynced, so a bad byte is corruption, not an in-flight write.
-func readSegmentFrom(fsys FS, path string, from, count int, buf *[]Update, fn func([]Update) error) error {
+func readSegmentFrom(fsys FS, path string, from, count int, fn func([]Update) error) error {
 	fh, err := fsys.OpenFile(path, os.O_RDONLY)
 	if err != nil {
 		return fmt.Errorf("stream: segment %s: %w", path, err)
 	}
 	defer fh.Close()
-	r := bufio.NewReaderSize(fh, 1<<16)
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	s := scanPool.Get()
+	s.fn = fn
+	defer func() {
+		s.fn = nil
+		scanPool.Put(s)
+	}()
+	hdr := s.block[:segHeaderSize]
+	if _, err := io.ReadFull(fh, hdr); err != nil {
 		return fmt.Errorf("stream: segment %s: missing header: %w", path, ErrSegmentCorrupt)
 	}
-	if hdr != segFileHeader {
+	if [segHeaderSize]byte(hdr) != segFileHeader {
 		return fmt.Errorf("stream: segment %s: bad header %x: %w", path, hdr, ErrSegmentCorrupt)
 	}
-	if from > 0 {
-		if _, err := io.CopyN(io.Discard, r, int64(from)*segRecordSize); err != nil {
+	perBlock := len(s.block) / segRecordSize
+	for i := 0; i < from; i += perBlock {
+		if _, err := io.ReadFull(fh, s.block[:min(perBlock, from-i)*segRecordSize]); err != nil {
 			return fmt.Errorf("stream: segment %s truncated before record %d: %w", path, from, ErrSegmentCorrupt)
 		}
 	}
-	var rec [segRecordSize]byte
-	batch := (*buf)[:0]
-	for i := from; i < count; i++ {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			*buf = batch[:0]
+	for i := from; i < count; {
+		got, rerr := io.ReadFull(fh, s.block[:min(perBlock, count-i)*segRecordSize])
+		for b := s.block[:got-got%segRecordSize]; len(b) > 0; b = b[segRecordSize:] {
+			u, ok := decodeRecord(b[:segRecordSize])
+			if !ok {
+				return fmt.Errorf("stream: segment %s record %d fails its checksum: %w", path, i, ErrSegmentCorrupt)
+			}
+			s.batch = append(s.batch, u)
+			i++
+			if len(s.batch) == DefaultBatchSize {
+				if err := s.flush(); err != nil {
+					return err
+				}
+			}
+		}
+		if rerr != nil {
 			return fmt.Errorf("stream: segment %s truncated at record %d: %w", path, i, ErrSegmentCorrupt)
 		}
-		u, ok := decodeRecord(rec[:])
-		if !ok {
-			*buf = batch[:0]
-			return fmt.Errorf("stream: segment %s record %d fails its checksum: %w", path, i, ErrSegmentCorrupt)
-		}
-		batch = append(batch, u)
-		if len(batch) == DefaultBatchSize {
-			if err := fn(batch); err != nil {
-				*buf = batch[:0]
-				return err
-			}
-			batch = batch[:0]
-		}
 	}
-	if len(batch) > 0 {
-		if err := fn(batch); err != nil {
-			*buf = batch[:0]
-			return err
-		}
-	}
-	*buf = batch[:0]
-	return nil
+	return s.flush()
 }
 
 // scanSegment reads a segment file beyond the manifest watermark during

@@ -266,9 +266,8 @@ func TestAppendableSegmentFileRoundTrip(t *testing.T) {
 	if want := int64(segHeaderSize + len(ups)*segRecordSize); info.Size() != want {
 		t.Fatalf("segment size %d, want %d", info.Size(), want)
 	}
-	var buf []Update
 	var got []Update
-	if err := readSegmentFrom(osFS{}, path, 0, len(ups), &buf, func(batch []Update) error {
+	if err := readSegmentFrom(osFS{}, path, 0, len(ups), func(batch []Update) error {
 		got = append(got, batch...)
 		return nil
 	}); err != nil {
@@ -278,7 +277,7 @@ func TestAppendableSegmentFileRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %v != %v", got, ups)
 	}
 	// A truncated read (count beyond the file) reports the corruption.
-	if err := readSegmentFrom(osFS{}, path, 0, len(ups)+1, &buf, func([]Update) error { return nil }); !errors.Is(err, ErrSegmentCorrupt) {
+	if err := readSegmentFrom(osFS{}, path, 0, len(ups)+1, func([]Update) error { return nil }); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("reading past the segment end: %v, want ErrSegmentCorrupt", err)
 	}
 }

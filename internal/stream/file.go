@@ -8,9 +8,9 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"sync"
 
 	"streamcount/internal/graph"
+	"streamcount/internal/pool"
 )
 
 // File is a Stream replayed from a file on every pass, so multi-pass
@@ -74,6 +74,7 @@ const (
 
 // fileScan is one scan's state between lines and its working memory: the
 // block the file is read into and the update batch handed to the consumer.
+// Segment replay (readSegmentFrom) borrows the same working memory.
 type fileScan struct {
 	block     []byte
 	batch     []Update
@@ -85,11 +86,22 @@ type fileScan struct {
 	gotHeader bool
 }
 
-// scanPool recycles scans, for their block and batch. A scan is its caller's
-// from Get to Put, so concurrent replays of one File stay independent.
-var scanPool = sync.Pool{New: func() any {
-	return &fileScan{block: make([]byte, scanBlock), batch: make([]Update, 0, DefaultBatchSize)}
-}}
+// scanPool recycles scans, for their block and batch, across both on-disk
+// formats: text File replays and durable segment replays. A scan is its
+// caller's from Get to Put, so concurrent replays stay independent. The reset
+// keeps only the block and the emptied batch; under pool.DebugDirty both are
+// smeared first, so a replay that read a byte or an update it did not write
+// on this pass shows.
+var scanPool = pool.New(
+	func() *fileScan {
+		return &fileScan{block: make([]byte, scanBlock), batch: make([]Update, 0, DefaultBatchSize)}
+	},
+	func(s *fileScan) { *s = fileScan{block: s.block, batch: s.batch[:0]} },
+	func(s *fileScan) {
+		pool.Dirty(s.block, 0xa5)
+		pool.Dirty(s.batch, Update{Edge: graph.Edge{U: -1, V: -1}, Op: -1})
+	},
+)
 
 // scanFile parses the file at path once, handing its updates to fn in
 // batches, and returns the header's vertex count and the number of updates.
@@ -102,8 +114,8 @@ func scanFile(path string, wantN int64, fn func([]Update) error) (n, length int6
 		return 0, 0, err
 	}
 	defer fh.Close()
-	s := scanPool.Get().(*fileScan)
-	*s = fileScan{block: s.block, batch: s.batch[:0], path: path, wantN: wantN, fn: fn}
+	s := scanPool.Get()
+	s.path, s.wantN, s.fn = path, wantN, fn
 	defer func() {
 		s.fn = nil
 		scanPool.Put(s) // with the block it came with: a grown one is dropped

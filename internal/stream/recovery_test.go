@@ -589,10 +589,9 @@ func TestWriteSegmentUnwritableDir(t *testing.T) {
 
 func TestReadSegmentErrorPaths(t *testing.T) {
 	dir := t.TempDir()
-	var buf []Update
 	nop := func([]Update) error { return nil }
 	// Missing file.
-	if err := readSegmentFrom(osFS{}, filepath.Join(dir, "nope.bin"), 0, 1, &buf, nop); !errors.Is(err, fs.ErrNotExist) {
+	if err := readSegmentFrom(osFS{}, filepath.Join(dir, "nope.bin"), 0, 1, nop); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing segment: %v, want fs.ErrNotExist", err)
 	}
 	// File shorter than its header.
@@ -600,7 +599,7 @@ func TestReadSegmentErrorPaths(t *testing.T) {
 	if err := os.WriteFile(short, []byte{'S', 'C'}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := readSegmentFrom(osFS{}, short, 0, 1, &buf, nop); !errors.Is(err, ErrSegmentCorrupt) {
+	if err := readSegmentFrom(osFS{}, short, 0, 1, nop); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("short header: %v, want ErrSegmentCorrupt", err)
 	}
 	// Valid header, zero records, asked for one.
@@ -608,7 +607,7 @@ func TestReadSegmentErrorPaths(t *testing.T) {
 	if err := os.WriteFile(hdr, segFileHeader[:], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := readSegmentFrom(osFS{}, hdr, 0, 1, &buf, nop); !errors.Is(err, ErrSegmentCorrupt) {
+	if err := readSegmentFrom(osFS{}, hdr, 0, 1, nop); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("truncated records: %v, want ErrSegmentCorrupt", err)
 	}
 }
