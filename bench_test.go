@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,14 +198,20 @@ func BenchmarkInsertionRoundManyWatches(b *testing.B) {
 // benchmark workload's shape — BA(800, 3) plus 80 planted triangles, ε 0.4,
 // L the exact count — over a pooled InsertionRunner.
 // Its allocs/op gate the algorithm↔runner round trip: in steady state the
-// chains, the task executor and the runner all work out of recycled or
-// slab-allocated scratch. queries/op is the oracle queries a count asks.
+// count's chains, arenas and numbering tables (its pooled scratch), the task
+// executor and the runner all work out of recycled scratch, and what is left
+// is ~15 allocations: the Result, the passes' replay callbacks and the
+// query's RNG. The count is sequential and runs on one P whatever -cpu says:
+// pools are per P, and at ~15 allocs/op the goroutine resuming on another P
+// after a collection, where the pools are empty, would move the count by a
+// third. queries/op is the oracle queries a count asks.
 func BenchmarkERSCliqueCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.PlantCliques(rng, gen.BarabasiAlbert(rng, 800, 3), 3, 80)
 	lambda, _ := graph.Degeneracy(g)
 	p := ers.Params{R: 3, Lambda: lambda, Eps: 0.4, L: float64(exact.Cliques(g, 3))}
 	st := stream.Shuffled(stream.FromGraph(g), rng)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var queries int64
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,7 +10,9 @@ import (
 // chainEnv is what the level chains of one phase share: the parameters, the
 // RNG every chain draws from in task order, the ω̃ decay, whether the phase
 // only votes, the arena their level arrays and pending samples are cut from,
-// and the scratch a single Step uses and leaves.
+// and the scratch a single Step uses and leaves. The activeness phase's env
+// also holds what its assignment jobs are built in. An env lives in a
+// countScratch and keeps all of its buffers from one count to the next.
 type chainEnv struct {
 	p     Params
 	rng   *rand.Rand
@@ -23,35 +25,66 @@ type chainEnv struct {
 
 	prefix       []int64 // neighborQueries: prefix sums of dg(⃗T) over R_t
 	nextV, nextD []int64 // finishLevel: R_{t+1} before it is cut to size
+
+	// numbers is the numbering scratch: an invocation's R_2 vertices, or an
+	// assignment job's cliques and then its prefixes.
+	numbers tupleTable
+	// jobs[:njobs] are the assignment jobs built since the scratch was
+	// reset, in invocation order; the slots beyond keep their arrays for the
+	// next count. chains is the slab every job's activeness chains are cut
+	// from.
+	jobs   []assignJob
+	njobs  int
+	chains []levelChain
+	// ord, vs and ds hold one permutation and one tuple while a job is
+	// numbered; ord also while it is counted.
+	ord    []int
+	vs, ds []int64
 }
 
-// arena hands out int64 scratch from large chunks: the tens of thousands of
-// activeness chains of one count need a few words each, which as separate
-// slices were most of the count's allocations. Memory is never handed out
-// twice; a chunk is collected when the last chain cut from it is.
-type arena struct{ free []int64 }
+// arena hands out int64 scratch cut from one chunk: the tens of thousands
+// of activeness chains of one count need a few words each, which as separate
+// slices were most of the count's allocations. Between two rewinds no word is
+// handed out twice. A chunk that runs out is replaced by one twice the words
+// handed out since the rewind, and the words already cut stay where they
+// are; rewind keeps the newest chunk, so the arena soon holds a chunk that
+// serves a whole count, and a count that asks no more than the last one
+// allocates nothing.
+type arena struct {
+	chunk []int64
+	used  int // chunk[:used] is handed out
+	total int // words handed out since the rewind, in every chunk
+}
 
-// arenaChunk is the chunk size in words; larger requests get their own slice.
+// arenaChunk is the smallest chunk, in words.
 const arenaChunk = 1 << 13
 
-// take returns n zeroed words that no one else holds.
+// take returns n zeroed words that no one else holds until the next rewind.
 func (a *arena) take(n int) []int64 {
-	if n > len(a.free) {
-		if n >= arenaChunk {
-			return make([]int64, n)
-		}
-		a.free = make([]int64, arenaChunk)
-	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
+	s := a.cut(n)
+	clear(s)
 	return s
 }
 
 func (a *arena) clone(src []int64) []int64 {
-	dst := a.take(len(src))
+	dst := a.cut(len(src))
 	copy(dst, src)
 	return dst
 }
+
+// cut returns n words that no one else holds, as they were left.
+func (a *arena) cut(n int) []int64 {
+	if n > len(a.chunk)-a.used {
+		a.chunk, a.used = make([]int64, max(n, 2*a.total, arenaChunk)), 0
+	}
+	s := a.chunk[a.used : a.used+n : a.used+n]
+	a.used += n
+	a.total += n
+	return s
+}
+
+// rewind takes back every word handed out; they must no longer be read.
+func (a *arena) rewind() { a.used, a.total = 0, 0 }
 
 // levelChain iteratively builds R_{t+1} from R_t via the two-pass StreamSet
 // procedure (Algorithm 4): one round of random-neighbor queries, one round
@@ -64,8 +97,9 @@ func (a *arena) clone(src []int64) []int64 {
 // the same positions of degs, and dg(⃗T) is the smallest of them. The chain
 // never writes into verts or degs — finishLevel installs new arrays — so
 // the repetitions of one activeness check share their seed tuple. A chain is
-// a plain value: a job lays all of its chains out in one slice and hands
-// transform.Run pointers into it.
+// a plain value: the activeness phase cuts every job's chains from one slab
+// and hands transform.Run pointers into it, and the slab serves the next
+// count too, as start overwrites every field.
 type levelChain struct {
 	env *chainEnv
 
@@ -146,7 +180,7 @@ func (c *levelChain) neighborQueries(dst []oracle.Query) []oracle.Query {
 	env, t, n := c.env, c.t, c.n
 	// Prefix sums of dg(⃗T), to sample tuples proportionally to it; the last
 	// one is dg(R_t) = Σ_⃗T dg(⃗T).
-	prefix := slices.Grow(env.prefix[:0], n+1)[:n+1]
+	prefix := reserve(env.prefix[:0], n+1)[:n+1]
 	env.prefix = prefix
 	prefix[0] = 0
 	for i := 0; i < n; i++ {

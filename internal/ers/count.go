@@ -1,7 +1,6 @@
 package ers
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -85,23 +84,23 @@ func (iv *invocationTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]orac
 	case 1:
 		verts := env.arena.take(2 * len(prev))[:0]
 		degs := env.arena.take(2 * len(prev))[:0]
-		asked := make(map[int64]int64) // vertex -> index of its Degree query
+		// A vertex's number is the index of its Degree query.
+		asked := &env.numbers
+		asked.resetFor(2*len(prev), 1)
 		for _, a := range prev {
 			if !a.OK {
 				continue
 			}
-			u, v := a.Edge.U, a.Edge.V
+			uv := [2]int64{a.Edge.U, a.Edge.V}
 			if env.rng.Intn(2) == 0 {
-				u, v = v, u
+				uv[0], uv[1] = uv[1], uv[0]
 			}
-			for _, x := range [2]int64{u, v} {
-				k, ok := asked[x]
-				if !ok {
-					k = int64(len(asked))
-					asked[x] = k
-					dst = append(dst, oracle.Query{Type: oracle.Degree, U: x})
+			for x := range uv {
+				k, fresh := asked.number(uv[x : x+1])
+				if fresh {
+					dst = append(dst, oracle.Query{Type: oracle.Degree, U: uv[x]})
 				}
-				verts, degs = append(verts, x), append(degs, k)
+				verts, degs = append(verts, uv[x]), append(degs, int64(k))
 			}
 		}
 		if len(verts) == 0 {
@@ -143,7 +142,21 @@ func CountWithActiveness(r oracle.Runner, p Params, rng *rand.Rand, active func(
 	return countImpl(r, p, rng, active)
 }
 
+// countImpl runs a count out of a pooled scratch, which it puts back on
+// success only: after a failed round the runner may still hold the batch the
+// scratch's tasks appended to (DESIGN.md §12).
 func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]int64) bool) (*Result, error) {
+	sc := countScratchPool.Get()
+	res, err := sc.count(r, p, rng, activeOverride)
+	if err != nil {
+		return nil, err
+	}
+	countScratchPool.Put(sc)
+	return res, nil
+}
+
+// count is a Count on a scratch that is new or reset.
+func (sc *countScratch) count(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]int64) bool) (*Result, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
@@ -151,7 +164,8 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 	res := &Result{}
 
 	// Pass 1: count edges (Algorithm 3 pass 1).
-	a, err := r.Round([]oracle.Query{{Type: oracle.CountEdges}})
+	sc.first[0] = oracle.Query{Type: oracle.CountEdges}
+	a, err := r.Round(sc.first[:])
 	if err != nil {
 		return nil, err
 	}
@@ -165,61 +179,64 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 
 	// Phase 1: q parallel invocations build their R_r chains.
 	rf := float64(p.R)
-	invEnv := &chainEnv{p: p, rng: rng, gamma: p.Eps / (2 * rf)}
-	invs := make([]invocationTask, p.Q)
-	tasks := make([]transform.Task, p.Q)
-	for j := range invs {
-		invs[j] = invocationTask{chain: levelChain{env: invEnv}, m: m, omega1: (1 - p.Eps/2) * p.L}
-		tasks[j] = &invs[j]
+	inv, act := &sc.inv, &sc.act
+	inv.p, inv.rng, inv.gamma, inv.voteOnly = p, rng, p.Eps/(2*rf), false
+	act.p, act.rng, act.gamma, act.voteOnly = p, rng, p.Eps/(8*rf*factorial(p.R)), true
+	sc.invs = reserve(sc.invs, p.Q)[:p.Q]
+	for j := range sc.invs {
+		sc.invs[j] = invocationTask{chain: levelChain{env: inv}, m: m, omega1: (1 - p.Eps/2) * p.L}
+		sc.tasks = append(sc.tasks, &sc.invs[j])
 	}
-	if _, err := transform.Run(r, tasks...); err != nil {
+	if _, err := transform.Run(r, sc.tasks...); err != nil {
 		return nil, err
 	}
 
 	// Phase 2: build the assignment jobs for every invocation and run all
 	// their activeness chains in parallel rounds (StrIsAssigned/StrAct run
-	// under a single "parallel for" in the paper).
-	actEnv := &chainEnv{p: p, rng: rng, gamma: p.Eps / (8 * rf * factorial(p.R)), voteOnly: true}
-	jobs := make([]*assignJob, p.Q)
-	nact := 0
-	for j := range invs {
-		iv := &invs[j]
+	// under a single "parallel for" in the paper). The env has a slot for
+	// every job before the first is built, so job j is act.jobs[j].
+	if n := p.Q - len(act.jobs); n > 0 {
+		act.jobs = append(act.jobs, make([]assignJob, n)...)
+	}
+	for j := range sc.invs {
+		iv := &sc.invs[j]
 		if !iv.chain.aborted && iv.chain.maxState > res.MaxChainState {
 			res.MaxChainState = iv.chain.maxState
 		}
 		verts, degs := iv.rr()
-		jobs[j] = newAssignJob(actEnv, verts, degs, activeOverride)
-		nact += len(jobs[j].chains)
+		newAssignJob(act, verts, degs, activeOverride)
 	}
-	if nact > 0 {
-		tasks = make([]transform.Task, 0, nact)
-		for _, job := range jobs {
-			for i := range job.chains {
-				tasks = append(tasks, &job.chains[i])
+	if len(act.chains) > 0 {
+		// A job built while the slab grew holds its chains in the slab's
+		// old array, so the tasks are collected from the jobs.
+		sc.tasks = reserve(sc.tasks[:0], len(act.chains))
+		for j := range act.jobs[:p.Q] {
+			for i := range act.jobs[j].chains {
+				sc.tasks = append(sc.tasks, &act.jobs[j].chains[i])
 			}
 		}
-		if _, err := transform.Run(r, tasks...); err != nil {
+		if _, err := transform.Run(r, sc.tasks...); err != nil {
 			return nil, err
 		}
 	}
 
 	// Phase 3 (offline): per-invocation estimates and the median combine.
-	for j := range invs {
-		iv := &invs[j]
-		res.S2Sizes = append(res.S2Sizes, iv.s2)
+	res.PerInvocation = make([]float64, p.Q)
+	res.RrSizes = make([]int, p.Q)
+	res.S2Sizes = make([]int64, p.Q)
+	for j := range sc.invs {
+		iv := &sc.invs[j]
+		res.S2Sizes[j] = iv.s2
 		if iv.chain.aborted {
 			res.Aborted++
-			res.PerInvocation = append(res.PerInvocation, 0)
-			res.RrSizes = append(res.RrSizes, 0)
 			continue
 		}
-		rrLen := len(jobs[j].rr) / p.R
-		res.RrSizes = append(res.RrSizes, rrLen)
-		est := 0.0
+		job := &act.jobs[j]
+		rrLen := len(job.rr) / p.R
+		res.RrSizes[j] = rrLen
 		if rrLen > 0 {
-			est = float64(2*m) / float64(iv.s2) * iv.chain.dgProd / iv.chain.sProd * float64(jobs[j].assignedCount())
+			res.PerInvocation[j] = float64(2*m) / float64(iv.s2) * iv.chain.dgProd / iv.chain.sProd * float64(job.assignedCount())
 		}
-		res.PerInvocation = append(res.PerInvocation, est)
 	}
 
 	res.Estimate = median(res.PerInvocation)
@@ -230,47 +247,68 @@ func countImpl(r oracle.Runner, p Params, rng *rand.Rand, activeOverride func([]
 // assignJob holds one invocation's assignment work: the activeness check of
 // every prefix of every ordering of every distinct clique in its R_r
 // (StrIsAssigned, Algorithm 17). Cliques and prefixes are numbered in
-// first-seen order (never map order): the activeness chains share the
-// invocation's RNG, so a nondeterministic visit order would reshuffle the
-// draw sequence and break the engine's fixed-seed reproducibility.
+// first-seen order (never table order): the activeness chains share the
+// invocation's RNG, so a visit order that depended on where a tuple lands
+// in a table would reshuffle the draw sequence and break the engine's
+// fixed-seed reproducibility.
 //
-// Cliques and prefixes are keyed by their packed vertices. A prefix's QAct
-// repetitions of StrAct (Algorithm 18) — level chains seeded with
-// R_i = {⃗I} — sit side by side in chains, prefix-major, which is also the
-// order they run and draw in; the job's whole task state is that one slice.
+// A prefix's QAct repetitions of StrAct (Algorithm 18) — level chains seeded
+// with R_i = {⃗I} — sit side by side in chains, prefix-major, which is also
+// the order they run and draw in; the job's chains are one run of its env's
+// slab, after the chains of the jobs built before it. A job lives in a slot
+// of its env and keeps its arrays from one count to the next.
 type assignJob struct {
-	env    *chainEnv
-	rr     []int64 // R_r, stride r
-	clique []int32 // tuple of R_r -> its clique's number
-	sorted []int64 // clique number -> its vertices ascending, stride r
+	env        *chainEnv
+	rr         []int64 // R_r, stride r
+	clique     []int32 // tuple of R_r -> its clique's number
+	sorted     []int64 // clique number -> its vertices ascending, stride r
+	sortedDegs []int64 // clique number -> its first tuple's degrees, along sorted
+	// perms holds, clique by clique and for every ordering of its vertices
+	// in lexicographic order, the numbers of the ordering's prefixes of
+	// lengths 2..r-1.
+	perms  []int32
+	active []bool       // prefix number -> activeness: the override's answer, or assignedCount's vote
+	level  []int        // prefix number -> |⃗I| (empty when overridden)
+	seeds  []int64      // per prefix, its activeness check's seed tuple: |⃗I| vertices, then their degrees
+	chains []levelChain // prefix number -> its repetitions, QAct each
 
-	prefixes map[string]int32 // packed ⃗I -> prefix number
-	active   []bool           // prefix number -> activeness: the override's answer, or assignedCount's vote
-	level    []int            // prefix number -> |⃗I| (empty when overridden)
-	chains   []levelChain     // prefix number -> its repetitions, QAct each
+	// assignedCount's: each clique's assigned ordering, if it has one.
+	assigned []int64
+	has      []bool
 }
 
-// appendKey packs vertices onto a map key.
-func appendKey(key []byte, vs []int64) []byte {
-	for _, v := range vs {
-		key = binary.LittleEndian.AppendUint64(key, uint64(v))
-	}
-	return key
-}
-
+// newAssignJob builds the next job of env from an invocation's R_r and its
+// degrees, in the env's next job slot: it numbers the cliques and the
+// prefixes and, unless override decides activeness, cuts the job's chains
+// from env's slab and starts them.
 func newAssignJob(env *chainEnv, rr, rrDegs []int64, override func([]int64) bool) *assignJob {
+	if env.njobs == len(env.jobs) {
+		env.jobs = append(env.jobs, assignJob{})
+	}
+	j := &env.jobs[env.njobs]
+	env.njobs++
+	// Every array is given the room its bound needs before it is filled, so
+	// a slot that is short of room allocates once per array, not once per
+	// doubling.
 	r := env.p.R
-	j := &assignJob{env: env, rr: rr, prefixes: make(map[string]int32)}
+	tuples := len(rr) / r
+	*j = assignJob{
+		env: env, rr: rr,
+		clique: reserve(j.clique[:0], tuples), sorted: reserve(j.sorted[:0], len(rr)),
+		sortedDegs: reserve(j.sortedDegs[:0], len(rr)),
+		perms:      j.perms[:0], active: j.active[:0], level: j.level[:0], seeds: j.seeds[:0],
+		assigned: j.assigned, has: j.has,
+	}
+	env.ord = reserve(env.ord[:0], r)[:r]
+	env.vs = reserve(env.vs[:0], r)[:r]
+	env.ds = reserve(env.ds[:0], r)[:r]
+	ord, vs, ds := env.ord, env.vs, env.ds
 
 	// Number the distinct cliques of R_r. A clique keeps its first tuple's
 	// degrees, sorted along with the vertices; every tuple reports the same
 	// degree for a vertex.
-	var (
-		sortedDegs []int64
-		key        []byte
-		cliques    = make(map[string]int32)
-		vs, ds     = make([]int64, r), make([]int64, r)
-	)
+	numbers := &env.numbers
+	numbers.resetFor(tuples, r)
 	for i := 0; i < len(rr); i += r {
 		copy(vs, rr[i:i+r])
 		copy(ds, rrDegs[i:i+r])
@@ -280,57 +318,76 @@ func newAssignJob(env *chainEnv, rr, rrDegs []int64, override func([]int64) bool
 				ds[b], ds[b-1] = ds[b-1], ds[b]
 			}
 		}
-		key = appendKey(key[:0], vs)
-		c, ok := cliques[string(key)]
-		if !ok {
-			c = int32(len(cliques))
-			cliques[string(key)] = c
+		c, fresh := numbers.number(vs)
+		if fresh {
 			j.sorted = append(j.sorted, vs...)
-			sortedDegs = append(sortedDegs, ds...)
+			j.sortedDegs = append(j.sortedDegs, ds...)
 		}
 		j.clique = append(j.clique, c)
 	}
 
 	// Number the distinct prefixes, and collect the seed tuple of each one's
-	// activeness check: its vertices, then their degrees.
-	var seeds []int64
-	ord := make([]int, r)
+	// activeness check.
+	cliques := len(j.sorted) / r
+	perClique, distinct := prefixBounds(r)
+	j.perms = reserve(j.perms, cliques*perClique)
+	numbers.resetFor(cliques*distinct, r-1)
+	if override != nil {
+		j.active = reserve(j.active, cliques*distinct)
+	} else {
+		j.level = reserve(j.level, cliques*distinct)
+		j.seeds = reserve(j.seeds, 2*(r-1)*cliques*distinct)
+	}
 	for c := 0; c < len(j.sorted); c += r {
 		for more := firstPermutation(ord); more; more = nextPermutation(ord) {
 			for i := 2; i < r; i++ {
 				for x, o := range ord[:i] {
-					vs[x], ds[x] = j.sorted[c+o], sortedDegs[c+o]
+					vs[x], ds[x] = j.sorted[c+o], j.sortedDegs[c+o]
 				}
-				key = appendKey(key[:0], vs[:i])
-				if _, ok := j.prefixes[string(key)]; ok {
+				k, fresh := numbers.number(vs[:i])
+				j.perms = append(j.perms, k)
+				if !fresh {
 					continue
 				}
-				j.prefixes[string(key)] = int32(len(j.prefixes))
 				if override != nil {
 					j.active = append(j.active, override(vs[:i]))
 					continue
 				}
 				j.level = append(j.level, i)
-				seeds = append(append(seeds, vs[:i]...), ds[:i]...)
+				j.seeds = append(append(j.seeds, vs[:i]...), ds[:i]...)
 			}
 		}
 	}
 	if override != nil {
 		return j
 	}
-	j.active = make([]bool, len(j.level))
-	j.chains = make([]levelChain, len(j.level)*env.p.QAct)
-	reps := j.chains
+	j.active = reserve(j.active, len(j.level))[:len(j.level)]
+	n, k, qact := len(env.chains), len(j.level)*env.p.QAct, env.p.QAct
+	env.chains = reserve(env.chains, k)[:n+k]
+	j.chains = env.chains[n : n+k : n+k]
+	reps, seeds := j.chains, j.seeds
 	for _, i := range j.level {
 		verts, degs := seeds[:i:i], seeds[i:2*i:2*i]
 		seeds = seeds[2*i:]
 		omega := (1 - env.p.Eps/2) * env.p.tau(i)
-		for rep := range reps[:env.p.QAct] {
+		for rep := range reps[:qact] {
 			reps[rep].start(env, i, verts, degs, omega)
 		}
-		reps = reps[env.p.QAct:]
+		reps = reps[qact:]
 	}
 	return j
+}
+
+// prefixBounds returns, for one r-clique, how many prefix numbers
+// newAssignJob records — r-2 for each of its r! orderings — and how many
+// distinct prefixes it has: the ordered i-subsets of its vertices, 2 ≤ i < r.
+func prefixBounds(r int) (perClique, distinct int) {
+	ordered := r // r!/(r-i)!, the ordered i-subsets, at i = 1
+	for i := 2; i < r; i++ {
+		ordered *= r - i + 1
+		distinct += ordered
+	}
+	return ordered * (r - 2), distinct // at i = r-1, ordered is r!
 }
 
 // vote returns χ_ℓ of one repetition of an activeness check: 1 when
@@ -357,25 +414,28 @@ func (j *assignJob) assignedCount() int64 {
 		j.active[p] = votes*2 >= qact
 	}
 	// assigned holds each clique's assigned ordering, if it has one;
-	// permutations of the ascending vertices arrive in lexicographic order.
-	assigned := make([]int64, len(j.sorted))
-	has := make([]bool, len(j.sorted)/r)
-	var key []byte
-	ord := make([]int, r)
-	for c := 0; c < len(j.sorted); c += r {
-		perm := assigned[c : c+r]
+	// permutations of the ascending vertices arrive in lexicographic order,
+	// each with its prefixes' numbers in perms.
+	ncliques := len(j.sorted) / r
+	j.assigned = reserve(j.assigned[:0], len(j.sorted))[:len(j.sorted)]
+	j.has = reserve(j.has[:0], ncliques)[:ncliques]
+	clear(j.has)
+	assigned, has, ord := j.assigned, j.has, j.env.ord
+	for c := 0; c < ncliques; c++ {
+		perms := j.perms[c*len(j.perms)/ncliques:]
 	search:
 		for more := firstPermutation(ord); more; more = nextPermutation(ord) {
-			for x, o := range ord {
-				perm[x] = j.sorted[c+o]
-			}
-			for i := 2; i < r; i++ {
-				key = appendKey(key[:0], perm[:i])
-				if !j.active[j.prefixes[string(key)]] {
+			pfx := perms[:r-2]
+			perms = perms[r-2:]
+			for _, k := range pfx {
+				if !j.active[k] {
 					continue search
 				}
 			}
-			has[c/r] = true
+			for x, o := range ord {
+				assigned[c*r+x] = j.sorted[c*r+o]
+			}
+			has[c] = true
 			break
 		}
 	}
