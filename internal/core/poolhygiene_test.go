@@ -33,6 +33,13 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 	if turn.InsertOnly() {
 		t.Fatal("precondition: turnstile stream")
 	}
+	// A turnstile round flushes its sampler feeds every 4·DefaultBatchSize
+	// updates: over this stream the samplers take a mid-pass UpdateFeed and
+	// then answer from the last block through SampleFeed.
+	long := stream.WithDeletions(gen.ErdosRenyiGNM(rand.New(rand.NewSource(13)), 400, 10000), 0.4, rand.New(rand.NewSource(14)))
+	if len(long.Updates()) <= 4*stream.DefaultBatchSize {
+		t.Fatalf("precondition: %d updates fit one feed block", len(long.Updates()))
+	}
 
 	scenarios := []struct {
 		name string
@@ -48,6 +55,9 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 		{"paw/insertion", pattern.Paw(), ins, 2, 2000},
 		// Turnstile: ℓ0 samplers, the sampler freelist, feed scratch.
 		{"triangle/turnstile", pattern.Triangle(), turn, 3, 600},
+		// Turnstile over several feed blocks: the recycled samplers take
+		// mid-pass flushes before the fused last one.
+		{"triangle/turnstile-blocks", pattern.Triangle(), long, 2, 300},
 	}
 	for run := 0; run < 2; run++ {
 		for _, sc := range scenarios {

@@ -1,6 +1,9 @@
 package sketch
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // L0Sampler samples a (near-)uniform element from the support of a vector
 // undergoing turnstile updates (insertions and deletions), per Lemma 7
@@ -28,6 +31,9 @@ import "math/bits"
 // term, key hash) were computed once for all samplers of a round, and
 // applies it repetition by repetition and level by level instead of update
 // by update. Update and UpdateTerm are the same code over a feed of one.
+// SampleFeed takes a pass's last feed without applying it: it forms only the
+// rows a query reads, each as its stored cells plus the entries that reach
+// it, and Sample is SampleFeed over an empty feed.
 //
 // Key and count magnitudes are bounded by the cell's int64 keySum: keys must
 // be below 2^63 — recovery takes a keySum that reads negative for a
@@ -56,7 +62,8 @@ type l0cell struct {
 // L0Config configures an L0Sampler. The zero value selects the defaults.
 type L0Config struct {
 	// Levels is the number of geometric subsampling levels (default 44,
-	// enough for supports up to ~2^44 keys).
+	// enough for supports up to ~2^44 keys). It is capped at 65: a
+	// key reaches no level above 64.
 	Levels int
 	// Buckets is the number of 1-sparse recovery cells per level
 	// (default 8).
@@ -65,10 +72,15 @@ type L0Config struct {
 	Reps int
 }
 
+// maxL0Levels is how many levels a key can reach: its deepest level is the
+// leading zeros of a 64-bit hash, at most 64, so levels above 64 stay empty.
+const maxL0Levels = 65
+
 func (c L0Config) withDefaults() L0Config {
 	if c.Levels <= 0 {
 		c.Levels = 44
 	}
+	c.Levels = min(c.Levels, maxL0Levels)
 	if c.Buckets <= 0 {
 		c.Buckets = 8
 	}
@@ -168,10 +180,13 @@ func FillFeed(z uint64, feed []FeedEntry) {
 	}
 }
 
-// L0Scratch is UpdateFeed's working memory. It carries nothing between
-// calls; one scratch serves any number of samplers, one goroutine at a time.
+// L0Scratch is the working memory of UpdateFeed and SampleFeed. It carries
+// nothing between calls; one scratch serves any number of samplers, one
+// goroutine at a time.
 type L0Scratch struct {
 	walk []l0walk
+	deep []uint8  // SampleFeed: each feed entry's deepest level
+	row  []l0cell // SampleFeed: the row being formed
 }
 
 // l0walk is a feed entry's position in one repetition's level walk.
@@ -206,10 +221,7 @@ func (s *L0Sampler) UpdateFeed(feed []FeedEntry, sc *L0Scratch) {
 // each; at every perHash-th level the survivors are rehashed.
 func (s *L0Sampler) updateFeed(feed []FeedEntry, walk []l0walk) {
 	levels, buckets, mask, shift := s.levels, s.buckets, s.bucketMask, uint(s.bucketBits)&63
-	perHash := levels
-	if s.bucketBits > 0 {
-		perHash = 64 / s.bucketBits
-	}
+	perHash := s.perHash()
 	for rep := 0; rep < s.reps; rep++ {
 		levelSeed := splitmix64(s.seed + uint64(rep)*0x9e3779b9)
 		bucketSeed := splitmix64(s.seed ^ 0xabcdef ^ uint64(rep))
@@ -241,6 +253,15 @@ func (s *L0Sampler) updateFeed(feed []FeedEntry, walk []l0walk) {
 			}
 		}
 	}
+}
+
+// perHash is how many levels one bucket hash serves, bucketBits bits each;
+// the walks rehash at every perHash-th level.
+func (s *L0Sampler) perHash() int {
+	if s.bucketBits == 0 {
+		return s.levels
+	}
+	return 64 / s.bucketBits
 }
 
 // add applies one feed entry to the cell. Term < 2^61-1 and the cell keeps
@@ -288,73 +309,136 @@ func fingerprintTerm(z, key uint64, delta int64) uint64 {
 	return mulmod61(term, d)
 }
 
-// oneSparse checks whether the cell holds exactly one key and returns it.
-// It also reports emptiness. A cell that is neither empty nor verifiably
-// 1-sparse indicates a collision.
-func (s *L0Sampler) oneSparse(c *l0cell) (key uint64, empty, ok bool) {
-	if c.count == 0 && c.keySum == 0 && c.fp == 0 {
-		return 0, true, true
-	}
+// empty reports whether the cell holds nothing.
+func (c *l0cell) empty() bool { return c.count == 0 && c.keySum == 0 && c.fp == 0 }
+
+// oneSparse checks whether a non-empty cell holds exactly one key and returns
+// it. A cell that is neither empty nor verifiably 1-sparse indicates a
+// collision.
+func (s *L0Sampler) oneSparse(c *l0cell) (key uint64, ok bool) {
 	if c.count <= 0 {
-		return 0, false, false
+		return 0, false
 	}
 	if c.keySum < 0 || c.keySum%c.count != 0 {
-		return 0, false, false
+		return 0, false
 	}
 	k := uint64(c.keySum / c.count)
 	want := mulmod61(uint64(c.count)%mersenne61, powmod61(s.z, k))
 	if want != c.fp {
-		return 0, false, false
+		return 0, false
 	}
-	return k, false, true
+	return k, true
 }
 
 // Sample returns a near-uniform key from the current support. ok is false
 // if the support is empty or recovery failed (probability shrinking
 // geometrically in the configuration size).
 func (s *L0Sampler) Sample() (key uint64, ok bool) {
+	var sc L0Scratch // an empty feed leaves it untouched
+	return s.SampleFeed(nil, &sc)
+}
+
+// SampleFeed returns what Sample would return after UpdateFeed(feed, sc), and
+// leaves the cells as they are. Sample stops at the sparsest non-empty level,
+// so SampleFeed forms only the rows down to there, each as its stored cells
+// plus the entries that reach it: the same sums, as the cell adds are
+// order-free. A pass that samples right after its last flush takes that flush
+// here, and the dense low levels, where nearly all of a feed's cell adds land,
+// are never written.
+//
+// Per repetition, and only while the earlier ones fail, it hashes each entry's
+// level once and counts the entries per level. It then walks from the
+// sparsest level down; at each level some entry reaches, one sweep appends
+// that level's entries to the walk. Entries are bucket-hashed for the
+// perHash-level group the walk is in — a new entry when it joins, every entry
+// again, down updateFeed's rehash chain, when the walk enters a lower group.
+// The walk usually stops at the deepest level an entry reaches, so the feed
+// is swept once after the hashing, and once more per level the walk descends
+// through — where entries cancel stored cells to an empty row.
+func (s *L0Sampler) SampleFeed(feed []FeedEntry, sc *L0Scratch) (key uint64, ok bool) {
+	if len(feed) > 0 {
+		sc.walk = slices.Grow(sc.walk[:0], len(feed))[:len(feed)]
+		sc.deep = slices.Grow(sc.deep[:0], len(feed))[:len(feed)]
+		sc.row = slices.Grow(sc.row[:0], s.buckets)[:s.buckets]
+	}
+	levels, buckets, mask, shift := s.levels, s.buckets, s.bucketMask, uint(s.bucketBits)&63
+	perHash := s.perHash()
 	for rep := 0; rep < s.reps; rep++ {
-		if k, got := s.sampleRep(rep); got {
-			return k, true
+		hashSeed := s.seed + uint64(rep)*0x9e3779b9 // Hash64's seed: the level hash
+		levelSeed := splitmix64(hashSeed)
+		bucketSeed := splitmix64(s.seed ^ 0xabcdef ^ uint64(rep))
+		rows := s.cells[rep*levels*buckets:][:levels*buckets]
+
+		// Each entry's deepest level, and how many entries have each.
+		var count [maxL0Levels]int32
+		deep := sc.deep[:len(feed)]
+		for i := range feed {
+			d := min(bits.LeadingZeros64(splitmix64(levelSeed^feed[i].KeyHash)), levels-1)
+			deep[i] = uint8(d)
+			count[d]++
+		}
+
+		// walk[:n] are the entries that reach the level, deepest first, and
+		// walk[:hashed] hold the bucket hash of the level's perHash group.
+		walk := sc.walk[:len(feed)]
+		n, hashed, group := 0, 0, -1
+		for level := levels - 1; level >= 0; level-- {
+			row := rows[level*buckets:][:buckets]
+			for i, end := 0, n+int(count[level]); n < end; i++ {
+				if int(deep[i]) == level {
+					walk[n] = l0walk{i: uint32(i)}
+					n++
+				}
+			}
+			if n > 0 {
+				if g := level / perHash; g != group {
+					hashed, group = 0, g
+				}
+				for j := hashed; j < n; j++ {
+					bh := splitmix64(bucketSeed ^ feed[walk[j].i].KeyHash)
+					for range group {
+						bh = splitmix64(bh>>(uint(perHash)*shift) + 0x9e3779b97f4a7c15)
+					}
+					walk[j].bh = bh
+				}
+				hashed = n
+				formed := sc.row[:buckets]
+				copy(formed, row)
+				at := uint(level%perHash) * shift
+				for _, w := range walk[:n] {
+					formed[w.bh>>at&mask].add(&feed[w.i])
+				}
+				row = formed
+			}
+			if key, nonEmpty, ok := s.readRow(row, hashSeed); nonEmpty {
+				if ok {
+					return key, true
+				}
+				break // collisions at the sparsest non-empty level
+			}
 		}
 	}
 	return 0, false
 }
 
-func (s *L0Sampler) sampleRep(rep int) (uint64, bool) {
-	for level := s.levels - 1; level >= 0; level-- {
-		var (
-			found    bool
-			best     uint64
-			bestHash uint64
-			valid    = true
-		)
-		empty := true
-		for b := 0; b < s.buckets; b++ {
-			c := s.cell(rep, level, b)
-			k, isEmpty, isOK := s.oneSparse(c)
-			if isEmpty {
-				continue
-			}
-			empty = false
-			if !isOK {
-				valid = false
-				break
-			}
-			h := Hash64(s.seed+uint64(rep)*0x9e3779b9, k)
-			if !found || h < bestHash {
-				found, best, bestHash = true, k, h
-			}
-		}
-		if empty {
+// readRow reads one level's row as Sample does: nonEmpty if any cell is, and
+// then ok with the recovered key of minimum hash if every non-empty cell is
+// verifiably 1-sparse.
+func (s *L0Sampler) readRow(row []l0cell, hashSeed uint64) (key uint64, nonEmpty, ok bool) {
+	var bestHash uint64
+	for i := range row {
+		if row[i].empty() {
 			continue
 		}
-		if !valid {
-			return 0, false // collisions at the sparsest non-empty level
+		k, isOK := s.oneSparse(&row[i])
+		if !isOK {
+			return 0, true, false
 		}
-		return best, found
+		if h := Hash64(hashSeed, k); !ok || h < bestHash {
+			key, bestHash, ok = k, h, true
+		}
 	}
-	return 0, false
+	return key, ok, ok
 }
 
 // SpaceWords returns the approximate space usage in 64-bit words.

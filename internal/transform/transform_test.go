@@ -237,6 +237,23 @@ func TestTurnstileRunnerDeletionsErase(t *testing.T) {
 	}
 }
 
+// TestTurnstileSamplerSpaceCapped: at the largest universe the default
+// geometry asks for 2⌈log₂(n+2)⌉+8 = 72 levels, but no key reaches a level
+// above 64, so a sampler holds 65 and is charged 2·65·8·3+8 = 3 128 words,
+// not the 3 464 of 72 levels.
+func TestTurnstileSamplerSpaceCapped(t *testing.T) {
+	cfg := defaultL0Config(maxTurnstileVertices)
+	if cfg.Levels != 72 {
+		t.Fatalf("default geometry at n = %d asks for %d levels, want 72", int64(maxTurnstileVertices), cfg.Levels)
+	}
+	if got := cfg.SpaceWords(); got != 3128 {
+		t.Errorf("SpaceWords = %d, want 3128", got)
+	}
+	if got := sketch.NewL0Sampler(1, cfg).SpaceWords(); got != 3128 {
+		t.Errorf("a sampler of that geometry charges %d words, want 3128", got)
+	}
+}
+
 // TestTurnstileUniverseBound: an ℓ0-sampler returns no key of 2⁶³ or more, so
 // the turnstile runner takes a universe up to ⌊√2⁶³⌋ vertices — whose top edge
 // is still sampled, as an edge and as a neighbor — and refuses one vertex

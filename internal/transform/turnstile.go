@@ -32,10 +32,12 @@ import (
 // (2) each buffered feed is netted by key (netFeed), and what a remaining
 // entry costs once for all samplers — its fingerprint term (a field
 // exponentiation) and its key hash — is filled in by a parallel sweep;
-// (3) every sampler takes its whole feed in one UpdateFeed call,
-// sampler-major so that its cells stay cache-resident, samplers in parallel.
-// Stages 2 and 3 run whenever feedBlock updates have been buffered, and at
-// the end of the pass: the sketches are linear, so their cells depend on the
+// (3) every sampler takes its whole feed in one call, sampler-major so that
+// its cells stay cache-resident, samplers in parallel. Stages 2 and 3 run
+// whenever feedBlock updates have been buffered, where each sampler applies
+// its feed (UpdateFeed), and at the end of the pass, where each sampler
+// answers its query from its stored cells and its last feed (SampleFeed)
+// without applying it. The sketches are linear, so the answer depends on the
 // net vector only — not on where the feed was cut, nor on an insert and a
 // delete that met inside one block — and a round buffers at most feedBlock
 // updates however long the stream is. Sampler seeds are drawn sequentially at
@@ -64,7 +66,7 @@ type TurnstileRunner struct {
 	net          keyTable            // netFeed's key -> position in the netted feed
 	freeSamplers []*sketch.L0Sampler // retired samplers awaiting Reseed
 	edgeFeed     []sketch.FeedEntry
-	scratch      []sketch.L0Scratch // UpdateFeed working memory, one per worker
+	scratch      []sketch.L0Scratch // UpdateFeed/SampleFeed working memory, one per worker
 }
 
 // feedBlock is how many updates a round buffers before it flushes the
@@ -251,10 +253,13 @@ func (r *TurnstileRunner) newSampler(seed, base uint64) *sketch.L0Sampler {
 }
 
 // flushFeeds is the round's stages 2 and 3 over everything buffered so far:
-// it nets and fills the feeds, applies each to its samplers and empties them.
-// It changes nothing an answer can see — the cells a sampler ends the pass
-// with do not depend on how often or where the feed was flushed.
-func (r *TurnstileRunner) flushFeeds() {
+// it nets and fills the feeds, hands each to its samplers and empties them.
+// With answers nil it is a mid-pass flush: each sampler applies its feed, which
+// changes nothing an answer can see — the cells a sampler ends the pass with
+// do not depend on how often or where the feed was flushed. Otherwise it is
+// the pass's last flush: each sampler writes its query's answer from its
+// cells and its feed, and its cells are left as they were.
+func (r *TurnstileRunner) flushFeeds(answers []oracle.Answer) {
 	p := par.Workers(r.paral)
 	for len(r.scratch) < p {
 		r.scratch = append(r.scratch, sketch.L0Scratch{})
@@ -279,16 +284,29 @@ func (r *TurnstileRunner) flushFeeds() {
 
 	// ---- Stage 3: every sampler consumes its feed; samplers in parallel,
 	// a contiguous run of them per worker, each worker with its own scratch.
-	// Sampler state is private, so assignment cannot affect answers. ----
+	// Sampler state is private and each answer slot has one writer, so
+	// assignment cannot affect answers. ----
 	tasks := r.samplers
 	if len(tasks) > 0 {
 		par.For(p, p, func(w int) {
+			sc := &r.scratch[w]
 			for _, t := range tasks[w*len(tasks)/p : (w+1)*len(tasks)/p] {
 				feed := edgeFeed
 				if t.vert >= 0 {
 					feed = r.vs[t.vert].feed
 				}
-				t.s.UpdateFeed(feed, &r.scratch[w])
+				if answers == nil {
+					t.s.UpdateFeed(feed, sc)
+					continue
+				}
+				switch key, ok := t.s.SampleFeed(feed, sc); {
+				case !ok:
+					answers[t.query] = oracle.Answer{OK: false}
+				case t.vert < 0:
+					answers[t.query] = oracle.Answer{OK: true, Edge: keyEdge(key, r.n)}
+				default:
+					answers[t.query] = oracle.Answer{OK: true, Count: int64(key)}
+				}
 			}
 		})
 	}
@@ -364,7 +382,7 @@ func (r *TurnstileRunner) AbortRound() {
 func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 	for len(batch) > 0 {
 		if r.curBuffered == feedBlock {
-			r.flushFeeds()
+			r.flushFeeds(nil)
 		}
 		k := min(len(batch), feedBlock-r.curBuffered) // what fits the block
 		if err := r.canon(batch[:k]); err != nil {
@@ -377,29 +395,17 @@ func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 	return nil
 }
 
-// EndRound implements oracle.PassRunner: the sampler stages over what is
-// still buffered, then answers read off the round's state through the
-// references BeginRound recorded.
+// EndRound implements oracle.PassRunner: answers read off the round's state
+// through the references BeginRound recorded — the counters directly, each
+// sampler through the sampler stages over what is still buffered.
 func (r *TurnstileRunner) EndRound() ([]oracle.Answer, error) {
-	r.flushFeeds()
-
-	// ---- Merge (sequential, in query order). ----
 	answers := r.answerBuf()
 	for i, q := range r.cur {
 		if q.Type == oracle.Degree {
 			answers[i] = oracle.Answer{OK: true, Count: r.vs[r.refs[i]].deg}
 		}
 	}
-	for _, t := range r.samplers {
-		switch key, ok := t.s.Sample(); {
-		case !ok:
-			answers[t.query] = oracle.Answer{OK: false}
-		case t.vert < 0:
-			answers[t.query] = oracle.Answer{OK: true, Edge: keyEdge(key, r.n)}
-		default:
-			answers[t.query] = oracle.Answer{OK: true, Count: int64(key)}
-		}
-	}
+	r.flushFeeds(answers)
 	r.AbortRound() // the round is over: its samplers go back to the freelist
 	return answers, nil
 }
