@@ -144,10 +144,31 @@ func TestCountPawAndDiamond(t *testing.T) {
 	}
 }
 
+// TestCrossValidateGenericVsSpecialized holds the triangle and clique
+// counters to the generic backtracking counter on ER, BA and planted-clique
+// graphs. Every graph has an edge whose endpoints tie in degree, so the
+// ID tie-break of ≺_G decides part of the triangle counter's orientation.
 func TestCrossValidateGenericVsSpecialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var graphs []*graph.Graph
 	for trial := 0; trial < 5; trial++ {
-		g := gen.ErdosRenyiGNM(rng, 40, 150)
+		graphs = append(graphs, gen.ErdosRenyiGNM(rng, 40, 150))
+	}
+	graphs = append(graphs,
+		gen.BarabasiAlbert(rng, 60, 3),
+		gen.PlantCliques(rng, gen.BarabasiAlbert(rng, 60, 2), 4, 5),
+		gen.PlantCliques(rng, gen.ErdosRenyiGNM(rng, 50, 100), 5, 3),
+		gen.Complete(7))
+	for trial, g := range graphs {
+		tie := false
+		for v := int64(0); v < g.N(); v++ {
+			for _, w := range g.Neighbors(v) {
+				tie = tie || g.Degree(v) == g.Degree(w)
+			}
+		}
+		if !tie {
+			t.Errorf("trial %d: no edge joins two vertices of equal degree", trial)
+		}
 		if got, want := Count(g, pattern.Triangle()), Triangles(g); got != want {
 			t.Errorf("trial %d: generic triangles %d != specialized %d", trial, got, want)
 		}
@@ -264,5 +285,12 @@ func TestBarabasiAlbertDegeneracy(t *testing.T) {
 		if lambda != k {
 			t.Errorf("BA(k=%d): degeneracy=%d, want %d", k, lambda, k)
 		}
+	}
+}
+
+func BenchmarkTriangles(b *testing.B) {
+	g := gen.ErdosRenyiGNM(rand.New(rand.NewSource(1)), 2000, 100000)
+	for b.Loop() {
+		Triangles(g)
 	}
 }

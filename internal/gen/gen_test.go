@@ -139,3 +139,10 @@ func TestPlantPanicsWhenTooMany(t *testing.T) {
 	}()
 	PlantCliques(rand.New(rand.NewSource(1)), graph.New(5), 4, 2)
 }
+
+func BenchmarkErdosRenyiGNM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for b.Loop() {
+		ErdosRenyiGNM(rng, 2000, 100000)
+	}
+}

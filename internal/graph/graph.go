@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected edge between two vertices. The zero value is the
@@ -33,24 +34,27 @@ func (e Edge) IsLoop() bool { return e.U == e.V }
 
 func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
-// Graph is a simple undirected graph stored as adjacency lists.
+// Graph is a simple undirected graph stored as adjacency lists, each in
+// insertion order (the order Neighbor answers f3 queries in), plus a hash
+// set of packed edge keys that answers HasEdge (the f2 query) in expected
+// O(1) probes without a Go map.
 //
 // A Graph is built incrementally with AddEdge and is safe for concurrent
 // reads once construction is complete.
 type Graph struct {
-	n     int64
-	m     int64
-	adj   [][]int64
-	edges map[Edge]struct{}
+	n   int64
+	m   int64
+	adj [][]int64
+	set edgeSet
 }
 
-// New returns an empty graph on n vertices (IDs 0..n-1).
+// New returns an empty graph on n vertices (IDs 0..n-1). It panics unless
+// 0 <= n <= MaxVertices.
 func New(n int64) *Graph {
-	return &Graph{
-		n:     n,
-		adj:   make([][]int64, n),
-		edges: make(map[Edge]struct{}),
+	if n < 0 || n > MaxVertices {
+		panic(fmt.Sprintf("graph: %d vertices outside [0, %d]", n, int64(MaxVertices)))
 	}
+	return &Graph{n: n, adj: make([][]int64, n)}
 }
 
 // FromEdges builds a graph on n vertices from the given edge list. Duplicate
@@ -91,23 +95,37 @@ func (g *Graph) Neighbors(v int64) []int64 { return g.adj[v] }
 // matching the f3 query of the augmented general graph model.
 func (g *Graph) Neighbor(v int64, i int64) int64 { return g.adj[v][i] }
 
-// HasEdge reports whether the undirected edge (u,v) is present.
+// HasEdge reports whether the undirected edge (u,v) is present. Endpoints
+// outside [0, N) are never adjacent.
 func (g *Graph) HasEdge(u, v int64) bool {
-	_, ok := g.edges[Edge{u, v}.Canon()]
-	return ok
+	k, ok := g.key(u, v)
+	return ok && g.set.has(k)
+}
+
+// key returns (u,v)'s edge-set key, or false for a self-loop or an endpoint
+// outside [0, N): no key is stored for those, and the self-loop (0,0) would
+// pack to the empty-slot mark.
+func (g *Graph) key(u, v int64) (uint64, bool) {
+	if u == v || uint64(u) >= uint64(g.n) || uint64(v) >= uint64(g.n) {
+		return 0, false
+	}
+	return edgeKey(u, v), true
 }
 
 // AddEdge inserts the undirected edge (u,v). It reports whether the edge was
-// newly added (false for duplicates and self-loops).
+// newly added (false for duplicates and self-loops). It panics on an
+// endpoint outside [0, N).
 func (g *Graph) AddEdge(u, v int64) bool {
-	if u == v {
+	k, ok := g.key(u, v)
+	if !ok {
+		if u == v {
+			return false
+		}
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
+	}
+	if !g.set.insert(k) {
 		return false
 	}
-	c := Edge{u, v}.Canon()
-	if _, ok := g.edges[c]; ok {
-		return false
-	}
-	g.edges[c] = struct{}{}
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
 	g.m++
@@ -117,11 +135,9 @@ func (g *Graph) AddEdge(u, v int64) bool {
 // RemoveEdge deletes the undirected edge (u,v). It reports whether the edge
 // was present.
 func (g *Graph) RemoveEdge(u, v int64) bool {
-	c := Edge{u, v}.Canon()
-	if _, ok := g.edges[c]; !ok {
+	if k, ok := g.key(u, v); !ok || !g.set.remove(k) {
 		return false
 	}
-	delete(g.edges, c)
 	g.adj[u] = removeOne(g.adj[u], v)
 	g.adj[v] = removeOne(g.adj[v], u)
 	g.m--
@@ -142,23 +158,25 @@ func removeOne(s []int64, x int64) []int64 {
 // The slice is freshly allocated.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	for u := int64(0); u < g.n; u++ {
+		from := len(out)
+		for _, v := range g.adj[u] {
+			if v > u {
+				out = append(out, Edge{u, v})
+			}
 		}
-		return out[i].V < out[j].V
-	})
+		slices.SortFunc(out[from:], func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
+	}
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, adjacency order included, so a
+// clone answers Neighbor exactly as its source does.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for e := range g.edges {
-		c.AddEdge(e.U, e.V)
+	c := &Graph{n: g.n, m: g.m, adj: make([][]int64, g.n), set: g.set}
+	c.set.slots = slices.Clone(g.set.slots)
+	for v, nb := range g.adj {
+		c.adj[v] = slices.Clone(nb)
 	}
 	return c
 }
@@ -230,6 +248,9 @@ func (g *Graph) Validate() error {
 	}
 	if deg != 2*g.m {
 		return fmt.Errorf("graph: degree sum %d != 2m = %d", deg, 2*g.m)
+	}
+	if g.set.count != g.m {
+		return fmt.Errorf("graph: edge set holds %d edges, m = %d", g.set.count, g.m)
 	}
 	return nil
 }

@@ -123,6 +123,50 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+func TestCloneKeepsNeighborOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := New(40)
+	for i := 0; i < 600; i++ {
+		u, v := rng.Int63n(40), rng.Int63n(40)
+		if rng.Intn(4) == 0 {
+			g.RemoveEdge(u, v)
+		} else {
+			g.AddEdge(u, v)
+		}
+	}
+	c := g.Clone()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if c.M() != g.M() {
+		t.Fatalf("clone m=%d, want %d", c.M(), g.M())
+	}
+	for v := int64(0); v < g.N(); v++ {
+		if c.Degree(v) != g.Degree(v) {
+			t.Fatalf("vertex %d: clone degree %d, want %d", v, c.Degree(v), g.Degree(v))
+		}
+		for i := int64(0); i < g.Degree(v); i++ {
+			if c.Neighbor(v, i) != g.Neighbor(v, i) {
+				t.Fatalf("Neighbor(%d, %d): clone %d, source %d", v, i, c.Neighbor(v, i), g.Neighbor(v, i))
+			}
+		}
+	}
+}
+
+func TestNewPanicsBeyondMaxVertices(t *testing.T) {
+	for _, n := range []int64{-1, MaxVertices + 1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "4294967296") {
+					t.Errorf("New(%d): panic %q, want one naming the bound", n, msg)
+				}
+			}()
+			New(n)
+		}()
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1)
@@ -148,10 +192,12 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"",            // empty
-		"x y\n",       // bad header
-		"3 1\n0 5\n",  // out of range
-		"3 1\nnope\n", // bad edge line
+		"",               // empty
+		"x y\n",          // bad header
+		"3 1\n0 5\n",     // out of range
+		"3 1\nnope\n",    // bad edge line
+		"-1 0\n",         // negative vertex count
+		"4294967297 0\n", // more vertices than edge keys can pack
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

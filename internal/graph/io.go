@@ -23,8 +23,14 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // ReadEdgeList parses the format written by WriteEdgeList. Blank lines and
-// lines starting with '#' are ignored.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// lines starting with '#' are ignored. The header's vertex count must lie in
+// [0, MaxVertices].
+func ReadEdgeList(r io.Reader) (*Graph, error) { return readEdgeList(r, MaxVertices) }
+
+// readEdgeList is ReadEdgeList with the vertex count bounded by maxN. The
+// graph allocates one adjacency list per vertex up front, so the fuzz target
+// lowers maxN to keep a header from costing gigabytes.
+func readEdgeList(r io.Reader, maxN int64) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var g *Graph
@@ -39,6 +45,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			var n, m int64
 			if _, err := fmt.Sscanf(txt, "%d %d", &n, &m); err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad header %q: %v", line, txt, err)
+			}
+			if n < 0 || n > maxN {
+				return nil, fmt.Errorf("graph: line %d: vertex count %d outside [0, %d]", line, n, maxN)
 			}
 			g = New(n)
 			continue

@@ -5,8 +5,10 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"streamcount/internal/graph"
@@ -140,14 +142,11 @@ func FromGraph(g *graph.Graph) *Slice {
 // (inserts stay before the matching deletes), so the stream remains
 // well-formed.
 func Shuffled(s *Slice, rng *rand.Rand) *Slice {
-	type keyed struct {
-		pri float64
-		u   Update
-	}
-	all := make([]keyed, 0, len(s.updates))
+	src := s.updates
+	pri := make([]float64, 0, len(src))
 	if s.inserts {
-		for _, u := range s.updates {
-			all = append(all, keyed{rng.Float64(), u})
+		for range src {
+			pri = append(pri, rng.Float64())
 		}
 	} else {
 		// Draw priorities per edge and assign them in increasing order to
@@ -161,26 +160,46 @@ func Shuffled(s *Slice, rng *rand.Rand) *Slice {
 			}
 			byEdge[c] = append(byEdge[c], u)
 		}
+		src = make([]Update, 0, len(s.updates))
 		for _, e := range edgeOrder {
 			seq := byEdge[e]
-			pris := make([]float64, len(seq))
-			for i := range pris {
-				pris[i] = rng.Float64()
+			from := len(pri)
+			for range seq {
+				pri = append(pri, rng.Float64())
 			}
-			sort.Float64s(pris)
-			for i, u := range seq {
-				all = append(all, keyed{pris[i], u})
-			}
+			slices.Sort(pri[from:])
+			src = append(src, seq...)
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].pri < all[j].pri })
-	ups := make([]Update, len(all))
-	for i, k := range all {
-		ups[i] = k.u
-	}
-	out, err := NewSlice(s.n, ups)
+	out, err := NewSlice(s.n, byPriority(src, pri))
 	if err != nil {
 		panic(err)
+	}
+	return out
+}
+
+// byPriority returns src reordered by ascending priority pri[i], ties kept
+// in src order: the order a stable sort by priority gives. It sorts
+// (priority, position) pairs with a typed comparator, which is a total
+// order, so any sort yields that one permutation.
+func byPriority(src []Update, pri []float64) []Update {
+	type keyed struct {
+		pri float64
+		at  int
+	}
+	keys := make([]keyed, len(src))
+	for i, p := range pri {
+		keys[i] = keyed{p, i}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if c := cmp.Compare(a.pri, b.pri); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	out := make([]Update, len(src))
+	for i, k := range keys {
+		out[i] = src[k.at]
 	}
 	return out
 }
@@ -232,8 +251,11 @@ func Collect(s Stream) (*Slice, error) {
 
 // Materialize replays the stream once and returns the resulting graph,
 // validating turnstile semantics (no deleting absent edges, no duplicate
-// inserts).
+// inserts) and the vertex count against graph.MaxVertices.
 func Materialize(s Stream) (*graph.Graph, error) {
+	if s.N() < 0 || s.N() > graph.MaxVertices {
+		return nil, fmt.Errorf("stream: %d vertices outside an in-memory graph's [0, %d]", s.N(), int64(graph.MaxVertices))
+	}
 	g := graph.New(s.N())
 	var idx int64
 	err := s.ForEachBatch(func(batch []Update) error {
@@ -281,13 +303,11 @@ func WithDeletions(g *graph.Graph, extra float64, rng *rand.Rand) *Slice {
 		}
 		decoySet[c] = true
 	}
-	type ev struct {
-		pri float64
-		u   Update
-	}
-	evs := make([]ev, 0, len(real)+2*len(decoySet))
+	src := make([]Update, 0, len(real)+2*len(decoySet))
+	pri := make([]float64, 0, cap(src))
 	for _, e := range real {
-		evs = append(evs, ev{rng.Float64(), Update{Edge: e, Op: Insert}})
+		src = append(src, Update{Edge: e, Op: Insert})
+		pri = append(pri, rng.Float64())
 	}
 	// Sort decoys so priority assignment is deterministic for a seeded rng
 	// (map iteration order is not).
@@ -306,16 +326,10 @@ func WithDeletions(g *graph.Graph, extra float64, rng *rand.Rand) *Slice {
 		if a > b {
 			a, b = b, a
 		}
-		evs = append(evs,
-			ev{a, Update{Edge: e, Op: Insert}},
-			ev{b, Update{Edge: e, Op: Delete}})
+		src = append(src, Update{Edge: e, Op: Insert}, Update{Edge: e, Op: Delete})
+		pri = append(pri, a, b)
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].pri < evs[j].pri })
-	ups := make([]Update, len(evs))
-	for i, e := range evs {
-		ups[i] = e.u
-	}
-	out, err := NewSlice(g.N(), ups)
+	out, err := NewSlice(g.N(), byPriority(src, pri))
 	if err != nil {
 		panic(err)
 	}

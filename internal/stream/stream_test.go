@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"cmp"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamcount/internal/gen"
@@ -96,6 +100,11 @@ func TestMaterializeRejectsBadStreams(t *testing.T) {
 	if _, err := Materialize(s); err == nil {
 		t.Error("duplicate insert should fail")
 	}
+	// More vertices than a graph can hold.
+	s, _ = NewSlice(graph.MaxVertices+1, nil)
+	if _, err := Materialize(s); err == nil {
+		t.Error("a vertex count above graph.MaxVertices should fail")
+	}
 }
 
 func TestShuffledPreservesMultisetAndValidity(t *testing.T) {
@@ -175,3 +184,110 @@ var errSentinel = &sentinelError{}
 type sentinelError struct{}
 
 func (*sentinelError) Error() string { return "sentinel" }
+
+// cycleSource draws its values in turn, so shuffle priorities tie in
+// groups and the order within a group is the tie-break alone.
+type cycleSource struct {
+	vals []int64
+	i    int
+}
+
+func (c *cycleSource) Int63() int64 { c.i++; return c.vals[(c.i-1)%len(c.vals)] }
+func (c *cycleSource) Seed(int64)   {}
+
+func TestShuffledTiesKeepInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := gen.ErdosRenyiGNM(rng, 30, 120)
+	ins := FromGraph(g)
+	got := Shuffled(ins, rand.New(&cycleSource{vals: []int64{1 << 40}})).Updates()
+	if i := firstDiff(got, ins.Updates()); i >= 0 {
+		t.Fatalf("insert-only, every priority tied: update %d is %v, want input order's %v", i, got[i], ins.Updates()[i])
+	}
+
+	// Three priorities in turn: a stable sort by priority is the reference.
+	vals := []int64{3 << 40, 1 << 40, 2 << 40}
+	want := slices.Clone(ins.Updates())
+	rank := make(map[Update]int64, len(want))
+	for i, u := range want {
+		rank[u] = vals[i%len(vals)]
+	}
+	slices.SortStableFunc(want, func(a, b Update) int { return cmp.Compare(rank[a], rank[b]) })
+	got = Shuffled(ins, rand.New(&cycleSource{vals: vals})).Updates()
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("insert-only, tied groups: update %d is %v, want %v", i, got[i], want[i])
+	}
+
+	// Under ties a turnstile shuffle groups updates by edge in first-seen
+	// order; each edge's own updates must keep their input order.
+	ts := WithDeletions(g, 1.0, rng)
+	byEdge := func(ups []Update) map[graph.Edge][]Update {
+		m := make(map[graph.Edge][]Update)
+		for _, u := range ups {
+			m[u.Edge.Canon()] = append(m[u.Edge.Canon()], u)
+		}
+		return m
+	}
+	perEdge := byEdge(ts.Updates())
+	sh := Shuffled(ts, rand.New(&cycleSource{vals: []int64{1 << 40}})).Updates()
+	for e, seq := range byEdge(sh) {
+		if !slices.Equal(seq, perEdge[e]) {
+			t.Fatalf("turnstile: edge %v updates %v, want %v", e, seq, perEdge[e])
+		}
+	}
+	if len(sh) != len(ts.Updates()) {
+		t.Fatalf("turnstile: %d updates, want %d", len(sh), len(ts.Updates()))
+	}
+}
+
+// firstDiff returns the first index where two equal-length update
+// sequences differ, or -1.
+func firstDiff(a, b []Update) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// updatesHash is an FNV-1a hash of an update sequence.
+func updatesHash(ups []Update) uint64 {
+	h := fnv.New64a()
+	var b [17]byte
+	for _, u := range ups {
+		binary.LittleEndian.PutUint64(b[0:], uint64(u.Edge.U))
+		binary.LittleEndian.PutUint64(b[8:], uint64(u.Edge.V))
+		b[16] = byte(u.Op)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestShuffledOrderPinned pins the exact permutations Shuffled and
+// WithDeletions produce at a fixed seed: every stream the benchmark and the
+// experiments build from a graph depends on them, so any change to the
+// draws or the tie-break moves these hashes.
+func TestShuffledOrderPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := gen.ErdosRenyiGNM(rng, 2000, 100000)
+	if got, want := updatesHash(Shuffled(FromGraph(g), rng).Updates()), uint64(0x9e298dbd73dc6119); got != want {
+		t.Errorf("insert-only shuffle of ER(2000, 100000) at seed 1: hash %#x, want %#x", got, want)
+	}
+	rng = rand.New(rand.NewSource(1))
+	g = gen.ErdosRenyiGNM(rng, 200, 2000)
+	ts := WithDeletions(g, 1.0, rng)
+	if got, want := updatesHash(ts.Updates()), uint64(0x42f512dcad9559c2); got != want {
+		t.Errorf("WithDeletions of ER(200, 2000) at seed 1: hash %#x, want %#x", got, want)
+	}
+	if got, want := updatesHash(Shuffled(ts, rng).Updates()), uint64(0xd5a66249c74b90b8); got != want {
+		t.Errorf("turnstile shuffle of ER(200, 2000) at seed 1: hash %#x, want %#x", got, want)
+	}
+}
+
+func BenchmarkShuffled(b *testing.B) {
+	s := FromGraph(gen.ErdosRenyiGNM(rand.New(rand.NewSource(1)), 2000, 100000))
+	rng := rand.New(rand.NewSource(2))
+	for b.Loop() {
+		Shuffled(s, rng)
+	}
+}

@@ -113,10 +113,12 @@ func ShuffledStream(st Stream, rng *rand.Rand) (Stream, error) {
 	return stream.Shuffled(sl, rng), nil
 }
 
-// NewGraph returns an empty graph on n vertices.
+// NewGraph returns an empty graph on n vertices. It panics unless
+// 0 <= n <= 2³².
 func NewGraph(n int64) *Graph { return graph.New(n) }
 
-// ReadGraph parses the "n m" + edge-list format.
+// ReadGraph parses the "n m" + edge-list format. A vertex count outside
+// [0, 2³²] is an error.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // OpenStreamFile opens a file-backed update stream ("n" header, then
