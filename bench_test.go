@@ -1,9 +1,9 @@
 package streamcount_test
 
-// One benchmark per experiment in DESIGN.md §5 (the harness that
-// regenerates every table/figure of EXPERIMENTS.md), plus micro-benchmarks
-// for the substrates. Experiment benches do one full regeneration per
-// iteration; run them with -benchtime=1x for a single regeneration.
+// One benchmark per experiment in DESIGN.md §5 (each computes the text
+// table cmd/experiments prints for it), plus micro-benchmarks for the
+// substrates. Experiment benches compute one full table per iteration; run
+// them with -benchtime=1x for a single table.
 
 import (
 	"bytes"

@@ -1,5 +1,5 @@
-// Command experiments regenerates the tables and figures of EXPERIMENTS.md
-// (the paper has no empirical section; DESIGN.md §5 defines the suite from
+// Command experiments prints the text table of each experiment in DESIGN.md
+// §5 to stdout (the paper has no empirical section; §5 defines the suite from
 // its theorems).
 //
 // Examples:

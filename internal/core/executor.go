@@ -242,5 +242,5 @@ func (x *executor) runDistinguish(h *JobHandle, cfg Config, l float64) (bool, *C
 	if err != nil {
 		return false, nil, err
 	}
-	return est.Value >= (1+cfg.Epsilon/2)*l, est, nil
+	return est.Value >= (1+float64(cfg.Epsilon/2))*l, est, nil
 }

@@ -184,7 +184,7 @@ func (sc *countScratch) count(r oracle.Runner, p Params, rng *rand.Rand, activeO
 	act.p, act.rng, act.gamma, act.voteOnly = p, rng, p.Eps/(8*rf*factorial(p.R)), true
 	sc.invs = reserve(sc.invs, p.Q)[:p.Q]
 	for j := range sc.invs {
-		sc.invs[j] = invocationTask{chain: levelChain{env: inv}, m: m, omega1: (1 - p.Eps/2) * p.L}
+		sc.invs[j] = invocationTask{chain: levelChain{env: inv}, m: m, omega1: (1 - float64(p.Eps/2)) * p.L}
 		sc.tasks = append(sc.tasks, &sc.invs[j])
 	}
 	if _, err := transform.Run(r, sc.tasks...); err != nil {
@@ -369,7 +369,7 @@ func newAssignJob(env *chainEnv, rr, rrDegs []int64, override func([]int64) bool
 	for _, i := range j.level {
 		verts, degs := seeds[:i:i], seeds[i:2*i:2*i]
 		seeds = seeds[2*i:]
-		omega := (1 - env.p.Eps/2) * env.p.tau(i)
+		omega := (1 - float64(env.p.Eps/2)) * env.p.tau(i)
 		for rep := range reps[:qact] {
 			reps[rep].start(env, i, verts, degs, omega)
 		}

@@ -2,9 +2,9 @@ package ers
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 
+	"streamcount/internal/keytab"
 	"streamcount/internal/oracle"
 	"streamcount/internal/pool"
 	"streamcount/internal/transform"
@@ -104,41 +104,26 @@ func reserve[T any](s []T, n int) []T {
 
 // tupleTable numbers distinct vertex tuples 0, 1, 2, … in first-seen order,
 // which is the order the chains that draw from the count's one RNG are laid
-// out in, so no draw depends on where a tuple lands in the table. It is an
-// open-addressing table (linear probing, power-of-two slot count, load at
-// most 1/2, multiplicative hash) over the tuples themselves, stored back to
-// back in number order: a slot keeps a tuple's hash and number, and a
-// collision is settled by comparing vertices. resetFor keeps every array, so
-// a table reused from count to count allocates only when it is to hold more
-// tuples than it ever has.
+// out in, so no draw depends on where a tuple lands in the table. It numbers
+// each tuple's hash through a keytab.Table and keeps the tuples back to back
+// in number order; a hash the table already numbers for another tuple is
+// rehashed until it is free or names this tuple. resetFor keeps every array,
+// so a table reused from count to count allocates only when it is to hold
+// more tuples than it ever has.
 type tupleTable struct {
-	slots []tupleSlot
-	verts []int64 // the tuples in number order, back to back
-	ends  []int32 // tuple k is verts[ends[k-1]:ends[k]], with ends[-1] = 0
-	shift uint8
+	hashes keytab.Table // tuple hash (or rehash) -> tuple number
+	verts  []int64      // the tuples in number order, back to back
+	ends   []int32      // tuple k is verts[ends[k-1]:ends[k]], with ends[-1] = 0
 }
 
-// tupleSlot is one table cell; ref is the tuple's number plus one, 0 when
-// the cell is empty.
-type tupleSlot struct {
-	hash uint64
-	ref  int32
-}
+const tupleHashMul = 0x9e3779b97f4a7c15 // 2⁶⁴/φ, odd
 
-const (
-	tupleTableMinSlots = 16
-	tupleHashMul       = 0x9e3779b97f4a7c15 // 2⁶⁴/φ, odd
-)
-
-// resetFor empties the table at the slot count n tuples need, with room for
-// n tuples of up to width vertices: a table that has held as many allocates
-// nothing, and a table that serves many tuple sets in turn clears what the
-// set at hand takes, not what the largest ever did.
+// resetFor empties the table with room for n tuples of up to width
+// vertices: a table that has held as many allocates nothing, and a table
+// that serves many tuple sets in turn clears what the set at hand takes, not
+// what the largest ever did.
 func (t *tupleTable) resetFor(n, width int) {
-	size := max(tupleTableMinSlots, 1<<bits.Len(uint(2*max(n, 1)-1)))
-	t.slots = reserve(t.slots[:0], size)[:size]
-	clear(t.slots)
-	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	t.hashes.ResetFor(n)
 	t.verts = reserve(t.verts[:0], n*width)
 	t.ends = reserve(t.ends[:0], n)
 }
@@ -146,7 +131,7 @@ func (t *tupleTable) resetFor(n, width int) {
 // dirty smears the table's arrays with sentinels; resetFor clears what the
 // next tuple set uses.
 func (t *tupleTable) dirty() {
-	pool.Dirty(t.slots, tupleSlot{hash: 0xdeaddeaddeaddead, ref: 0x5a5a5a5a})
+	t.hashes.Dirty()
 	pool.DirtyInt64(t.verts)
 	pool.Dirty(t.ends, 0x5a5a5a5a)
 }
@@ -168,44 +153,22 @@ func hashTuple(vs []int64) uint64 {
 	return h
 }
 
+// rehash is the next hash a tuple tries when the table numbers h for
+// another tuple.
+func rehash(h uint64) uint64 { return (h + 1) * tupleHashMul }
+
 // number returns the number of tuple vs, and whether vs is new: a new tuple
 // gets the next number. vs is copied, not kept.
 func (t *tupleTable) number(vs []int64) (k int32, fresh bool) {
-	if 2*(len(t.ends)+1) > len(t.slots) {
-		t.grow()
-	}
-	h := hashTuple(vs)
-	mask := uint64(len(t.slots) - 1)
-	for i := h >> t.shift; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.ref == 0 {
+	for h := hashTuple(vs); ; h = rehash(h) {
+		k = t.hashes.Insert(h)
+		if int(k) == len(t.ends) {
 			t.verts = append(t.verts, vs...)
 			t.ends = append(t.ends, int32(len(t.verts)))
-			*s = tupleSlot{hash: h, ref: int32(len(t.ends))}
-			return s.ref - 1, true
+			return k, true
 		}
-		if s.hash == h && slices.Equal(t.tuple(s.ref-1), vs) {
-			return s.ref - 1, false
+		if slices.Equal(t.tuple(k), vs) {
+			return k, false
 		}
-	}
-}
-
-// grow doubles the slot count and re-places every held tuple; numbers do
-// not change.
-func (t *tupleTable) grow() {
-	old := t.slots
-	size := max(2*len(old), tupleTableMinSlots)
-	t.slots = make([]tupleSlot, size)
-	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	mask := uint64(size - 1)
-	for _, s := range old {
-		if s.ref == 0 {
-			continue
-		}
-		i := s.hash >> t.shift
-		for t.slots[i].ref != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
 	}
 }

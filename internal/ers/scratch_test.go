@@ -285,11 +285,6 @@ func TestCountScratchDirtySmearsAll(t *testing.T) {
 		words("ds", env.ds)
 		words("numbers.verts", env.numbers.verts)
 		int32s("numbers.ends", env.numbers.ends)
-		for i, s := range env.numbers.slots[:cap(env.numbers.slots)] {
-			if s.ref == 0 {
-				t.Fatalf("numbers.slots[%d] empty after dirty", i)
-			}
-		}
 		for i, o := range env.ord[:cap(env.ord)] {
 			if o != dirtyInt {
 				t.Fatalf("ord[%d] = %d after dirty", i, o)
@@ -329,6 +324,43 @@ func TestCountScratchDirtySmearsAll(t *testing.T) {
 	for i, task := range sc.tasks[:cap(sc.tasks)] {
 		if task != nil {
 			t.Fatalf("tasks[%d] set after dirty", i)
+		}
+	}
+}
+
+// TestTupleTableHashCollision: tuples that share a hash, or whose natural
+// hash is another tuple's rehash, keep distinct numbers in first-seen order,
+// in whichever order they arrive. For width 2, hashTuple is
+// ((2 ^ a)·M ^ b)·M, so (a, b) and (a', b ^ (2 ^ a)·M ^ (2 ^ a')·M) collide.
+func TestTupleTableHashCollision(t *testing.T) {
+	const m = uint64(tupleHashMul)
+	var a, b, a2 uint64 = 3, 11, 5
+	b2 := int64(b ^ (2^a)*m ^ (2^a2)*m)
+	first, second := []int64{int64(a), int64(b)}, []int64{int64(a2), b2}
+	h := hashTuple(first)
+	if hashTuple(second) != h {
+		t.Fatal("precondition: the two tuples do not share a hash")
+	}
+	var c uint64 = 7
+	third := []int64{int64(c), int64((h + 1) ^ (2^c)*m)}
+	if hashTuple(third) != rehash(h) {
+		t.Fatal("precondition: the third tuple's hash is not the first rehash")
+	}
+	for _, order := range [][][]int64{{first, second, third}, {third, first, second}, {second, third, first}} {
+		var tab tupleTable
+		tab.resetFor(len(order), 2)
+		for want, vs := range order {
+			if k, fresh := tab.number(vs); k != int32(want) || !fresh {
+				t.Fatalf("order %v: first number(%v) = %d, %v; want %d, true", order, vs, k, fresh, want)
+			}
+		}
+		for want, vs := range order {
+			if k, fresh := tab.number(vs); k != int32(want) || fresh {
+				t.Fatalf("order %v: number(%v) again = %d, %v; want %d, false", order, vs, k, fresh, want)
+			}
+			if got := tab.tuple(int32(want)); !slices.Equal(got, vs) {
+				t.Fatalf("order %v: tuple(%d) = %v, want %v", order, want, got, vs)
+			}
 		}
 	}
 }

@@ -1,5 +1,5 @@
-// Package experiments regenerates every table and figure in EXPERIMENTS.md.
-// The paper itself has no empirical section (it is a PODS theory paper), so
+// Package experiments computes the text table of every experiment in
+// DESIGN.md §5. The paper itself has no empirical section (it is a PODS theory paper), so
 // the experiment suite is derived from its theorems and its Section-1
 // comparison; DESIGN.md §5 is the index. Each experiment is deterministic
 // given its seed.

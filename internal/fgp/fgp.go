@@ -200,14 +200,14 @@ func CountParallel(r oracle.Runner, pl *Plan, trials int, rng *rand.Rand, parall
 			res.Hits++
 			z := float64(t.copies) / float64(pl.fT)
 			res.WeightSum += z
-			sumSq += z * z
+			sumSq += float64(z * z)
 		}
 	}
 	n := float64(trials)
 	res.Estimate = res.WeightSum / (n * res.PerTupleProb)
 	if trials > 1 {
 		mean := res.WeightSum / n
-		variance := (sumSq - n*mean*mean) / (n - 1)
+		variance := (sumSq - float64(n*mean*mean)) / (n - 1)
 		if variance > 0 {
 			res.StdErr = math.Sqrt(variance/n) / res.PerTupleProb
 		}

@@ -7,7 +7,7 @@ import "math/bits"
 const MaxVertices = 1 << 32
 
 // edgeSet is an open-addressing hash set of undirected edges, each packed
-// into the canonical key u<<32 | v with u < v. Key 0 would be the self-loop
+// into its EdgeKey, u<<32 | v with u < v. Key 0 would be the self-loop
 // (0,0), which is never stored, so 0 marks an empty slot. The table has a
 // power-of-two size, load at most ½ and linear probing; deletion shifts the
 // rest of a probe chain back, so no tombstones are left behind.
@@ -15,15 +15,6 @@ type edgeSet struct {
 	slots []uint64
 	count int64
 	shift uint // 64 - log2(len(slots))
-}
-
-// edgeKey packs the undirected edge (u,v) into its canonical key. Both
-// endpoints must lie in [0, MaxVertices) and differ.
-func edgeKey(u, v int64) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
 }
 
 // home is the slot k's probe chain starts at: Fibonacci hashing, which

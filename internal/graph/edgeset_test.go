@@ -86,8 +86,8 @@ func TestEdgeSetWrapAround(t *testing.T) {
 	var pool []uint64
 	for u := int64(0); len(pool) < 24; u++ {
 		for v := u + 1; v < u+64 && len(pool) < 24; v++ {
-			if h := s.home(edgeKey(u, v)); h >= 13 || h <= 1 {
-				pool = append(pool, edgeKey(u, v))
+			if h := s.home(EdgeKey(u, v)); h >= 13 || h <= 1 {
+				pool = append(pool, EdgeKey(u, v))
 			}
 		}
 	}

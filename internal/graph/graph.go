@@ -26,6 +26,21 @@ func (e Edge) Canon() Edge {
 	return e
 }
 
+// EdgeKey packs the undirected edge (u,v) into one canonical key, u<<32 | v
+// with u ≤ v: the key the graph's edge set and the transform runners hold.
+// Both endpoints must lie in [0, MaxVertices).
+func EdgeKey(u, v int64) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// KeyEdge decodes EdgeKey into the canonical edge.
+func KeyEdge(k uint64) Edge {
+	return Edge{U: int64(k >> 32), V: int64(k & (1<<32 - 1))}
+}
+
 // Reverse returns the edge with endpoints swapped.
 func (e Edge) Reverse() Edge { return Edge{e.V, e.U} }
 
@@ -109,7 +124,7 @@ func (g *Graph) key(u, v int64) (uint64, bool) {
 	if u == v || uint64(u) >= uint64(g.n) || uint64(v) >= uint64(g.n) {
 		return 0, false
 	}
-	return edgeKey(u, v), true
+	return EdgeKey(u, v), true
 }
 
 // AddEdge inserts the undirected edge (u,v). It reports whether the edge was

@@ -21,6 +21,31 @@ func TestEdgeCanon(t *testing.T) {
 	}
 }
 
+// TestEdgeKeyRoundTrip: EdgeKey packs either orientation of an edge into the
+// same key, KeyEdge gives back the canonical edge, and the packing holds at
+// the corners of the 32-bit vertex range.
+func TestEdgeKeyRoundTrip(t *testing.T) {
+	const top = MaxVertices - 1
+	for _, c := range []struct {
+		e   Edge
+		key uint64
+	}{
+		{Edge{0, 0}, 0},
+		{Edge{0, top}, top},
+		{Edge{top - 1, top}, (top-1)<<32 | top},
+		{Edge{7, 3}, 3<<32 | 7},
+	} {
+		for _, e := range []Edge{c.e, c.e.Reverse()} {
+			if got := EdgeKey(e.U, e.V); got != c.key {
+				t.Errorf("EdgeKey(%d, %d) = %#x, want %#x", e.U, e.V, got, c.key)
+			}
+		}
+		if got := KeyEdge(c.key); got != c.e.Canon() {
+			t.Errorf("KeyEdge(%#x) = %v, want %v", c.key, got, c.e.Canon())
+		}
+	}
+}
+
 func TestAddRemoveEdge(t *testing.T) {
 	g := New(5)
 	if !g.AddEdge(0, 1) {

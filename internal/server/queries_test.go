@@ -83,3 +83,70 @@ func TestQueryWireRoundTrip(t *testing.T) {
 		t.Errorf("non-catalog pattern: marshal error %v, want ErrBadPattern", err)
 	}
 }
+
+// FuzzWireQuery: whatever the bytes, they fail to decode into a wire.Query,
+// or buildQuery refuses them with ErrBadPattern or ErrBadConfig, or the
+// query it builds encodes to JSON that decodes and builds again to the
+// identical bytes, so no field the server accepts is lost or defaulted
+// differently on a second trip. The seeds are TestQueryWireRoundTrip's
+// cases: every kind with no option, with each option alone and with all.
+func FuzzWireQuery(f *testing.F) {
+	p, err := streamcount.PatternByName("triangle")
+	if err != nil {
+		f.Fatal(err)
+	}
+	options := []streamcount.QueryOption{
+		streamcount.WithEpsilon(0.25), streamcount.WithTrials(1234), streamcount.WithMaxTrials(5678),
+		streamcount.WithLowerBound(42.5), streamcount.WithEdgeBound(900), streamcount.WithSeed(-7),
+		streamcount.WithParallelism(3), streamcount.WithLambda(4),
+	}
+	cases := [][]streamcount.QueryOption{nil, options}
+	for _, o := range options {
+		cases = append(cases, []streamcount.QueryOption{o})
+	}
+	for _, opts := range cases {
+		for _, q := range []streamcount.Query{
+			streamcount.CountQuery(p, opts...), streamcount.SampleQuery(p, opts...),
+			streamcount.CliqueQuery(4, opts...), streamcount.AutoQuery(p, opts...),
+			streamcount.DistinguishQuery(p, 17.5, opts...),
+		} {
+			seed, err := json.Marshal(q)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w wire.Query
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		q, err := buildQuery(w, 0)
+		if err != nil {
+			if !errors.Is(err, streamcount.ErrBadPattern) && !errors.Is(err, streamcount.ErrBadConfig) {
+				t.Fatalf("buildQuery(%s): error %v is neither ErrBadPattern nor ErrBadConfig", data, err)
+			}
+			return
+		}
+		first, err := json.Marshal(q)
+		if err != nil {
+			t.Fatalf("buildQuery(%s): marshal: %v", data, err)
+		}
+		var again wire.Query
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("decode %s: %v", first, err)
+		}
+		back, err := buildQuery(again, 0)
+		if err != nil {
+			t.Fatalf("buildQuery(%s): %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("re-marshal of %s: %v", first, err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("query of %s does not rebuild\n got %s\nwant %s", data, second, first)
+		}
+	})
+}

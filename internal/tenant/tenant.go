@@ -91,7 +91,7 @@ func (b *bucket) take(now time.Time) Decision {
 	if b.rate <= 0 {
 		return Decision{OK: true}
 	}
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
+	b.tokens += float64(now.Sub(b.last).Seconds() * b.rate)
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"streamcount/internal/graph"
+	"streamcount/internal/keytab"
 	"streamcount/internal/oracle"
 	"streamcount/internal/sketch"
 	"streamcount/internal/stream"
@@ -30,12 +31,12 @@ import (
 // entry lock across both).
 type PrefixIndex struct {
 	n        int64
-	keys     []uint64  // edgeKey per update, in stream order
-	verts    keyTable  // vertex -> index into nbr
-	nbr      [][]int64 // per vertex, the positions of its incident updates, ascending
-	nbrBytes int64     // what the lists in nbr hold, in bytes of capacity
-	edges    keyTable  // canonical edge key -> index into first
-	first    []int64   // per distinct edge, the position it was first seen at
+	keys     []uint64     // graph.EdgeKey of each update, in stream order
+	verts    keytab.Table // vertex -> index into nbr
+	nbr      [][]int64    // per vertex, the positions of its incident updates, ascending
+	nbrBytes int64        // what the lists in nbr hold, in bytes of capacity
+	edges    keytab.Table // graph.EdgeKey -> index into first
+	first    []int64      // per distinct edge, the position it was first seen at
 }
 
 // NewPrefixIndex returns an empty index over a vertex universe of size n,
@@ -45,8 +46,8 @@ func NewPrefixIndex(n int64) (*PrefixIndex, error) {
 		return nil, err
 	}
 	ix := &PrefixIndex{n: n}
-	ix.verts.resetFor(0) // find needs slots
-	ix.edges.resetFor(0)
+	ix.verts.ResetFor(0) // Find needs slots
+	ix.edges.ResetFor(0)
 	return ix, nil
 }
 
@@ -61,7 +62,7 @@ func (ix *PrefixIndex) N() int64 { return ix.n }
 // lists and their headers, both key tables and the first positions.
 func (ix *PrefixIndex) Bytes() int64 {
 	return ix.nbrBytes + int64(cap(ix.keys))*8 + int64(cap(ix.nbr))*int64(unsafe.Sizeof([]int64(nil))) +
-		int64(cap(ix.verts.slots)+cap(ix.edges.slots))*int64(unsafe.Sizeof(keySlot{})) + int64(cap(ix.first))*8
+		ix.verts.Bytes() + ix.edges.Bytes() + int64(cap(ix.first))*8
 }
 
 // Extend consumes one update batch, canonicalizing it as the insertion
@@ -72,29 +73,28 @@ func (ix *PrefixIndex) Extend(batch []stream.Update) error {
 		if u.Op != stream.Insert {
 			return errDeletion
 		}
-		e := u.Edge.Canon()
-		if err := ix.extendKey(e, edgeKey(e, ix.n)); err != nil {
+		if err := ix.extendKey(graph.EdgeKey(u.Edge.U, u.Edge.V)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// extendKey appends canonical edge e, packed as key, at the next position:
-// to the key log, to both endpoints' incidence lists — both even for a
-// self-loop, as the streaming pass touches U then V, so degrees and
-// neighbor order match — and, when the edge is new, as its first position.
-// Dense indices are int32, so an index stops at 2³¹−1 distinct vertices or
-// edges.
-func (ix *PrefixIndex) extendKey(e graph.Edge, key uint64) error {
-	if ix.verts.n > math.MaxInt32-2 || ix.edges.n == math.MaxInt32 {
-		return fmt.Errorf("transform: prefix index full at %d distinct vertices and %d distinct edges", ix.verts.n, ix.edges.n)
+// extendKey appends the edge packed as key at the next position: to the key
+// log, to both endpoints' incidence lists — both even for a self-loop, as the
+// streaming pass touches U then V, so degrees and neighbor order match — and,
+// when the edge is new, as its first position. Dense indices are int32, so an
+// index stops at 2³¹−1 distinct vertices or edges.
+func (ix *PrefixIndex) extendKey(key uint64) error {
+	if ix.verts.Len() > math.MaxInt32-2 || ix.edges.Len() == math.MaxInt32 {
+		return fmt.Errorf("transform: prefix index full at %d distinct vertices and %d distinct edges", ix.verts.Len(), ix.edges.Len())
 	}
 	pos := int64(len(ix.keys))
 	ix.keys = append(ix.keys, key)
+	e := graph.KeyEdge(key)
 	ix.incident(e.U, pos)
 	ix.incident(e.V, pos)
-	if k := ix.edges.insert(key); int(k) == len(ix.first) {
+	if k := ix.edges.Insert(key); int(k) == len(ix.first) {
 		ix.first = append(ix.first, pos)
 	}
 	return nil
@@ -102,7 +102,7 @@ func (ix *PrefixIndex) extendKey(e graph.Edge, key uint64) error {
 
 // incident appends pos to u's incidence list.
 func (ix *PrefixIndex) incident(u, pos int64) {
-	k := ix.verts.insert(uint64(u))
+	k := ix.verts.Insert(uint64(u))
 	if int(k) == len(ix.nbr) {
 		ix.nbr = append(ix.nbr, nil)
 	}
@@ -114,7 +114,7 @@ func (ix *PrefixIndex) incident(u, pos int64) {
 // incidentAt returns the positions below v of the updates incident to u: a
 // binary search, since they ascend.
 func (ix *PrefixIndex) incidentAt(u, v int64) []int64 {
-	k := ix.verts.find(uint64(u))
+	k := ix.verts.Find(uint64(u))
 	if k < 0 {
 		return nil
 	}
@@ -124,7 +124,7 @@ func (ix *PrefixIndex) incidentAt(u, v int64) []int64 {
 
 // seenBefore reports whether the edge packed as key arrived before position v.
 func (ix *PrefixIndex) seenBefore(key uint64, v int64) bool {
-	k := ix.edges.find(key)
+	k := ix.edges.Find(key)
 	return k >= 0 && ix.first[k] < v
 }
 
@@ -178,7 +178,7 @@ func (r *IndexedRunner) Round(queries []oracle.Query) ([]oracle.Answer, error) {
 			r.scratch.Reset(r.rng.Uint64())
 			r.scratch.OfferKeys(ix.keys[:v])
 			if key, ok := r.scratch.Sample(); ok {
-				answers[i] = oracle.Answer{OK: true, Edge: keyEdge(key, ix.n)}
+				answers[i] = oracle.Answer{OK: true, Edge: graph.KeyEdge(key)}
 			} else {
 				answers[i] = oracle.Answer{OK: false}
 			}
@@ -186,13 +186,13 @@ func (r *IndexedRunner) Round(queries []oracle.Query) ([]oracle.Answer, error) {
 			answers[i] = oracle.Answer{OK: true, Count: int64(len(ix.incidentAt(q.U, v)))}
 		case oracle.Neighbor:
 			if ps := ix.incidentAt(q.U, v); q.I <= int64(len(ps)) {
-				e := keyEdge(ix.keys[ps[q.I-1]], ix.n)
+				e := graph.KeyEdge(ix.keys[ps[q.I-1]])
 				answers[i] = oracle.Answer{OK: true, Count: e.U + e.V - q.U} // the far endpoint
 			} else {
 				answers[i] = oracle.Answer{OK: false}
 			}
 		case oracle.Adjacent:
-			answers[i] = oracle.Answer{OK: true, Yes: ix.seenBefore(edgeKey(graph.Edge{U: q.U, V: q.V}, ix.n), v)}
+			answers[i] = oracle.Answer{OK: true, Yes: ix.seenBefore(graph.EdgeKey(q.U, q.V), v)}
 		}
 	}
 	r.cur = nil

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"streamcount/internal/graph"
 )
 
 // Spill codec for PrefixIndex: the WATCHIDX file written next to a
@@ -18,7 +20,9 @@ import (
 //
 // Layout (little-endian): 8-byte magic "WATCHIDX", uint32 format version,
 // uint64 vertex-universe size n, uint64 extent, extent*8 bytes of edge
-// keys in stream order, uint32 CRC32C over everything before it.
+// keys in stream order, uint32 CRC32C over everything before it. A key on
+// file is the edge's dense index u·n + v (edgeKey), which the codec converts
+// from and to the graph.EdgeKey the index holds.
 const (
 	spillMagic   = "WATCHIDX"
 	spillVersion = 1
@@ -42,7 +46,7 @@ func (ix *PrefixIndex) EncodeSpill() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ix.keys)))
 	for _, k := range ix.keys {
-		buf = binary.LittleEndian.AppendUint64(buf, k)
+		buf = binary.LittleEndian.AppendUint64(buf, edgeKey(graph.KeyEdge(k), ix.n))
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, spillCRC))
 }
@@ -76,14 +80,14 @@ func DecodeSpill(data []byte) (*PrefixIndex, error) {
 		return nil, fmt.Errorf("%w: %v", ErrSpillCorrupt, err)
 	}
 	for off := spillHeaderSize; off < len(body); off += 8 {
-		// Extend writes only canonical edges (u ≤ v < n): key u·n + v with
-		// u ≥ n, or u > v, is none.
+		// EncodeSpill writes only canonical edges (u ≤ v < n): key u·n + v
+		// with u ≥ n, or u > v, is none.
 		key := binary.LittleEndian.Uint64(body[off : off+8])
 		e := keyEdge(key, n)
 		if e.U > e.V {
 			return nil, fmt.Errorf("%w: key %d is no canonical edge over %d vertices", ErrSpillCorrupt, key, n)
 		}
-		if err := ix.extendKey(e, key); err != nil {
+		if err := ix.extendKey(graph.EdgeKey(e.U, e.V)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSpillCorrupt, err)
 		}
 	}

@@ -80,6 +80,17 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpillFormatPinned: the WATCHIDX v1 bytes of a fixed index do not
+// drift, so spills an older build wrote still load. The index holds
+// graph.EdgeKey keys; the file holds dense indices u·n + v.
+func TestSpillFormatPinned(t *testing.T) {
+	data := spillIndex(t).EncodeSpill()
+	body := data[:len(data)-4] // the CRC of a body and its own trailer is a constant
+	if got, want := crc32.Checksum(body, spillCRC), uint32(0xa3ecd421); len(data) != 4032 || got != want {
+		t.Fatalf("spill of %d bytes with CRC32C %#08x, want 4032 bytes with %#08x", len(data), got, want)
+	}
+}
+
 func TestSpillCodecRejectsCorruption(t *testing.T) {
 	data := spillIndex(t).EncodeSpill()
 	cases := map[string]func() []byte{

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"streamcount/internal/graph"
 	"streamcount/internal/oracle"
 	"streamcount/internal/pool"
 	"streamcount/internal/sketch"
@@ -20,7 +21,7 @@ import (
 //	f2 (degree)        — a counter per queried vertex;
 //	f3 (i-th neighbor) — the same counter: the i-th neighbor is the far
 //	                     endpoint of the update that brings it to i;
-//	f4 (adjacency)     — a boolean per queried pair;
+//	f4 (adjacency)     — a multiplicity per queried pair, in the front end;
 //
 // so a k-round algorithm with q queries runs in k passes and O(q) words of
 // emulation state (O(q log n) bits).
@@ -28,12 +29,13 @@ import (
 // The pass has one owner: the goroutine that calls ConsumeBatch touches all
 // of the round's state, and a round starts no goroutine of its own. The
 // round's query state is two key tables filled at setup — queried vertices
-// and queried packed edge keys, so membership during the pass is table
+// and queried edges' graph.EdgeKey, so membership during the pass is table
 // membership — and flat arrays indexed by their dense indices. A vertex's
 // watches are one run of the watches array, ascending in i, so an incident
 // update costs one increment plus the watches that fire on it, however many
-// are still pending. Every reservoir is a slot of one flat ReservoirBank with
-// a private splitmix64 RNG seeded in query order at setup.
+// are still pending. Every reservoir is a slot of one flat ReservoirBank,
+// holding an update's edge key, with a private splitmix64 RNG seeded in
+// query order at setup.
 //
 // The round front end (key tables, references, batch canonicalization,
 // answers, accounting) and all of this scratch are owned by the runner and
@@ -78,13 +80,14 @@ func (r *InsertionRunner) ConsumeBatch(batch []stream.Update) error {
 	}
 	r.bank.OfferKeysRange(0, r.bank.Len(), r.keys)
 	if len(r.vs) > 0 {
-		for _, e := range r.edges {
+		for _, key := range r.keys {
 			// Both endpoints are touched even for a self-loop, which thus
 			// counts twice towards its vertex's degree and neighbor order.
-			if v := r.verts.find(uint64(e.U)); v >= 0 {
+			e := graph.KeyEdge(key)
+			if v := r.verts.Find(uint64(e.U)); v >= 0 {
 				r.incident(v, e.V)
 			}
-			if v := r.verts.find(uint64(e.V)); v >= 0 {
+			if v := r.verts.Find(uint64(e.V)); v >= 0 {
 				r.incident(v, e.U)
 			}
 		}
@@ -188,7 +191,7 @@ func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
 	if err := r.admit(queries); err != nil {
 		return err
 	}
-	r.vs = zeroed(r.vs, r.verts.n)
+	r.vs = zeroed(r.vs, r.verts.Len())
 	r.watches = r.watches[:0]
 	r.bank.Reset(r.kinds[oracle.RandomEdge])
 	r.resQuery = r.resQuery[:0]
@@ -285,7 +288,7 @@ func (r *InsertionRunner) EndRound() ([]oracle.Answer, error) {
 	}
 	for slot, qi := range r.resQuery {
 		if key, ok := r.bank.Sample(slot); ok {
-			answers[qi] = oracle.Answer{OK: true, Edge: keyEdge(key, r.n)}
+			answers[qi] = oracle.Answer{OK: true, Edge: graph.KeyEdge(key)}
 		} else {
 			answers[qi] = oracle.Answer{OK: false}
 		}

@@ -378,42 +378,6 @@ func TestWatchRunPlacement(t *testing.T) {
 	}
 }
 
-// TestKeyTable drives one table through several doublings and a reuse.
-func TestKeyTable(t *testing.T) {
-	var tab keyTable
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 3; round++ {
-		tab.reset()
-		want := map[uint64]int32{}
-		for len(want) < 3000>>round {
-			key := rng.Uint64() >> uint(rng.Intn(64)) // all magnitudes, 0 included
-			if _, ok := want[key]; !ok {
-				want[key] = int32(len(want))
-			}
-			if got := tab.insert(key); got != want[key] {
-				t.Fatalf("round %d: insert(%#x) = %d, want %d", round, key, got, want[key])
-			}
-		}
-		if round == 0 && len(tab.slots) < 2*len(want) {
-			t.Fatalf("%d slots hold %d keys: load above 1/2", len(tab.slots), len(want))
-		}
-		for key, idx := range want {
-			if got := tab.find(key); got != idx {
-				t.Fatalf("round %d: find(%#x) = %d, want %d", round, key, got, idx)
-			}
-		}
-		for probe := 0; probe < 1000; probe++ {
-			key := rng.Uint64()
-			if _, ok := want[key]; !ok && tab.find(key) != -1 {
-				t.Fatalf("round %d: find(%#x) hit an absent key", round, key)
-			}
-		}
-		if round == 1 {
-			tab.dirty()
-		}
-	}
-}
-
 // hugeUniverse is an empty stream over more vertices than a packed edge key
 // can tell apart.
 type hugeUniverse struct{ *stream.Slice }

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"streamcount/internal/graph"
+	"streamcount/internal/keytab"
 	"streamcount/internal/oracle"
 	"streamcount/internal/pool"
 	"streamcount/internal/stream"
@@ -20,9 +21,10 @@ import (
 // cannot answer and charging each admitted query its words — and, for the
 // streaming runners, registers every queried vertex and packed edge key in
 // the verts and pairs key tables, recording per query its dense index in
-// refs. It canonicalizes each update batch into edges, packed keys and
-// signed deltas, keeps the edge count and each queried pair's multiplicity,
-// and owns the answer buffer and the Rounds/Queries/SpaceWords accounting.
+// refs. It canonicalizes each update batch into packed edge keys
+// (graph.EdgeKey) and signed deltas, keeps the edge count and each queried
+// pair's multiplicity, and owns the answer buffer and the
+// Rounds/Queries/SpaceWords accounting.
 //
 // The runners embed it and keep only what their model answers from:
 // InsertionRunner a reservoir bank and watch runs, TurnstileRunner
@@ -46,20 +48,18 @@ type round struct {
 
 	// Scratch reused across rounds (and, via the runner pools, across
 	// engine generations).
-	refs    []int32  // query index -> dense index of its vertex or pair
-	verts   keyTable // queried vertex -> dense index
-	pairs   keyTable // queried packed edge key -> index into mult
-	mult    []int64  // signed multiplicity of each queried pair
-	edges   []graph.Edge
-	keys    []uint64
+	refs    []int32      // query index -> dense index of its vertex or pair
+	verts   keytab.Table // queried vertex -> dense index
+	pairs   keytab.Table // queried packed edge key -> index into mult
+	mult    []int64      // signed multiplicity of each queried pair
+	keys    []uint64     // the batch's packed edge keys
 	deltas  []int64
 	answers []oracle.Answer // the last round's answers, the caller's until the next round
 }
 
 // maxVertices bounds the vertex universe of every runner and index in this
-// package: a packed edge key is u·n + v in a uint64, which is injective only
-// while n ≤ 2³².
-const maxVertices = 1 << 32
+// package: a packed edge key holds each endpoint in 32 bits.
+const maxVertices = graph.MaxVertices
 
 func checkUniverse(n int64) error {
 	if n > maxVertices {
@@ -109,8 +109,8 @@ func (r *round) admit(queries []oracle.Query) error {
 	r.queries += int64(len(queries))
 	r.cur, r.m, r.kinds = queries, 0, [oracle.Adjacent + 1]int{}
 	if r.keyed {
-		r.verts.reset()
-		r.pairs.reset()
+		r.verts.Reset()
+		r.pairs.Reset()
 		r.refs = slices.Grow(r.refs[:0], len(queries))[:len(queries)] // written for vertex and pair queries
 	}
 	for i, q := range queries {
@@ -127,11 +127,11 @@ func (r *round) admit(queries []oracle.Query) error {
 			fallthrough
 		case oracle.Degree:
 			if r.keyed {
-				r.refs[i] = r.verts.insert(uint64(q.U))
+				r.refs[i] = r.verts.Insert(uint64(q.U))
 			}
 		case oracle.Adjacent:
 			if r.keyed {
-				r.refs[i] = r.pairs.insert(edgeKey(graph.Edge{U: q.U, V: q.V}, r.n))
+				r.refs[i] = r.pairs.Insert(graph.EdgeKey(q.U, q.V))
 			}
 		default:
 			return fmt.Errorf("transform: unknown query type %d", q.Type)
@@ -139,7 +139,7 @@ func (r *round) admit(queries []oracle.Query) error {
 		r.kinds[q.Type]++
 		r.space += words
 	}
-	r.mult = zeroed(r.mult, r.pairs.n)
+	r.mult = zeroed(r.mult, r.pairs.Len())
 	return nil
 }
 
@@ -157,9 +157,8 @@ func (r *round) admitNeighbor(q oracle.Query) error {
 	return nil
 }
 
-// canon canonicalizes one update batch into edges[i], the canonical edge of
-// the i-th update, and keys[i], its packed key, and moves m and the queried
-// pairs' multiplicities. The batch is read by model, chosen once per batch:
+// canon canonicalizes one update batch into keys[i], the packed key of the
+// i-th update's edge, and moves m and the queried pairs' multiplicities. The batch is read by model, chosen once per batch:
 // an augmented round refuses a deletion before it reads anything else and
 // counts every update as +1, a relaxed one fills deltas[i] with the
 // update's sign.
@@ -181,15 +180,13 @@ func (r *round) canon(batch []stream.Update) error {
 			r.m += r.deltas[i]
 		}
 	}
-	r.edges = slices.Grow(r.edges[:0], len(batch))[:len(batch)]
 	r.keys = slices.Grow(r.keys[:0], len(batch))[:len(batch)]
 	for i, u := range batch {
-		e := u.Edge.Canon()
-		r.edges[i], r.keys[i] = e, edgeKey(e, r.n)
+		r.keys[i] = graph.EdgeKey(u.Edge.U, u.Edge.V)
 	}
 	if len(r.mult) > 0 {
 		for i, key := range r.keys {
-			if k := r.pairs.find(key); k >= 0 {
+			if k := r.pairs.Find(key); k >= 0 {
 				if r.model == oracle.Augmented {
 					r.mult[k]++
 				} else {
@@ -223,9 +220,8 @@ func (r *round) answerBuf() []oracle.Answer {
 // dirty smears the front end's scratch with sentinels (DESIGN.md §12).
 func (r *round) dirty() {
 	pool.Dirty(r.refs, 0x5a5a5a)
-	r.verts.dirty()
-	r.pairs.dirty()
-	pool.Dirty(r.edges, graph.Edge{U: -0x5a5a5a, V: -0x5a5a5a})
+	r.verts.Dirty()
+	r.pairs.Dirty()
 	pool.DirtyUint64(r.keys)
 	pool.DirtyInt64(r.deltas)
 	pool.DirtyInt64(r.mult)
@@ -273,9 +269,10 @@ func replay(ctx context.Context, r passRunner, st stream.Stream, queries []oracl
 	return r.EndRound()
 }
 
-// edgeKey encodes a canonical edge as a single integer key in [0, n^2); the
-// constructors bound n by maxVertices so that distinct edges get distinct
-// keys.
+// edgeKey is the dense index u·n + v of canonical edge (u, v), in [0, n²):
+// the key of the turnstile edge feed, whose ℓ0-samplers sum keys in an int64,
+// and of the WATCHIDX spill format. Everywhere else an edge is its
+// graph.EdgeKey.
 func edgeKey(e graph.Edge, n int64) uint64 {
 	c := e.Canon()
 	return uint64(c.U)*uint64(n) + uint64(c.V)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 
+	"streamcount/internal/graph"
+	"streamcount/internal/keytab"
 	"streamcount/internal/oracle"
 	"streamcount/internal/par"
 	"streamcount/internal/pool"
@@ -63,7 +65,7 @@ type TurnstileRunner struct {
 	// engine generations).
 	samplers     []roundSampler      // the round's samplers, in query order
 	vs           []turnVertex        // per queried vertex, beside verts
-	net          keyTable            // netFeed's key -> position in the netted feed
+	net          keytab.Table        // netFeed's key -> position in the netted feed
 	freeSamplers []*sketch.L0Sampler // retired samplers awaiting Reseed
 	edgeFeed     []sketch.FeedEntry
 	scratch      []sketch.L0Scratch // UpdateFeed/SampleFeed working memory, one per worker
@@ -75,8 +77,9 @@ type TurnstileRunner struct {
 const feedBlock = 4 * stream.DefaultBatchSize
 
 // maxTurnstileVertices is ⌊√2⁶³⌋: an ℓ0-sampler cell sums its keys in an
-// int64 and recovers none that reads negative, so a packed edge key — at most
-// n²−1 — must stay below 2⁶³ or the edge can never be sampled.
+// int64 and recovers none that reads negative, so an edge's dense index
+// u·n + v — at most n²−1 — must stay below 2⁶³ or the edge can never be
+// sampled.
 const maxTurnstileVertices = 3037000499
 
 // roundSampler is one f1 or f3 query of the round: the sampler that answers
@@ -108,24 +111,26 @@ func (v *turnVertex) incident(other, delta int64) {
 // degrees move, neighbor feeds and the edge feed grow.
 func (r *TurnstileRunner) process() {
 	if len(r.vs) > 0 {
-		for i, e := range r.edges {
-			if v := r.verts.find(uint64(e.U)); v >= 0 {
+		for i, key := range r.keys {
+			e := graph.KeyEdge(key)
+			if v := r.verts.Find(uint64(e.U)); v >= 0 {
 				r.vs[v].incident(e.V, r.deltas[i])
 			}
-			if v := r.verts.find(uint64(e.V)); v >= 0 {
+			if v := r.verts.Find(uint64(e.V)); v >= 0 {
 				r.vs[v].incident(e.U, r.deltas[i])
 			}
 		}
 	}
 	// The edge-matrix feed buffer doubles as it grows, but never past the
-	// one block it can be asked to hold.
+	// one block it can be asked to hold. Its keys are dense indices u·n + v,
+	// which the samplers' int64 key sums need below 2⁶³.
 	if r.kinds[oracle.RandomEdge] > 0 {
 		if need := len(r.edgeFeed) + len(r.keys); need > cap(r.edgeFeed) {
 			grown := make([]sketch.FeedEntry, 0, min(max(need, 2*cap(r.edgeFeed)), feedBlock))
 			r.edgeFeed = append(grown, r.edgeFeed...)
 		}
 		for i, key := range r.keys {
-			r.edgeFeed = append(r.edgeFeed, sketch.FeedEntry{Key: key, Delta: r.deltas[i]})
+			r.edgeFeed = append(r.edgeFeed, sketch.FeedEntry{Key: edgeKey(graph.KeyEdge(key), r.n), Delta: r.deltas[i]})
 		}
 	}
 }
@@ -139,10 +144,10 @@ func (r *TurnstileRunner) netFeed(feed []sketch.FeedEntry) []sketch.FeedEntry {
 	if len(feed) < 2 {
 		return feed
 	}
-	r.net.resetFor(len(feed))
+	r.net.ResetFor(len(feed))
 	n := 0
 	for _, e := range feed {
-		if k := int(r.net.insert(e.Key)); k < n {
+		if k := int(r.net.Insert(e.Key)); k < n {
 			feed[k].Delta += e.Delta
 		} else {
 			feed[n] = e
@@ -168,7 +173,7 @@ func dirtyTurnRunner(r *TurnstileRunner) {
 	}
 	smearFeed(r.edgeFeed)
 	pool.Dirty(r.samplers, roundSampler{query: 0x5a5a5a, vert: 0x5a5a5a})
-	r.net.dirty()
+	r.net.Dirty()
 	for i := range r.vs[:cap(r.vs)] {
 		v := &r.vs[:cap(r.vs)][i]
 		smearFeed(v.feed)
@@ -342,7 +347,7 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 		return err
 	}
 	r.curBuffered = 0
-	r.vs = slices.Grow(r.vs[:0], r.verts.n)[:r.verts.n]
+	r.vs = slices.Grow(r.vs[:0], r.verts.Len())[:r.verts.Len()]
 	for i := range r.vs {
 		r.vs[i] = turnVertex{feed: r.vs[i].feed[:0]} // the feed buffer an earlier round left here
 	}
