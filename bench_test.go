@@ -1,9 +1,9 @@
 package streamcount_test
 
-// One benchmark per experiment in DESIGN.md §5 (each computes the text
-// table cmd/experiments prints for it), plus micro-benchmarks for the
-// substrates. Experiment benches compute one full table per iteration; run
-// them with -benchtime=1x for a single table.
+// Benchmarks for the substrates, the FGP and ERS passes, the session engine,
+// the daemon and the stream backends; cmd/bench runs them and gates
+// BENCH_core.json. The paper's claims are asserted, not timed, by the
+// Contract tests in contract_test.go.
 
 import (
 	"bytes"
@@ -28,7 +28,6 @@ import (
 	"streamcount/internal/core"
 	"streamcount/internal/ers"
 	"streamcount/internal/exact"
-	"streamcount/internal/experiments"
 	"streamcount/internal/fgp"
 	"streamcount/internal/gen"
 	"streamcount/internal/graph"
@@ -42,31 +41,6 @@ import (
 )
 
 //lint:file-ignore SA1019 the session benchmarks keep the deprecated one-shot path as the baseline the engine is measured against.
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, 2022, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExp01SpaceComparison(b *testing.B)      { benchExperiment(b, "E01") }
-func BenchmarkExp02SamplerUniformity(b *testing.B)    { benchExperiment(b, "E02") }
-func BenchmarkExp03ErrorVsInstances(b *testing.B)     { benchExperiment(b, "E03") }
-func BenchmarkExp04Turnstile(b *testing.B)            { benchExperiment(b, "E04") }
-func BenchmarkExp05PatternSweep(b *testing.B)         { benchExperiment(b, "E05") }
-func BenchmarkExp06DegeneracyScaling(b *testing.B)    { benchExperiment(b, "E06") }
-func BenchmarkExp07ERSAccuracy(b *testing.B)          { benchExperiment(b, "E07") }
-func BenchmarkExp08PassCounts(b *testing.B)           { benchExperiment(b, "E08") }
-func BenchmarkExp09L0Sampler(b *testing.B)            { benchExperiment(b, "E09") }
-func BenchmarkExp10Baselines(b *testing.B)            { benchExperiment(b, "E10") }
-func BenchmarkExp11MultiplicityAblation(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkExp12L0ConfigAblation(b *testing.B)     { benchExperiment(b, "E12") }
-func BenchmarkExp13SessionSharedReplay(b *testing.B)  { benchExperiment(b, "E13") }
-
-// --- micro-benchmarks ---
 
 func BenchmarkL0Update(b *testing.B) {
 	s := sketch.NewL0Sampler(1, sketch.L0Config{})

@@ -90,8 +90,9 @@ type CountResult struct {
 }
 
 // TrialsFor returns the Theorem 17/1 instance count c·(2m)^ρ/(ε²·L),
-// with the paper's ln n amplification replaced by a constant (experiments
-// report the constant they use; c = 3 here).
+// with the paper's ln n amplification replaced by the constant c = 3: by
+// Chebyshev, a run at L = #H then misses by more than ε·#H with probability
+// at most 1/3, the rate the Contract tests hold it to.
 func TrialsFor(m int64, rho float64, eps, lowerBound float64) int {
 	if m <= 0 || lowerBound <= 0 {
 		return 1

@@ -103,8 +103,7 @@ func factorial(k int) float64 {
 
 // PaperTauC returns the paper's τ constant r^{4r}/(β^r·γ²) with β = 1/(6r)
 // and γ = ε/(8r·r!) (Algorithm 2). It is astronomically large for any
-// practical run and is provided for documentation and the space-formula
-// experiments.
+// practical run and is provided for documentation.
 func PaperTauC(r int, eps float64) float64 {
 	beta := 1.0 / (6 * float64(r))
 	gamma := eps / (8 * float64(r) * factorial(r))

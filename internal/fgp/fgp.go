@@ -67,12 +67,6 @@ func NewPlan(p *pattern.Pattern) (*Plan, error) {
 	return pl, nil
 }
 
-// Pattern returns the plan's pattern.
-func (pl *Plan) Pattern() *pattern.Pattern { return pl.p }
-
-// Decomposition returns the plan's decomposition.
-func (pl *Plan) Decomposition() pattern.Decomposition { return pl.dec }
-
 // TupleCount returns f_T(H).
 func (pl *Plan) TupleCount() int64 { return pl.fT }
 

@@ -72,16 +72,6 @@ func New(n int64) *Graph {
 	return &Graph{n: n, adj: make([][]int64, n)}
 }
 
-// FromEdges builds a graph on n vertices from the given edge list. Duplicate
-// edges and self-loops are ignored.
-func FromEdges(n int64, edges []Edge) *Graph {
-	g := New(n)
-	for _, e := range edges {
-		g.AddEdge(e.U, e.V)
-	}
-	return g
-}
-
 // N returns the number of vertices.
 func (g *Graph) N() int64 { return g.n }
 

@@ -1,6 +1,6 @@
 // Package par provides the tiny deterministic-parallelism substrate shared
-// by the turnstile sampler stages (internal/transform), the FGP trial
-// pipeline (internal/fgp) and the experiments harness: bounded worker fan-out
+// by the turnstile sampler stages (internal/transform) and the FGP trial
+// pipeline (internal/fgp): bounded worker fan-out
 // whose work assignment never influences results. Callers keep determinism
 // by giving each unit of work its own state (its own RNG, its own sampler)
 // and by merging results in index order, so any worker count — 1, 4,

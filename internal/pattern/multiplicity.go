@@ -126,28 +126,6 @@ func forEachSubsetOfSize(set, k int, fn func(sub int)) {
 	rec(set, 0, k)
 }
 
-// CopiesDecomposedBy counts the distinct copies of pattern p on the full
-// vertex set {0..p.N()-1} of the host adjacency adj such that every tuple
-// edge belongs to the copy. A "copy" is a subgraph isomorphic to p (an edge
-// set). This is the |D(t)| quantity of the multiplicity correction described
-// in DESIGN.md: a sampled decomposition tuple t witnesses copy X iff
-// E(t) ⊆ E(X) and t's parts partition V(X).
-func CopiesDecomposedBy(p *Pattern, adj func(a, b int) bool, tupleEdges [][2]int) int64 {
-	n := p.n
-	var tupleKey uint64
-	for _, e := range tupleEdges {
-		tupleKey |= pairBit(e[0], e[1], n)
-	}
-	copies := enumerateCopies(p, adj)
-	var count int64
-	for key := range copies {
-		if key&tupleKey == tupleKey {
-			count++
-		}
-	}
-	return count
-}
-
 // enumerateCopies returns the distinct edge-set keys of all copies of p on
 // the full host vertex set {0..p.N()-1} under adjacency adj.
 func enumerateCopies(p *Pattern, adj func(a, b int) bool) map[uint64]bool {

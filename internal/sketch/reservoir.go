@@ -103,6 +103,3 @@ func (r *Reservoir) Sample() (uint64, bool) {
 
 // Count returns the number of items offered.
 func (r *Reservoir) Count() int64 { return r.count }
-
-// SpaceWords returns the approximate space usage in 64-bit words.
-func (r *Reservoir) SpaceWords() int64 { return 2 }

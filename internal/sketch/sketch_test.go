@@ -165,31 +165,48 @@ func TestL0SamplerSuccessRate(t *testing.T) {
 }
 
 func TestL0SamplerUniformity(t *testing.T) {
-	// Lemma 7: conditioned on success, each support element should appear
-	// with probability 1/N ± o(1). Chi-squared-ish tolerance check.
+	// Lemma 7: a sampler succeeds with probability ≥ 1 − δ and, conditioned
+	// on success, returns each support element with probability 1/N. Each
+	// support runs at least 20 trials per element, and the χ² statistic of
+	// the sampled keys must stay under its 99.9 % quantile at N − 1 degrees
+	// of freedom.
 	rng := rand.New(rand.NewSource(3))
-	const support = 8
-	const trials = 8000
-	counts := make(map[uint64]int)
-	succ := 0
-	for tr := 0; tr < trials; tr++ {
-		s := NewL0Sampler(rng.Uint64(), L0Config{})
-		for k := uint64(0); k < support; k++ {
-			s.Update(k*911+13, 1)
+	for _, c := range []struct {
+		support, trials int
+		chi2Crit        float64
+	}{
+		{8, 8000, 24.32},
+		{100, 2000, 148.23},
+		{400, 8000, 492.02},
+	} {
+		counts := make(map[uint64]int)
+		succ := 0
+		for tr := 0; tr < c.trials; tr++ {
+			s := NewL0Sampler(rng.Uint64(), L0Config{})
+			for k := uint64(0); k < uint64(c.support); k++ {
+				s.Update(k*911+13, 1)
+			}
+			if k, ok := s.Sample(); ok {
+				counts[k]++
+				succ++
+			}
 		}
-		if k, ok := s.Sample(); ok {
-			counts[k]++
-			succ++
+		if succ < c.trials*95/100 {
+			t.Fatalf("support %d: success rate %d/%d too low", c.support, succ, c.trials)
 		}
-	}
-	if succ < trials*95/100 {
-		t.Fatalf("success rate %d/%d too low", succ, trials)
-	}
-	want := float64(succ) / support
-	for k := uint64(0); k < support; k++ {
-		c := counts[k*911+13]
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("key %d sampled %d times, want ~%.0f", k, c, want)
+		want := float64(succ) / float64(c.support)
+		chi2, inSupport := 0.0, 0
+		for k := uint64(0); k < uint64(c.support); k++ {
+			n := counts[k*911+13]
+			inSupport += n
+			chi2 += (float64(n) - want) * (float64(n) - want) / want
+		}
+		t.Logf("support %d: success %d/%d, χ² %.1f (99.9%% quantile %.2f)", c.support, succ, c.trials, chi2, c.chi2Crit)
+		if inSupport != succ {
+			t.Errorf("support %d: %d of %d samples are keys outside the support", c.support, succ-inSupport, succ)
+		}
+		if chi2 > c.chi2Crit {
+			t.Errorf("support %d: χ² = %.1f over %d samples exceeds the 99.9%% quantile %.2f", c.support, chi2, succ, c.chi2Crit)
 		}
 	}
 }

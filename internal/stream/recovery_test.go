@@ -579,6 +579,91 @@ func TestShortWriteCrashTruncates(t *testing.T) {
 	b.Close()
 }
 
+// TestSyncFaultRecoversAcknowledgedPrefix arms one failing fsync on each
+// path that fsyncs: the tail under Sync, a full segment's seal, and Seal.
+// The call that hit it must fail with the injected error and acknowledge
+// nothing — no manifest watermark over the segment, no frozen log — and
+// after Heal the same path retries, and OpenAppendable recovers exactly the
+// acknowledged log.
+func TestSyncFaultRecoversAcknowledgedPrefix(t *testing.T) {
+	all := mkUpdates(32, 8, 81)
+	for _, c := range []struct {
+		name string
+		opts AppendableOptions
+		// fail is the call the armed fsync breaks; retry is the same path
+		// after Heal. Each returns the log version it acknowledges.
+		fail, retry func(a *Appendable) (int64, error)
+	}{
+		{
+			name:  "tail",
+			opts:  AppendableOptions{SegmentSize: 64, Sync: true},
+			fail:  func(a *Appendable) (int64, error) { return a.Append(all[2:5]) },
+			retry: func(a *Appendable) (int64, error) { return a.Append(all[5:8]) },
+		},
+		{
+			name:  "segment seal",
+			opts:  AppendableOptions{SegmentSize: 4},
+			fail:  func(a *Appendable) (int64, error) { return a.Append(all[2:6]) },
+			retry: func(a *Appendable) (int64, error) { return a.Append(all[6:8]) },
+		},
+		{
+			name: "Seal",
+			opts: AppendableOptions{SegmentSize: 64},
+			fail: func(a *Appendable) (int64, error) {
+				if v, err := a.Append(all[2:8]); err != nil {
+					return v, err
+				}
+				return a.Version(), a.Seal()
+			},
+			retry: func(a *Appendable) (int64, error) { return a.Version(), a.Seal() },
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := NewFaultFS(nil)
+			c.opts.Dir, c.opts.FS = dir, ffs
+			a, err := NewAppendable(32, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked, err := a.Append(all[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs.FailSyncs(1, nil)
+			if _, err := c.fail(a); !errors.Is(err, ErrFaultInjected) {
+				t.Fatalf("call with a failing fsync: %v, want ErrFaultInjected", err)
+			}
+			if a.Sealed() {
+				t.Fatal("a Seal whose fsync failed froze the log")
+			}
+			if m, err := readManifest(osFS{}, dir); err != nil {
+				t.Fatal(err)
+			} else if m.Version > acked {
+				t.Fatalf("manifest watermark %d covers records past the acknowledged %d", m.Version, acked)
+			}
+			ffs.Heal()
+			if acked, err = c.retry(a); err != nil {
+				t.Fatalf("retry after heal: %v", err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b, err := OpenAppendable(dir, AppendableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if b.Version() != acked {
+				t.Fatalf("recovered version %d, want the acknowledged %d", b.Version(), acked)
+			}
+			if got := collectView(t, b.Snapshot()); !reflect.DeepEqual(got, all[:acked]) {
+				t.Fatal("recovered replay differs from the acknowledged log")
+			}
+		})
+	}
+}
+
 func TestWriteSegmentUnwritableDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "missing")
 	err := writeSegment(osFS{}, filepath.Join(dir, "seg-test.bin"), mkUpdates(8, 3, 71))

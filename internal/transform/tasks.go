@@ -108,14 +108,6 @@ func Run(r oracle.Runner, tasks ...Task) (rounds int64, err error) {
 	return rounds, nil
 }
 
-// FuncTask adapts a step function to the Task interface.
-type FuncTask func(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool)
-
-// Step implements Task.
-func (f FuncTask) Step(prev []oracle.Answer, dst []oracle.Query) ([]oracle.Query, bool) {
-	return f(prev, dst)
-}
-
 // StagesTask builds a Task from a fixed sequence of stages. Stage i receives
 // the answers to stage i-1's queries (nil for stage 0) and returns stage
 // i's queries. A stage returning an empty batch terminates the task (so the

@@ -196,15 +196,7 @@ func defaultL0Config(n int64) sketch.L0Config {
 // The turnstile constructors return no error, so a stream over more than
 // maxVertices vertices is rejected by the first BeginRound instead.
 func NewTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
-	return NewTurnstileRunnerConfig(st, rng, defaultL0Config(st.N()))
-}
-
-// NewTurnstileRunnerConfig is NewTurnstileRunner with an explicit
-// ℓ0-sampler configuration. Smaller configurations save space but raise the
-// sampler failure probability, which biases estimators downward (failed
-// trials contribute zero); the E12 ablation quantifies the trade-off.
-func NewTurnstileRunnerConfig(st stream.Stream, rng *rand.Rand, cfg sketch.L0Config) *TurnstileRunner {
-	return newTurnstileRunner().bindTo(st, rng, cfg)
+	return newTurnstileRunner().bindTo(st, rng, defaultL0Config(st.N()))
 }
 
 // AcquireTurnstileRunner is NewTurnstileRunner over a process-wide runner

@@ -135,7 +135,7 @@ func ExactCount(g *Graph, p *Pattern) int64 { return exact.Count(g, p) }
 // Degeneracy returns the degeneracy λ of g and a degeneracy ordering.
 func Degeneracy(g *Graph) (int64, []int64) { return graph.Degeneracy(g) }
 
-// Generators re-exported for examples and experiments.
+// Generators re-exported for examples and tests.
 
 // ErdosRenyi returns a uniform graph with n vertices and m edges.
 func ErdosRenyi(rng *rand.Rand, n, m int64) *Graph { return gen.ErdosRenyiGNM(rng, n, m) }
