@@ -227,9 +227,9 @@ func BenchmarkFGPTurnstilePass(b *testing.B)           { benchFGPTurnstile(b, 0)
 func BenchmarkFGPTurnstilePassSequential(b *testing.B) { benchFGPTurnstile(b, 1) }
 
 // sessionBenchWorkload is a shared workload for the session benchmarks: K
-// triangle-counting jobs over one 50k-update stream replayed from disk —
-// the regime the session engine exists for, where every pass is real I/O
-// and parsing. K sequential jobs cost 3K file replays; one session costs 3.
+// triangle-counting jobs over one 50k-update stream replayed from its disk
+// spill — the regime the session engine exists for, where every pass is real
+// I/O and decoding. K sequential jobs cost 3K file replays; one session costs 3.
 func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []core.Config) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -599,11 +599,9 @@ func BenchmarkStreamPassThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPassFile measures one replay of a file-backed stream — the
-// insert-count workload's 100k-line file, edges in random order — from the
-// block read to the parsed update batches. The read buffer and the batch come from a pool, so a pass
-// allocates only what opening the file does.
-func BenchmarkStreamPassFile(b *testing.B) {
+// benchStreamFile writes the insert-count workload's 100k-line file, edges in
+// random order, and returns its path and size.
+func benchStreamFile(b *testing.B) (string, int64) {
 	rng := rand.New(rand.NewSource(6))
 	path := filepath.Join(b.TempDir(), "stream.txt")
 	if err := stream.WriteFile(path, stream.Shuffled(stream.FromGraph(gen.ErdosRenyiGNM(rng, 2000, 100000)), rng)); err != nil {
@@ -613,11 +611,35 @@ func BenchmarkStreamPassFile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return path, info.Size()
+}
+
+// BenchmarkOpenFile measures opening a file-backed stream: the one scan that
+// parses and validates the 100k-line file, and the spill of packed blocks it
+// writes for the passes to replay.
+func BenchmarkOpenFile(b *testing.B) {
+	path, size := benchStreamFile(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stream.OpenFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStreamPassFile measures one replay of a file-backed stream over
+// the same file: its spill read block by block, each block's checksum checked
+// and its packed keys decoded into the update batches. The read buffer and
+// the batch come from a pool, so a pass allocates nothing.
+func BenchmarkStreamPassFile(b *testing.B) {
+	path, size := benchStreamFile(b)
 	st, err := stream.OpenFile(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(info.Size())
+	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

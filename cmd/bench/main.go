@@ -64,7 +64,7 @@ import (
 // coreSet selects the substrate, pass-engine and session benchmarks; the
 // Exp* experiment benchmarks regenerate whole report tables and are too
 // slow for a default run.
-const coreSet = "BenchmarkStreamPass|BenchmarkFGP|BenchmarkERS|BenchmarkInsertionRound|BenchmarkSession|BenchmarkEngine|BenchmarkServer|BenchmarkCluster|BenchmarkL0|BenchmarkReservoir|BenchmarkExact|BenchmarkDegeneracy|BenchmarkDecompose"
+const coreSet = "BenchmarkStreamPass|BenchmarkOpenFile|BenchmarkFGP|BenchmarkERS|BenchmarkInsertionRound|BenchmarkSession|BenchmarkEngine|BenchmarkServer|BenchmarkCluster|BenchmarkL0|BenchmarkReservoir|BenchmarkExact|BenchmarkDegeneracy|BenchmarkDecompose"
 
 // Measurement is one benchmark result.
 type Measurement struct {

@@ -447,8 +447,10 @@ func runCliques(ctx context.Context, st streamcount.Stream, o options) bool {
 
 func readStream(path string, updateFormat bool) (streamcount.Stream, error) {
 	if updateFormat {
-		// File-backed streams are replayed from disk on every pass, so
-		// update streams larger than memory still work.
+		// File-backed streams are parsed once; every pass replays their
+		// binary spill under $TMPDIR (8 B + 1 bit per update, which is RAM
+		// when /tmp is tmpfs), so a stream larger than memory needs a
+		// $TMPDIR on disk.
 		return stream.OpenFile(path)
 	}
 	f, err := os.Open(path)

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -904,6 +905,68 @@ func decodeRecord(rec []byte) (Update, bool) {
 		},
 		Op: Op(int8(rec[16])),
 	}, true
+}
+
+// A packed block holds one batch of at most DefaultBatchSize updates: its
+// count (uint32), a CRC32C of the rest, an op bitmap (bit i set: update i is
+// a deletion; spare bits zero), then each update as the uint64 u<<32 | v in
+// the orientation it was written, all little-endian. A block's size follows
+// from its count, so a run of full blocks needs no offset table.
+const packedHeaderSize = 8
+
+// packedBlockSize returns the size of a block of count updates.
+func packedBlockSize(count int) int { return packedHeaderSize + (count+7)/8 + 8*count }
+
+// appendPackedBlock encodes batch as one block onto buf. Its endpoints must
+// lie in [0, graph.MaxVertices).
+func appendPackedBlock(buf []byte, batch []Update) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(batch))) // the count, and the checksum's place
+	ops := len(buf)
+	buf = append(buf, make([]byte, (len(batch)+7)/8)...)
+	for i, u := range batch {
+		if u.Op == Delete {
+			buf[ops+i/8] |= 1 << (i % 8)
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Edge.U)<<32|uint64(u.Edge.V))
+	}
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[ops:], crcTable))
+	return buf
+}
+
+// decodePackedBlock decodes the block that b starts with into batch, whose
+// backing array it reuses, and returns the batch and the block's size. A
+// count over DefaultBatchSize, a block longer than b, a checksum mismatch or
+// a set spare bit is an error wrapping ErrSpillCorrupt, and no update is
+// decoded.
+func decodePackedBlock(b []byte, batch []Update) ([]Update, int, error) {
+	if len(b) < packedHeaderSize {
+		return batch[:0], 0, fmt.Errorf("%d bytes hold no block header: %w", len(b), ErrSpillCorrupt)
+	}
+	count := int(binary.LittleEndian.Uint32(b))
+	if count > DefaultBatchSize {
+		return batch[:0], 0, fmt.Errorf("count %d is over %d: %w", count, DefaultBatchSize, ErrSpillCorrupt)
+	}
+	size := packedBlockSize(count)
+	if len(b) < size {
+		return batch[:0], 0, fmt.Errorf("%d updates need %d bytes, have %d: %w", count, size, len(b), ErrSpillCorrupt)
+	}
+	ops, keys := b[packedHeaderSize:size-8*count], b[size-8*count:size]
+	if got, want := crc32.Checksum(b[packedHeaderSize:size], crcTable), binary.LittleEndian.Uint32(b[4:]); got != want {
+		return batch[:0], 0, fmt.Errorf("checksum %08x, want %08x: %w", got, want, ErrSpillCorrupt)
+	}
+	if count%8 != 0 && ops[len(ops)-1]>>(count%8) != 0 {
+		return batch[:0], 0, fmt.Errorf("op bitmap sets a spare bit: %w", ErrSpillCorrupt)
+	}
+	batch = slices.Grow(batch[:0], count)[:count]
+	for i := range batch {
+		op := Insert
+		if ops[i/8]>>(i%8)&1 != 0 {
+			op = Delete
+		}
+		batch[i] = Update{Edge: graph.KeyEdge(binary.LittleEndian.Uint64(keys[8*i:])), Op: op}
+	}
+	return batch, size, nil
 }
 
 // writeRecords writes mem's records from *durable onward at their exact

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -13,34 +14,59 @@ import (
 	"streamcount/internal/pool"
 )
 
-// File is a Stream replayed from a file on every pass, so multi-pass
-// algorithms can process streams that do not fit in memory. The format is
-// the one cmd/streamcount reads: a header line "n" followed by update lines
-// "+ u v" or "- u v"; blank lines and '#' comments are ignored.
+// File is a Stream read from a text file once and replayed from a binary
+// spill on every pass, so multi-pass algorithms can process streams that do
+// not fit in memory. The format is the one cmd/streamcount reads: a header
+// line "n" (at most graph.MaxVertices) followed by update lines "+ u v" or
+// "- u v"; blank lines and '#' comments are ignored.
 //
-// A File is immutable once opened, so any number of goroutines may replay it
-// at once. A replay that finds a different header or update count than
-// OpenFile validated fails: the file changed under a multi-pass algorithm.
+// OpenFile parses the text and writes each parsed batch as one packed block
+// to a spill file under $TMPDIR, unlinked at once so that nothing is left
+// behind, even after a crash. The spill costs 8 B + 1 bit per update of temp
+// disk, which is RAM when /tmp is tmpfs, until the File is garbage-collected
+// and its descriptor closed. A File is immutable once opened: every pass
+// replays exactly the opened sequence, whatever happens to the text file
+// afterwards, and any number of goroutines may replay it at once.
 type File struct {
 	path    string
+	spill   *os.File
 	n       int64
 	length  int64
 	inserts bool
 }
 
-// OpenFile validates the file with one full scan and returns the stream.
+// ErrSpillCorrupt reports a File spill block that fails its checksum or its
+// structure. The spill is private and unlinked, so this is a disk or memory
+// fault; no update of the bad block is delivered.
+var ErrSpillCorrupt = errors.New("stream: spill corrupt")
+
+// OpenFile validates the file with one full scan, writing the spill the
+// passes replay, and returns the stream.
 func OpenFile(path string) (*File, error) {
-	f := &File{path: path, inserts: true}
-	var err error
-	f.n, f.length, err = scanFile(path, 0, func(batch []Update) error {
+	spill, err := os.CreateTemp("", "streamcount-spill-")
+	if err != nil {
+		return nil, fmt.Errorf("stream: %s: creating the spill: %w", path, err)
+	}
+	if err := os.Remove(spill.Name()); err != nil {
+		spill.Close()
+		return nil, fmt.Errorf("stream: %s: unlinking the spill: %w", path, err)
+	}
+	f := &File{path: path, spill: spill, inserts: true}
+	buf := make([]byte, 0, packedBlockSize(DefaultBatchSize))
+	f.n, f.length, err = scanFile(path, func(batch []Update) error {
 		for _, u := range batch {
 			if u.Op == Delete {
 				f.inserts = false
 			}
 		}
+		buf = appendPackedBlock(buf[:0], batch)
+		if _, err := spill.Write(buf); err != nil {
+			return fmt.Errorf("stream: %s: writing the spill: %w", path, err)
+		}
 		return nil
 	})
 	if err != nil {
+		spill.Close()
 		return nil, err
 	}
 	return f, nil
@@ -55,40 +81,61 @@ func (f *File) Len() int64 { return f.length }
 // InsertOnly implements Stream.
 func (f *File) InsertOnly() bool { return f.inserts }
 
-// ForEachBatch implements Stream: each call re-reads the file (one pass),
-// parsing updates into a pooled buffer flushed every DefaultBatchSize
-// updates. The batch slice is invalidated by the next callback and by the
-// end of the pass, when the buffer goes back to the pool.
+// ForEachBatch implements Stream: one pass reads the spill block by block
+// into a pooled buffer, checks each block's checksum and decodes it into a
+// pooled batch of the same DefaultBatchSize boundaries the text parse had.
+// The batch slice is invalidated by the next callback and by the end of the
+// pass, when the buffer goes back to the pool. A bad block is an error
+// wrapping ErrSpillCorrupt that names it.
 func (f *File) ForEachBatch(fn func([]Update) error) error {
-	_, length, err := scanFile(f.path, f.n, fn)
-	if err == nil && length != f.length {
-		err = fmt.Errorf("stream: %s: replay read %d updates, OpenFile read %d: the file changed", f.path, length, f.length)
+	s := scanPool.Get()
+	defer scanPool.Put(s)
+	full := int64(packedBlockSize(DefaultBatchSize))
+	for k, left := int64(0), f.length; left > 0; k++ {
+		b := s.block[:packedBlockSize(int(min(left, DefaultBatchSize)))]
+		if _, err := f.spill.ReadAt(b, k*full); err != nil {
+			if err == io.EOF {
+				err = fmt.Errorf("truncated: %w", ErrSpillCorrupt)
+			}
+			return fmt.Errorf("stream: %s: spill block %d: %w", f.path, k, err)
+		}
+		batch, size, err := decodePackedBlock(b, s.batch)
+		if err == nil && size != len(b) {
+			err = fmt.Errorf("%d-byte block, want %d: %w", size, len(b), ErrSpillCorrupt)
+		}
+		if err != nil {
+			return fmt.Errorf("stream: %s: spill block %d: %w", f.path, k, err)
+		}
+		if err := fn(batch); err != nil {
+			return err
+		}
+		left -= int64(len(batch))
 	}
-	return err
+	return nil
 }
 
 const (
-	scanBlock    = 1 << 16 // the read buffer a scan starts with
+	scanBlock    = 1 << 16 // the read buffer a scan starts with; it holds a full packed block
 	maxLineBytes = 1 << 24 // the longest line a scan accepts, so the most its buffer grows to
 )
 
 // fileScan is one scan's state between lines and its working memory: the
 // block the file is read into and the update batch handed to the consumer.
-// Segment replay (readSegmentFrom) borrows the same working memory.
+// Spill and segment replays (File.ForEachBatch, readSegmentFrom) borrow the
+// same working memory.
 type fileScan struct {
 	block     []byte
 	batch     []Update
 	path      string
-	wantN     int64
 	fn        func([]Update) error
 	n, length int64
 	line      int
 	gotHeader bool
 }
 
-// scanPool recycles scans, for their block and batch, across both on-disk
-// formats: text File replays and durable segment replays. A scan is its
-// caller's from Get to Put, so concurrent replays stay independent. The reset
+// scanPool recycles scans, for their block and batch, across the text parse,
+// File spill replays and durable segment replays. A scan is its caller's
+// from Get to Put, so concurrent replays stay independent. The reset
 // keeps only the block and the emptied batch; under pool.DebugDirty both are
 // smeared first, so a replay that read a byte or an update it did not write
 // on this pass shows.
@@ -105,17 +152,16 @@ var scanPool = pool.New(
 
 // scanFile parses the file at path once, handing its updates to fn in
 // batches, and returns the header's vertex count and the number of updates.
-// A non-zero wantN is the vertex count the header must still carry. The file
-// is read block by block into a buffer that carries a partial last line
-// forward and grows, up to maxLineBytes, only when one line outgrows it.
-func scanFile(path string, wantN int64, fn func([]Update) error) (n, length int64, err error) {
+// The file is read block by block into a buffer that carries a partial last
+// line forward and grows, up to maxLineBytes, only when one line outgrows it.
+func scanFile(path string, fn func([]Update) error) (n, length int64, err error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer fh.Close()
 	s := scanPool.Get()
-	s.path, s.wantN, s.fn = path, wantN, fn
+	s.path, s.fn = path, fn
 	defer func() {
 		s.fn = nil
 		scanPool.Put(s) // with the block it came with: a grown one is dropped
@@ -259,8 +305,8 @@ func (s *fileScan) parseLines(b []byte) error {
 		}
 		i++
 		if !s.gotHeader {
-			if s.wantN != 0 && u != s.wantN {
-				return fmt.Errorf("stream: %s line %d: header says %d vertices, OpenFile read %d: the file changed", s.path, s.line, u, s.wantN)
+			if u > graph.MaxVertices {
+				return fmt.Errorf("stream: %s line %d: header says %d vertices, over %d", s.path, s.line, u, int64(graph.MaxVertices))
 			}
 			s.n, s.gotHeader = u, true
 			continue

@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +15,7 @@ import (
 	"testing"
 
 	"streamcount/internal/gen"
+	"streamcount/internal/graph"
 )
 
 func TestFileStreamRoundTrip(t *testing.T) {
@@ -75,6 +80,7 @@ func TestOpenFileErrors(t *testing.T) {
 		"loop":      "3\n+ 1 1\n",
 		"range":     "3\n+ 0 9\n",
 		"badline":   "3\n+ x y\n",
+		"toomany":   "4294967297\n+ 0 1\n",
 	}
 	for name, content := range cases {
 		if _, err := OpenFile(write(name+".txt", content)); err == nil {
@@ -92,6 +98,14 @@ func TestOpenFileErrors(t *testing.T) {
 	}
 	if fs.Len() != 3 || fs.InsertOnly() {
 		t.Errorf("len=%d insertOnly=%v", fs.Len(), fs.InsertOnly())
+	}
+	// graph.MaxVertices vertices is the most a header may carry: every
+	// endpoint below it packs into a spill key and replays unchanged.
+	if fs, err = OpenFile(write("max.txt", "4294967296\n+ 4294967295 0\n")); err != nil {
+		t.Fatal(err)
+	}
+	if sl, err := Collect(fs); err != nil || sl.Updates()[0].Edge != (graph.Edge{U: 1<<32 - 1, V: 0}) {
+		t.Errorf("header of MaxVertices: replayed %v, %v", sl, err)
 	}
 }
 
@@ -153,9 +167,9 @@ func TestFileParserErrorDetails(t *testing.T) {
 }
 
 // TestCollectFileBacked covers Collect on disk-backed streams: the happy
-// path brings the stream in memory, and a replay that fails mid-pass (the
-// file was corrupted after OpenFile validated it) surfaces the error instead
-// of returning a short stream.
+// path brings the stream in memory, and a replay that fails mid-pass (a
+// spill byte went bad after OpenFile wrote it) surfaces the error instead of
+// returning a short stream.
 func TestCollectFileBacked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stream.txt")
 	good := "4\n+ 0 1\n+ 1 2\n+ 2 3\n"
@@ -178,16 +192,26 @@ func TestCollectFileBacked(t *testing.T) {
 		t.Errorf("Collect on a Slice should be identity, got %v, %v", again, err)
 	}
 
-	// Corrupt the file underneath the already-validated stream: the next
-	// replay (and therefore Collect) must fail loudly.
-	bad := "4\n+ 0 1\n+ 9 2\n+ 2 3\n"
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+	// A disk fault in the spill: the next replay (and therefore Collect) must
+	// fail loudly, naming the block, instead of returning a short stream.
+	flipSpillByte(t, fs, int64(packedBlockSize(3))-1)
+	if _, err := Collect(fs); !errors.Is(err, ErrSpillCorrupt) {
+		t.Fatalf("Collect over a corrupt spill: error %v, want ErrSpillCorrupt", err)
+	} else if !strings.Contains(err.Error(), "spill block 0") {
+		t.Errorf("error %q does not name the bad block", err)
+	}
+}
+
+// flipSpillByte inverts the spill byte at off, as a disk fault would.
+func flipSpillByte(t *testing.T, f *File, off int64) {
+	t.Helper()
+	b := make([]byte, 1)
+	if _, err := f.spill.ReadAt(b, off); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(fs); err == nil {
-		t.Fatal("Collect over a mid-replay failure should error")
-	} else if !strings.Contains(err.Error(), "bad edge (9,2)") {
-		t.Errorf("error %q does not name the bad record", err)
+	b[0] ^= 0xff
+	if _, err := f.spill.WriteAt(b, off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -230,9 +254,13 @@ func TestFileConcurrentReplays(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFileReplayDetectsChangedFile pins that a replay streams what OpenFile
-// validated or fails: never a different header or a different update count.
-func TestFileReplayDetectsChangedFile(t *testing.T) {
+// TestFileReplaysOpenedSnapshot pins the Stream contract on a File: every
+// pass replays the sequence OpenFile parsed, update for update, whatever
+// happens to the text file afterwards, and N, Len and InsertOnly never move.
+// OpenFile leaves nothing under $TMPDIR: its spill is unlinked at once.
+func TestFileReplaysOpenedSnapshot(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	path := filepath.Join(t.TempDir(), "stream.txt")
 	write := func(content string) {
 		t.Helper()
@@ -245,22 +273,80 @@ func TestFileReplayDetectsChangedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nop := func([]Update) error { return nil }
-	for name, content := range map[string]string{
-		"header":  "6\n+ 0 1\n+ 1 2\n",
-		"longer":  "5\n+ 0 1\n+ 1 2\n+ 2 3\n",
-		"shorter": "5\n+ 0 1\n",
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Fatalf("OpenFile left %v under TMPDIR (%v)", left, err)
+	}
+	replay := func() []Update {
+		t.Helper()
+		var got []Update
+		if err := fs.ForEachBatch(func(batch []Update) error {
+			got = append(got, batch...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := []Update{{Edge: graph.Edge{U: 0, V: 1}, Op: Insert}, {Edge: graph.Edge{U: 1, V: 2}, Op: Insert}}
+	if got := replay(); !updatesEqual(got, want) {
+		t.Fatalf("first replay %v, want %v", got, want)
+	}
+	for _, edit := range []struct{ name, content string }{
+		{"header", "6\n+ 0 1\n+ 1 2\n"},
+		{"longer", "5\n+ 0 1\n+ 1 2\n+ 2 3\n"},
+		{"shorter", "5\n+ 0 1\n"},
+		{"same-length edge edit", "5\n+ 0 3\n+ 1 2\n"},
+		{"op flipped", "5\n- 0 1\n+ 1 2\n"},
+		{"deleted", ""},
 	} {
-		write(content)
-		if err := fs.ForEachBatch(nop); err == nil || !strings.Contains(err.Error(), "the file changed") {
-			t.Errorf("%s changed: replay error %v, want a \"the file changed\" error", name, err)
+		if edit.name == "deleted" {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			write(edit.content)
 		}
-		if fs.N() != 5 || fs.Len() != 2 {
-			t.Errorf("%s changed: metadata moved to n=%d len=%d", name, fs.N(), fs.Len())
+		for pass := 0; pass < 2; pass++ {
+			if got := replay(); !updatesEqual(got, want) {
+				t.Errorf("%s, pass %d: replayed %v, want %v", edit.name, pass, got, want)
+			}
+		}
+		if fs.N() != 5 || fs.Len() != 2 || !fs.InsertOnly() {
+			t.Errorf("%s: metadata moved to n=%d len=%d insertOnly=%v", edit.name, fs.N(), fs.Len(), fs.InsertOnly())
 		}
 	}
-	write("5\n+ 0 1\n+ 1 2\n")
-	if err := fs.ForEachBatch(nop); err != nil {
-		t.Errorf("restored file: %v", err)
+}
+
+// FuzzFileSpill holds the packed-block decoder to its encoder on arbitrary
+// bytes, also behind a valid checksum (sealed): a decode either fails with
+// ErrSpillCorrupt and no update, or yields updates that re-encode to exactly
+// the block's bytes. It decodes into the batch it is given, so no count field
+// makes it allocate.
+func FuzzFileSpill(f *testing.F) {
+	for _, count := range []int{0, 1, 7, 8, 9, DefaultBatchSize} {
+		f.Add(appendPackedBlock(nil, mixedUpdates(graph.MaxVertices, count, int64(count))), false)
 	}
+	f.Add(appendPackedBlock(nil, mixedUpdates(graph.MaxVertices, DefaultBatchSize+1, 1)), false) // one over the cap
+	batch := make([]Update, 0, DefaultBatchSize)
+	f.Fuzz(func(t *testing.T, data []byte, sealed bool) {
+		if sealed && len(data) >= packedHeaderSize {
+			if size := packedBlockSize(int(min(binary.LittleEndian.Uint32(data), DefaultBatchSize))); size <= len(data) {
+				data = bytes.Clone(data)
+				binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(data[packedHeaderSize:size], crcTable))
+			}
+		}
+		got, size, err := decodePackedBlock(data, batch)
+		if err != nil {
+			if !errors.Is(err, ErrSpillCorrupt) || len(got) != 0 {
+				t.Fatalf("decode of %x: %d updates and error %v, want none and ErrSpillCorrupt", data, len(got), err)
+			}
+			return
+		}
+		if len(got) > 0 && &got[0] != &batch[:1][0] {
+			t.Fatalf("decode of %d updates allocated a batch", len(got))
+		}
+		if re := appendPackedBlock(nil, got); !bytes.Equal(re, data[:size]) {
+			t.Fatalf("block %x re-encodes to %x", data[:size], re)
+		}
+	})
 }

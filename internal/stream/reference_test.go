@@ -14,12 +14,12 @@ import (
 )
 
 // referenceScanFile is the update-file parser as it was before the block
-// reader (ISSUE 21), kept verbatim as the equivalence reference: a
-// bufio.Scanner splits the lines and every line is trimmed, split and parsed
-// by separate byte sweeps. It parses the file at path once, handing its updates to fn in
-// batches, and returns the header's vertex count and the number of updates.
-// A non-zero wantN is the vertex count the header must still carry.
-func referenceScanFile(path string, wantN int64, fn func([]Update) error) (n, length int64, err error) {
+// reader, kept as the equivalence reference: a bufio.Scanner splits the lines
+// and every line is trimmed, split and parsed by separate byte sweeps. Its one
+// later change is the header cap of graph.MaxVertices vertices. It parses the
+// file at path once, handing its updates to fn in batches, and returns the
+// header's vertex count and the number of updates.
+func referenceScanFile(path string, fn func([]Update) error) (n, length int64, err error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -53,8 +53,8 @@ func referenceScanFile(path string, wantN int64, fn func([]Update) error) (n, le
 			if !ok || n <= 0 {
 				return 0, 0, fmt.Errorf("stream: %s line %d: bad header %q", path, line, txt)
 			}
-			if wantN != 0 && n != wantN {
-				return 0, 0, fmt.Errorf("stream: %s line %d: header says %d vertices, OpenFile read %d: the file changed", path, line, n, wantN)
+			if n > graph.MaxVertices {
+				return 0, 0, fmt.Errorf("stream: %s line %d: header says %d vertices, over %d", path, line, n, int64(graph.MaxVertices))
 			}
 			gotHeader = true
 			continue
@@ -166,10 +166,10 @@ type scanTranscript struct {
 	err       string
 }
 
-func transcribe(scan func(string, int64, func([]Update) error) (int64, int64, error), path string) scanTranscript {
+func transcribe(scan func(string, func([]Update) error) (int64, int64, error), path string) scanTranscript {
 	var tr scanTranscript
 	var err error
-	tr.n, tr.length, err = scan(path, 0, func(batch []Update) error {
+	tr.n, tr.length, err = scan(path, func(batch []Update) error {
 		tr.batches = append(tr.batches, slices.Clone(batch))
 		return nil
 	})

@@ -122,7 +122,9 @@ func NewGraph(n int64) *Graph { return graph.New(n) }
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // OpenStreamFile opens a file-backed update stream ("n" header, then
-// "+ u v"/"- u v" lines) replayed from disk on each pass.
+// "+ u v"/"- u v" lines). The text is parsed once, into a binary spill under
+// $TMPDIR that every pass replays: 8 B + 1 bit per update of temp disk, which
+// is RAM when /tmp is tmpfs.
 func OpenStreamFile(path string) (Stream, error) { return stream.OpenFile(path) }
 
 // TrialsFor returns the instance count Theorem 17/1 prescribes for m edges,
