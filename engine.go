@@ -223,15 +223,15 @@ func (e *Engine) SubmitOn(ctx context.Context, stream string, q Query) (Outcome,
 	return o, nil
 }
 
-// submit lowers q to a core job and rides the core engine. The edge-bound
-// default stays symbolic (core.EdgeBoundStreamLen) so a derived trial
-// budget resolves against the admission generation's pinned stream version,
-// not the length at submission time.
+// submit lowers q to a core job and rides the core engine. The job's plan
+// is made when its generation runs, so a derived trial budget resolves
+// against the generation's pinned stream version, not the length at
+// submission time.
 func (e *Engine) submit(ctx context.Context, name string, q Query) (*core.JobHandle, error) {
 	if _, ok := e.eng.Lookup(name); !ok {
 		return nil, fmt.Errorf("streamcount: Submit on %q: %w", name, ErrUnknownStream)
 	}
-	j, err := q.job(core.EdgeBoundStreamLen)
+	j, err := q.job()
 	if err != nil {
 		return nil, err
 	}

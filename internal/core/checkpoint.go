@@ -333,7 +333,6 @@ func (r *indexedSessionRunner) Model() oracle.Model { return r.inner.Model() }
 func (r *indexedSessionRunner) Rounds() int64       { return r.inner.Rounds() }
 func (r *indexedSessionRunner) Queries() int64      { return r.inner.Queries() }
 func (r *indexedSessionRunner) SpaceWords() int64   { return r.inner.SpaceWords() }
-func (r *indexedSessionRunner) NumVertices() int64  { return r.inner.NumVertices() }
 
 // evaluateIndexed serves one watch evaluation from the lane's checkpointed
 // index, if it can: the lane's prefix at v must be insertion-only and the

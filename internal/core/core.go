@@ -21,8 +21,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"streamcount/internal/ers"
 	"streamcount/internal/graph"
@@ -44,13 +42,12 @@ type Config struct {
 	// LowerBound is a lower bound L on #H (the paper's parameterization);
 	// used only when Trials is zero.
 	LowerBound float64
-	// EdgeBound is an upper bound on m used to derive Trials when Trials is
-	// zero (the paper assumes m-dependent instance counts are spawned up
-	// front; callers usually know the stream length). The sentinel
-	// EdgeBoundStreamLen defers resolution to job start: the bound becomes
-	// the length of the stream the session replays, which for an Engine
-	// generation is the pinned prefix — so the derived budget depends only
-	// on the pinned (seed, version), never on submission timing.
+	// EdgeBound is an upper bound on m used to derive Trials and to start
+	// JobAuto's search (the paper spawns its m-dependent instance counts up
+	// front). Zero means the length of the stream the job runs over, which
+	// for an Engine generation is the pinned prefix — so the derived budget
+	// depends only on the pinned (seed, version), never on submission
+	// timing. Negative is ErrBadConfig.
 	EdgeBound int64
 	// MaxTrials caps derived trial counts (default 1_000_000).
 	MaxTrials int
@@ -63,13 +60,6 @@ type Config struct {
 	// (DESIGN.md §2).
 	Parallelism int
 }
-
-// EdgeBoundStreamLen is the Config.EdgeBound sentinel meaning "the length
-// of the stream this job runs over, resolved when the job starts". The
-// query API uses it so that a query submitted to an Engine over a live
-// appendable stream derives its trial budget from the generation's pinned
-// version, not from whatever length the stream had at submission time.
-const EdgeBoundStreamLen int64 = -1
 
 // CountResult is the outcome of a counting run.
 type CountResult struct {
@@ -87,45 +77,6 @@ type CountResult struct {
 	SpaceWords int64
 	// Trials is the number of parallel instances used (FGP only).
 	Trials int
-}
-
-// TrialsFor returns the Theorem 17/1 instance count c·(2m)^ρ/(ε²·L),
-// with the paper's ln n amplification replaced by the constant c = 3: by
-// Chebyshev, a run at L = #H then misses by more than ε·#H with probability
-// at most 1/3, the rate the Contract tests hold it to.
-func TrialsFor(m int64, rho float64, eps, lowerBound float64) int {
-	if m <= 0 || lowerBound <= 0 {
-		return 1
-	}
-	k := 3 * math.Pow(float64(2*m), rho) / (eps * eps * lowerBound)
-	if k < 1 {
-		return 1
-	}
-	if k > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(k)
-}
-
-func (c Config) trials() (int, error) {
-	if c.Trials > 0 {
-		return c.Trials, nil
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.1
-	}
-	if c.LowerBound <= 0 || c.EdgeBound <= 0 {
-		return 0, fmt.Errorf("core: either Trials or (Epsilon, LowerBound, EdgeBound) must be set: %w", ErrBadConfig)
-	}
-	t := TrialsFor(c.EdgeBound, c.Pattern.Rho(), c.Epsilon, c.LowerBound)
-	max := c.MaxTrials
-	if max <= 0 {
-		max = 1_000_000
-	}
-	if t > max {
-		t = max
-	}
-	return t, nil
 }
 
 // RunJob submits one job to a fresh single-job session over st and runs it

@@ -124,11 +124,11 @@ func TestTrialsCap(t *testing.T) {
 		EdgeBound:  1 << 30,
 		MaxTrials:  1234,
 	}
-	got, err := cfg.trials()
+	pl, err := NewPlan(Job{Kind: JobEstimate, Config: cfg}, 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 1234 {
+	if got := pl.Rungs[0].Trials; got != 1234 {
 		t.Errorf("trials=%d, want the 1234 cap", got)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"streamcount/internal/ers"
@@ -19,8 +18,8 @@ import (
 // (job, runner semantics): two executors whose runners answer identically
 // produce bit-identical CountResults.
 type executor struct {
-	// length is the stream length the EdgeBoundStreamLen sentinel resolves
-	// to — the pinned prefix length.
+	// length is the pinned prefix's length, the edge bound a job's plan
+	// defaults to.
 	length int64
 	// insertOnly gates the insertion-only algorithms (JobCliques).
 	insertOnly bool
@@ -39,99 +38,87 @@ func releaseRunner(r oracle.Runner) {
 	}
 }
 
-// execute runs one job to completion. All randomness is drawn from the
-// job's private RNG, so results do not depend on any co-scheduled work.
+// execute runs one job to completion under the plan it makes before the
+// first pass. The plan reads the prefix the job actually runs over — for an
+// Engine generation the pinned view — so engine-served and standalone runs
+// at the same pinned version derive identical budgets. All randomness is
+// drawn from the job's private RNG, so results do not depend on any
+// co-scheduled work.
 func (x *executor) execute(h *JobHandle) JobResult {
-	// The EdgeBoundStreamLen sentinel resolves against the prefix the job
-	// actually runs over — for an Engine generation that is the pinned
-	// view, so engine-served and standalone runs at the same pinned version
-	// derive identical trial budgets.
-	if h.job.Config.EdgeBound == EdgeBoundStreamLen {
-		h.job.Config.EdgeBound = x.length
+	plan, err := NewPlan(h.job, x.length, x.insertOnly)
+	if err != nil {
+		return JobResult{Err: err}
 	}
+	pl := &plan
 	switch h.job.Kind {
-	case JobEstimate:
-		est, err := x.runEstimate(h, h.job.Config)
-		return JobResult{Est: est, Err: err}
 	case JobSample:
-		cp, found, err := x.runSample(h, h.job.Config)
+		cp, found, err := x.runSample(h, pl)
 		return JobResult{Copy: cp, Found: found, Err: err}
-	case JobCliques:
-		cfg := h.job.Clique
-		if cfg.LowerBound > 0 {
-			est, err := x.runCliques(h, cfg)
-			return JobResult{Est: est, Err: err}
-		}
-		est, err := x.search(x.length, float64(cfg.R)/2, func(l float64) (*CountResult, error) {
-			cfg.LowerBound = l
-			return x.runCliques(h, cfg)
-		})
-		return JobResult{Est: est, Err: err}
-	case JobAuto:
-		est, err := x.runAuto(h, h.job.Config)
-		return JobResult{Est: est, Err: err}
 	case JobDistinguish:
-		above, est, err := x.runDistinguish(h, h.job.Config, h.job.Threshold)
-		return JobResult{Est: est, Above: above, Err: err}
+		// The decision job (§1.1): is #H at least (1+ε)·l or at most l,
+		// decided at the midpoint of an ε/2-accurate estimate.
+		est, err := x.runCount(h, pl, pl.Rungs[0])
+		if err != nil {
+			return JobResult{Err: err}
+		}
+		return JobResult{Est: est, Above: est.Value >= (1+float64(pl.Epsilon/2))*h.job.Threshold}
 	default:
-		return JobResult{Err: fmt.Errorf("core: unknown job kind %d: %w", h.job.Kind, ErrBadConfig)}
+		est, err := x.search(h, pl)
+		return JobResult{Est: est, Err: err}
 	}
 }
 
-// runEstimate is the 3-pass FGP counting job (Theorem 17 insertion-only,
-// Theorem 1 turnstile).
-func (x *executor) runEstimate(h *JobHandle, cfg Config) (*CountResult, error) {
-	if cfg.Pattern == nil {
-		return nil, fmt.Errorf("core: Pattern must be set: %w", ErrBadPattern)
+// runCount is one counting run at rung r: the 3-pass FGP counter (Theorem
+// 17 insertion-only, Theorem 1 turnstile) or, for a clique job, the
+// 5r-pass ERS counter (Theorem 2).
+func (x *executor) runCount(h *JobHandle, pl *Plan, r Rung) (*CountResult, error) {
+	before := h.rounds
+	seed, parallelism := h.job.Config.Seed, h.job.Config.Parallelism
+	if pl.FGP == nil {
+		// The ERS chain is sequential and its insertion passes have one
+		// worker.
+		seed, parallelism = h.job.Clique.Seed, 1
 	}
-	trials, err := cfg.trials()
+	rng := rand.New(rand.NewSource(seed))
+	run, err := x.newRunner(h, rng, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pl, err := fgp.NewPlan(cfg.Pattern)
-	if err != nil {
-		return nil, err
+	out := &CountResult{Trials: r.Trials}
+	if pl.FGP != nil {
+		res, err := fgp.CountParallel(run, pl.FGP, r.Trials, rng, parallelism)
+		if err != nil {
+			return nil, err
+		}
+		out.Value, out.M = res.Estimate, res.M
+	} else {
+		c := h.job.Clique
+		p := c.Params
+		p.R, p.Lambda, p.Eps, p.L = c.R, c.Lambda, pl.Epsilon, r.L
+		res, err := ers.Count(run, p, rng)
+		if err != nil {
+			return nil, err
+		}
+		out.Value, out.M = res.Estimate, res.M
 	}
-	r, err := x.newRunner(h, rng, cfg.Parallelism)
-	if err != nil {
-		return nil, err
+	if n := h.rounds - before; n > pl.PassBound {
+		return nil, fmt.Errorf("core: internal error: %d passes exceeds the plan's bound %d", n, pl.PassBound)
 	}
-	res, err := fgp.CountParallel(r, pl, trials, rng, cfg.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := &CountResult{
-		Value:      res.Estimate,
-		M:          res.M,
-		Passes:     h.rounds, // cumulative: search guesses reuse the handle
-		Queries:    r.Queries(),
-		SpaceWords: r.SpaceWords(),
-		Trials:     trials,
-	}
-	releaseRunner(r)
+	out.Passes = h.rounds // cumulative: search guesses reuse the handle
+	out.Queries, out.SpaceWords = run.Queries(), run.SpaceWords()
+	releaseRunner(run)
 	return out, nil
 }
 
 // runSample is the 3-pass uniform sampler job (Lemma 16/18).
-func (x *executor) runSample(h *JobHandle, cfg Config) (SampledCopy, bool, error) {
-	if cfg.Pattern == nil {
-		return SampledCopy{}, false, fmt.Errorf("core: Pattern must be set: %w", ErrBadPattern)
-	}
-	trials, err := cfg.trials()
-	if err != nil {
-		return SampledCopy{}, false, err
-	}
+func (x *executor) runSample(h *JobHandle, pl *Plan) (SampledCopy, bool, error) {
+	cfg := h.job.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pl, err := fgp.NewPlan(cfg.Pattern)
-	if err != nil {
-		return SampledCopy{}, false, err
-	}
 	r, err := x.newRunner(h, rng, cfg.Parallelism)
 	if err != nil {
 		return SampledCopy{}, false, err
 	}
-	sr, ok, err := fgp.SampleParallel(r, pl, trials, rng, cfg.Parallelism)
+	sr, ok, err := fgp.SampleParallel(r, pl.FGP, pl.Rungs[0].Trials, rng, cfg.Parallelism)
 	if err != nil {
 		return SampledCopy{}, false, err
 	}
@@ -142,74 +129,18 @@ func (x *executor) runSample(h *JobHandle, cfg Config) (SampledCopy, bool, error
 	return SampledCopy{Edges: sr.Edges, Vertices: sr.Vertices}, true, nil
 }
 
-// runCliques is the 5r-pass ERS clique counting job (Theorem 2) at the
-// lower bound cfg.LowerBound.
-func (x *executor) runCliques(h *JobHandle, cfg CliqueConfig) (*CountResult, error) {
-	if !x.insertOnly {
-		return nil, fmt.Errorf("core: EstimateCliques requires an insertion-only stream (Theorem 2): %w", ErrBadConfig)
-	}
-	// The pass bound holds per run: a search's earlier guesses have already
-	// ticked the handle.
-	before := h.rounds
-	p := cfg.Params
-	p.R = cfg.R
-	p.Lambda = cfg.Lambda
-	p.Eps = cfg.Epsilon
-	p.L = cfg.LowerBound
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// The ERS chain is sequential and its insertion passes have one worker.
-	r, err := x.newRunner(h, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ers.Count(r, p, rng)
-	if err != nil {
-		return nil, err
-	}
-	if n := h.rounds - before; n > int64(5*cfg.R) {
-		return nil, fmt.Errorf("core: internal error: %d passes exceeds Theorem 2's 5r = %d", n, 5*cfg.R)
-	}
-	out := &CountResult{
-		Value:      res.Estimate,
-		M:          res.M,
-		Passes:     h.rounds, // cumulative: search guesses reuse the handle
-		Queries:    r.Queries(),
-		SpaceWords: r.SpaceWords(),
-	}
-	releaseRunner(r)
-	return out, nil
-}
-
-// runAuto is the 3-pass counter under the lower-bound search: every guess
-// derives its trial budget from its L, so a fixed Trials is dropped.
-func (x *executor) runAuto(h *JobHandle, cfg Config) (*CountResult, error) {
-	if cfg.Pattern == nil {
-		return nil, fmt.Errorf("core: Pattern must be set: %w", ErrBadPattern)
-	}
-	if cfg.EdgeBound <= 0 {
-		return nil, fmt.Errorf("core: EdgeBound must be set for the geometric search: %w", ErrBadConfig)
-	}
-	cfg.Trials = 0
-	return x.search(cfg.EdgeBound, cfg.Pattern.Rho(), func(l float64) (*CountResult, error) {
-		cfg.LowerBound = l
-		return x.runEstimate(h, cfg)
-	})
-}
-
-// search is Lemma 21's geometric search for callers without a lower bound
-// L on #H. count runs at L = m^ρ — the AGM bound #H ≤ m^ρ(H) — then m^ρ/2,
-// m^ρ/4, … while L ≥ 0.5, and the first estimate that reaches its guess is
-// accepted: when L ≤ #H the counter concentrates, and when L > #H its
-// output falls below L w.h.p. When no guess is accepted, as on a graph
-// with no copy, the last guess's result stands; an empty prefix (m = 0)
-// still gets one guess, at 0.5. Every guess re-seeds from the job's seed,
-// so it is the exact run a job given that L would produce, and Queries and
-// SpaceWords are summed over the guesses. Passes needs no sum: each guess
-// reports the handle's cumulative round count.
-func (x *executor) search(m int64, rho float64, count func(l float64) (*CountResult, error)) (*CountResult, error) {
+// search counts at each of the plan's rungs in order and accepts the first
+// estimate that reaches its rung's L (Lemma 21): when L ≤ #H the counter
+// concentrates, and when L > #H its output falls below L w.h.p. When no
+// guess is accepted, as on a graph with no copy, the last guess's result
+// stands. A plan with one rung is a single run. Every guess re-seeds from
+// the job's seed, so it is the exact run a job given that L would produce,
+// and Queries and SpaceWords are summed over the guesses. Passes needs no
+// sum: each guess reports the handle's cumulative round count.
+func (x *executor) search(h *JobHandle, pl *Plan) (*CountResult, error) {
 	var last *CountResult
-	for l := math.Max(math.Pow(float64(m), rho), 0.5); l >= 0.5; l /= 2 {
-		est, err := count(l)
+	for _, r := range pl.Rungs {
+		est, err := x.runCount(h, pl, r)
 		if err != nil {
 			return nil, err
 		}
@@ -218,29 +149,9 @@ func (x *executor) search(m int64, rho float64, count func(l float64) (*CountRes
 			est.SpaceWords += last.SpaceWords
 		}
 		last = est
-		if est.Value >= l {
+		if est.Value >= r.L {
 			return est, nil
 		}
 	}
 	return last, nil
-}
-
-// runDistinguish is the decision job (§1.1): is #H at least (1+eps)·l or at
-// most l, decided at the midpoint of an eps/2-accurate estimate.
-func (x *executor) runDistinguish(h *JobHandle, cfg Config, l float64) (bool, *CountResult, error) {
-	if l <= 0 {
-		return false, nil, fmt.Errorf("core: threshold l must be positive: %w", ErrBadConfig)
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.1
-	}
-	cfg.LowerBound = l
-	if cfg.Trials == 0 && cfg.EdgeBound <= 0 {
-		return false, nil, fmt.Errorf("core: either Trials or EdgeBound must be set: %w", ErrBadConfig)
-	}
-	est, err := x.runEstimate(h, cfg)
-	if err != nil {
-		return false, nil, err
-	}
-	return est.Value >= (1+float64(cfg.Epsilon/2))*l, est, nil
 }

@@ -82,10 +82,10 @@ func TestEngineGenerationPinning(t *testing.T) {
 	}
 }
 
-// TestEngineDerivedBudgetUsesPinnedVersion checks the EdgeBoundStreamLen
-// sentinel: a derived trial budget resolves against the generation's pinned
-// prefix length, so engine-served and standalone runs at the same version
-// derive the same budget no matter when the query was submitted.
+// TestEngineDerivedBudgetUsesPinnedVersion checks the default edge bound:
+// a derived trial budget resolves against the generation's pinned prefix
+// length, so engine-served and standalone runs at the same version derive
+// the same budget no matter when the query was submitted.
 func TestEngineDerivedBudgetUsesPinnedVersion(t *testing.T) {
 	a, ups := appendableWorkload(t)
 	e := NewEngine(a, EngineOptions{})
@@ -97,7 +97,6 @@ func TestEngineDerivedBudgetUsesPinnedVersion(t *testing.T) {
 		Pattern:    pattern.Triangle(),
 		Epsilon:    0.5,
 		LowerBound: 500,
-		EdgeBound:  EdgeBoundStreamLen,
 		Seed:       9,
 	}}
 	h, err := e.Submit(context.Background(), job)

@@ -387,7 +387,6 @@ func (p *sessionRunner) Model() oracle.Model { return p.inner.Model() }
 func (p *sessionRunner) Rounds() int64       { return p.inner.Rounds() }
 func (p *sessionRunner) Queries() int64      { return p.inner.Queries() }
 func (p *sessionRunner) SpaceWords() int64   { return p.inner.SpaceWords() }
-func (p *sessionRunner) NumVertices() int64  { return p.inner.NumVertices() }
 
 // newRunner builds the job's pass runner for the session's stream model and
 // wraps it in the barrier proxy. The runner is constructed over the bare

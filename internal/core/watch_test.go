@@ -320,7 +320,7 @@ func TestWatchRegistrationErrors(t *testing.T) {
 	app, _ := stream.NewAppendable(200, stream.AppendableOptions{})
 	e2 := NewEngine(app, EngineOptions{})
 	defer e2.Close()
-	bad := Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), EdgeBound: EdgeBoundStreamLen}}
+	bad := Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle()}}
 	w, err := e2.Watch(context.Background(), DefaultStream, bad, WatchOptions{})
 	if err != nil {
 		t.Fatal(err)

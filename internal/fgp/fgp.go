@@ -8,8 +8,9 @@
 // oracle.Direct gives the sublinear-time query algorithm, on
 // transform.InsertionRunner the 3-pass insertion-only streaming algorithm
 // (Theorem 9), and on transform.TurnstileRunner the 3-pass turnstile
-// streaming algorithm (Theorem 11). A run takes at most 3 rounds, and 3
-// whenever a trial survives round 2 (see Result.Rounds).
+// streaming algorithm (Theorem 11). A run takes at most Plan.Rounds rounds
+// — 3, or 2 without an odd cycle — and all of them whenever a trial
+// survives to the last.
 //
 // # Exact per-copy probability
 //
@@ -69,6 +70,19 @@ func NewPlan(p *pattern.Pattern) (*Plan, error) {
 
 // TupleCount returns f_T(H).
 func (pl *Plan) TupleCount() int64 { return pl.fT }
+
+// Rho returns ρ(H), the value of the plan's decomposition (Lemma 4), without
+// decomposing H again as Pattern.Rho does.
+func (pl *Plan) Rho() float64 { return float64(pl.dec.RhoHalves()) / 2 }
+
+// Rounds returns the most rounds one run takes: 3, or 2 when the
+// decomposition has no odd cycle, as round 2 only samples cycle neighbours.
+func (pl *Plan) Rounds() int64 {
+	if len(pl.ks) == 0 {
+		return 2
+	}
+	return 3
+}
 
 // trialWeight returns W, the probability that one trial witnesses a fixed
 // decomposition tuple, given m edges and S = ⌈√(2m)⌉.

@@ -106,6 +106,3 @@ func (d *Direct) Queries() int64 { return d.queries }
 // SpaceWords implements Runner. The direct oracle stores no emulation state;
 // per the paper's convention the input graph itself is not charged.
 func (d *Direct) SpaceWords() int64 { return 0 }
-
-// NumVertices implements Runner.
-func (d *Direct) NumVertices() int64 { return d.g.N() }

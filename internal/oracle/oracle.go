@@ -119,8 +119,6 @@ type Runner interface {
 	// SpaceWords estimates the emulation space used so far in 64-bit words
 	// (query-answering state only, excluding the algorithm's own state).
 	SpaceWords() int64
-	// NumVertices returns n, known to all algorithms upfront.
-	NumVertices() int64
 }
 
 // PassRunner is a Runner whose round lifecycle is exposed to an external

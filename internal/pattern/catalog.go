@@ -77,13 +77,6 @@ func House() *Pattern {
 	return MustNew("house", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {1, 4}})
 }
 
-// Tadpole returns the (3,1)-tadpole: a triangle {0,1,2} with a path 2–3.
-// Same shape as the paw up to isomorphism naming; kept for catalog
-// completeness of the named families used in motif work.
-func Tadpole() *Pattern {
-	return MustNew("tadpole", 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-}
-
 // CompleteBipartite returns K_{a,b} with the a-side 0..a-1.
 func CompleteBipartite(a, b int) *Pattern {
 	var edges [][2]int
@@ -97,7 +90,7 @@ func CompleteBipartite(a, b int) *Pattern {
 
 // ByName resolves a pattern by its catalog name: "triangle", "C<k>",
 // "K<r>", "S<k>", "P<k>", "paw", "diamond", "butterfly", "bull", "house",
-// "tadpole", "K<a>,<b>".
+// "K<a>,<b>".
 func ByName(name string) (*Pattern, error) {
 	switch name {
 	case "triangle":
@@ -112,8 +105,6 @@ func ByName(name string) (*Pattern, error) {
 		return Bull(), nil
 	case "house":
 		return House(), nil
-	case "tadpole":
-		return Tadpole(), nil
 	}
 	var a, b int
 	if _, err := fmt.Sscanf(name, "K%d,%d", &a, &b); err == nil && fmt.Sprintf("K%d,%d", a, b) == name {

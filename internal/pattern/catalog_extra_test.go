@@ -10,7 +10,7 @@ func TestExtendedCatalogRho(t *testing.T) {
 		{Butterfly(), 5}, // C3 + S1
 		{Bull(), 6},      // S2 + S1 (the triangle is unusable: pendants would strand)
 		{House(), 5},     // spanning C5
-		{Tadpole(), 4},   // S1 + S1 (isomorphic to the paw)
+		{Paw(), 4},       // S1 + S1
 		{CompleteBipartite(2, 3), 6},
 		{CompleteBipartite(2, 2), 4}, // C4
 		{CompleteBipartite(1, 4), 8}, // S4
@@ -23,7 +23,7 @@ func TestExtendedCatalogRho(t *testing.T) {
 }
 
 func TestExtendedCatalogMatchesLP(t *testing.T) {
-	for _, p := range []*Pattern{Butterfly(), Bull(), House(), Tadpole(), CompleteBipartite(2, 3)} {
+	for _, p := range []*Pattern{Butterfly(), Bull(), House(), Paw(), CompleteBipartite(2, 3)} {
 		if p.M() > 12 {
 			continue
 		}
@@ -63,7 +63,7 @@ func TestExtendedDecompositionProfiles(t *testing.T) {
 }
 
 func TestExtendedCatalogByName(t *testing.T) {
-	for _, name := range []string{"butterfly", "bull", "house", "tadpole", "K2,3", "K3,3"} {
+	for _, name := range []string{"butterfly", "bull", "house", "paw", "K2,3", "K3,3"} {
 		p, err := ByName(name)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
@@ -83,7 +83,7 @@ func TestExtendedCatalogByName(t *testing.T) {
 func TestExtendedDecompositionCounts(t *testing.T) {
 	// All extended patterns must have at least one decomposition tuple and
 	// a positive multiplicity bound (needed by the samplers).
-	for _, p := range []*Pattern{Butterfly(), Bull(), House(), Tadpole(), CompleteBipartite(2, 3)} {
+	for _, p := range []*Pattern{Butterfly(), Bull(), House(), Paw(), CompleteBipartite(2, 3)} {
 		d, err := Decompose(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)

@@ -118,9 +118,6 @@ func (p *Pattern) Neighbors(v int) []int {
 	return out
 }
 
-// AdjMask returns v's adjacency bitmask.
-func (p *Pattern) AdjMask(v int) uint16 { return p.adj[v] }
-
 // String renders the pattern as "name(n=.., E={..})".
 func (p *Pattern) String() string {
 	var b strings.Builder

@@ -461,9 +461,6 @@ func (s *Server) Drain() {
 	s.watchStop()
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close completes shutdown: it drains (idempotently), waits for in-flight
 // async queries until ctx expires — past the deadline the remaining ones
 // are canceled and fail with ErrCanceled — and closes the engine when the

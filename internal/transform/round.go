@@ -91,9 +91,6 @@ func (r *round) Queries() int64 { return r.queries }
 // takes in a streaming pass, whichever runner served it.
 func (r *round) SpaceWords() int64 { return r.space }
 
-// NumVertices implements oracle.Runner.
-func (r *round) NumVertices() int64 { return r.n }
-
 // admit starts a round: the previous round's answers expire, the round and
 // its queries are counted, and each query is charged its words and — in a
 // keyed round — registered, in query order. A query the model cannot answer

@@ -45,10 +45,9 @@ type Query interface {
 	// Kind names the query's algorithm ("count", "sample", "cliques",
 	// "auto", "distinguish") for error tables and logs.
 	Kind() string
-	// job lowers the query to a core job. defaultEdgeBound is the stream
-	// length, used when the query derives its trial budget and no explicit
-	// WithEdgeBound was given.
-	job(defaultEdgeBound int64) (core.Job, error)
+	// job lowers the query to a core job; the job's plan works out its
+	// budget against the stream it runs over.
+	job() (core.Job, error)
 	// outcome converts a served job handle to the untyped Outcome.
 	outcome(h *core.JobHandle) Outcome
 }
@@ -121,8 +120,10 @@ func WithMaxTrials(n int) QueryOption { return func(o *queryOpts) { o.maxTrials 
 func WithLowerBound(l float64) QueryOption { return func(o *queryOpts) { o.lowerBound = l } }
 
 // WithEdgeBound sets the upper bound on the stream's edge count used to
-// derive the trial budget. Default: the stream's length at submission time,
-// which is always a valid bound.
+// derive the trial budget and to start AutoQuery's search. Default: the
+// length of the prefix the query runs over (an Engine generation's pinned
+// version), which is always a valid bound. A negative bound is
+// ErrBadConfig.
 func WithEdgeBound(m int64) QueryOption { return func(o *queryOpts) { o.edgeBound = m } }
 
 // WithSeed seeds the query's randomness. Queries with the same seed and
@@ -152,21 +153,13 @@ func resolve(opts []QueryOption) queryOpts {
 }
 
 // config lowers the shared knobs to a core.Config for pattern p.
-// defaultEdgeBound is normally core.EdgeBoundStreamLen — "the length of the
-// stream the job ends up replaying", resolved at job start so that a query
-// over a live appendable stream derives its trial budget from its
-// generation's pinned version, not from the length at submission time.
-func (o queryOpts) config(p *Pattern, defaultEdgeBound int64) core.Config {
-	eb := o.edgeBound
-	if eb == 0 && o.trials == 0 {
-		eb = defaultEdgeBound
-	}
+func (o queryOpts) config(p *Pattern) core.Config {
 	return core.Config{
 		Pattern:     p,
 		Trials:      o.trials,
 		Epsilon:     o.epsilon,
 		LowerBound:  o.lowerBound,
-		EdgeBound:   eb,
+		EdgeBound:   o.edgeBound,
 		MaxTrials:   o.maxTrials,
 		Seed:        o.seed,
 		Parallelism: o.parallelism,
@@ -202,11 +195,11 @@ func CountQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 }
 
 func (q countQuery) Kind() string { return "count" }
-func (q countQuery) job(eb int64) (core.Job, error) {
+func (q countQuery) job() (core.Job, error) {
 	if q.p == nil {
 		return core.Job{}, fmt.Errorf("streamcount: CountQuery: nil pattern: %w", ErrBadPattern)
 	}
-	return core.Job{Kind: core.JobEstimate, Config: q.o.config(q.p, eb)}, nil
+	return core.Job{Kind: core.JobEstimate, Config: q.o.config(q.p)}, nil
 }
 func (q countQuery) result(h *core.JobHandle) *CountResult { return countResultOf(h) }
 func (q countQuery) outcome(h *core.JobHandle) Outcome {
@@ -231,11 +224,11 @@ func SampleQuery(p *Pattern, opts ...QueryOption) TypedQuery[*SampleResult] {
 }
 
 func (q sampleQuery) Kind() string { return "sample" }
-func (q sampleQuery) job(eb int64) (core.Job, error) {
+func (q sampleQuery) job() (core.Job, error) {
 	if q.p == nil {
 		return core.Job{}, fmt.Errorf("streamcount: SampleQuery: nil pattern: %w", ErrBadPattern)
 	}
-	return core.Job{Kind: core.JobSample, Config: q.o.config(q.p, eb)}, nil
+	return core.Job{Kind: core.JobSample, Config: q.o.config(q.p)}, nil
 }
 func (q sampleQuery) result(h *core.JobHandle) *SampleResult {
 	r := h.Result()
@@ -270,7 +263,7 @@ func CliqueQuery(r int, opts ...QueryOption) TypedQuery[*CountResult] {
 }
 
 func (q cliqueQuery) Kind() string { return "cliques" }
-func (q cliqueQuery) job(int64) (core.Job, error) {
+func (q cliqueQuery) job() (core.Job, error) {
 	if q.r < 3 {
 		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: clique size %d < 3: %w", q.r, ErrBadConfig)
 	}
@@ -313,21 +306,11 @@ func AutoQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 }
 
 func (q autoQuery) Kind() string { return "auto" }
-func (q autoQuery) job(eb int64) (core.Job, error) {
+func (q autoQuery) job() (core.Job, error) {
 	if q.p == nil {
 		return core.Job{}, fmt.Errorf("streamcount: AutoQuery: nil pattern: %w", ErrBadPattern)
 	}
-	cfg := q.o.config(q.p, eb)
-	// The geometric search starts from the AGM bound m^ρ, so it needs an
-	// edge bound even when the trial budget is fixed via WithTrials (where
-	// config skips the stream-length default).
-	if cfg.EdgeBound == 0 {
-		cfg.EdgeBound = eb
-	}
-	if cfg.EdgeBound <= 0 && cfg.EdgeBound != core.EdgeBoundStreamLen {
-		return core.Job{}, fmt.Errorf("streamcount: AutoQuery: the geometric search needs an edge bound: %w", ErrBadConfig)
-	}
-	return core.Job{Kind: core.JobAuto, Config: cfg}, nil
+	return core.Job{Kind: core.JobAuto, Config: q.o.config(q.p)}, nil
 }
 func (q autoQuery) result(h *core.JobHandle) *CountResult { return countResultOf(h) }
 func (q autoQuery) outcome(h *core.JobHandle) Outcome {
@@ -352,14 +335,14 @@ func DistinguishQuery(p *Pattern, l float64, opts ...QueryOption) TypedQuery[*Di
 }
 
 func (q distinguishQuery) Kind() string { return "distinguish" }
-func (q distinguishQuery) job(eb int64) (core.Job, error) {
+func (q distinguishQuery) job() (core.Job, error) {
 	if q.p == nil {
 		return core.Job{}, fmt.Errorf("streamcount: DistinguishQuery: nil pattern: %w", ErrBadPattern)
 	}
 	if q.l <= 0 {
 		return core.Job{}, fmt.Errorf("streamcount: DistinguishQuery: threshold %v must be positive: %w", q.l, ErrBadConfig)
 	}
-	return core.Job{Kind: core.JobDistinguish, Config: q.o.config(q.p, eb), Threshold: q.l}, nil
+	return core.Job{Kind: core.JobDistinguish, Config: q.o.config(q.p), Threshold: q.l}, nil
 }
 func (q distinguishQuery) result(h *core.JobHandle) *DistinguishResult {
 	r := h.Result()
@@ -405,13 +388,11 @@ func wireQueryForm(kind string, p *Pattern, r int, threshold float64, o queryOpt
 		Epsilon:     o.epsilon,
 		Trials:      o.trials,
 		LowerBound:  o.lowerBound,
+		EdgeBound:   o.edgeBound,
 		MaxTrials:   o.maxTrials,
 		Seed:        o.seed,
 		Parallelism: o.parallelism,
 		Lambda:      o.lambda,
-	}
-	if o.edgeBound != 0 && o.edgeBound != core.EdgeBoundStreamLen {
-		w.EdgeBound = o.edgeBound
 	}
 	if p != nil {
 		cat, err := PatternByName(p.Name())
@@ -479,7 +460,7 @@ func samePattern(a, b *Pattern) bool {
 // share replays instead of each paying its own passes.
 func Run[R any](ctx context.Context, st Stream, q TypedQuery[R]) (R, error) {
 	var zero R
-	j, err := q.job(core.EdgeBoundStreamLen)
+	j, err := q.job()
 	if err != nil {
 		return zero, err
 	}

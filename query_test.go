@@ -194,6 +194,11 @@ func TestQueryValidationErrors(t *testing.T) {
 	if _, err := streamcount.Run(ctx, st, streamcount.DistinguishQuery(p, 0, streamcount.WithTrials(10))); !errors.Is(err, streamcount.ErrBadConfig) {
 		t.Errorf("zero threshold: %v, want ErrBadConfig", err)
 	}
+	for _, eb := range []int64{-1, -5} {
+		if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(p, streamcount.WithEdgeBound(eb), streamcount.WithLowerBound(1))); !errors.Is(err, streamcount.ErrBadConfig) {
+			t.Errorf("edge bound %d: %v, want ErrBadConfig", eb, err)
+		}
+	}
 }
 
 // TestOversizedUniverseIsBadConfig: a stream declaring more vertices than a

@@ -254,7 +254,7 @@ func WatchSeedAt(seed, version int64) int64 { return core.WatchSeedAt(seed, vers
 // typed Watch, which wraps it.
 func (e *Engine) WatchQuery(ctx context.Context, stream string, q Query, opts ...WatchOption) (*Subscription[Outcome], error) {
 	cfg := NewWatchConfig(opts...)
-	j, err := q.job(core.EdgeBoundStreamLen)
+	j, err := q.job()
 	if err != nil {
 		return nil, err
 	}

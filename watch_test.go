@@ -108,6 +108,33 @@ func TestWatchRejectsStaticStream(t *testing.T) {
 	}
 }
 
+// TestWatchBufferSetsEventCapacity: WithWatchBuffer sizes the event
+// channel, the default is 1, and a negative size clamps to 0.
+func TestWatchBufferSetsEventCapacity(t *testing.T) {
+	e, _ := watchEngine(t)
+	p, _ := streamcount.PatternByName("triangle")
+	q := streamcount.CountQuery(p, streamcount.WithTrials(10))
+	for _, c := range []struct {
+		opts []streamcount.WatchOption
+		want int
+	}{
+		{[]streamcount.WatchOption{streamcount.WithWatchBuffer(4)}, 4},
+		{nil, 1},
+		{[]streamcount.WatchOption{streamcount.WithWatchBuffer(-3)}, 0},
+	} {
+		sub, err := streamcount.Watch(context.Background(), e, "", q, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(sub.Events()); got != c.want {
+			t.Errorf("event capacity %d, want %d", got, c.want)
+		}
+		if err := sub.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSubscriptionTeardownNoGoroutineLeaks closes subscriptions all three
 // ways under -race and asserts the goroutine count returns to its baseline
 // — the facade's "clean teardown" guarantee.
